@@ -55,6 +55,7 @@ from .ratemodel import (
     RateModel,
     load_rate_model,
     predict_rate,
+    predict_rates,
     save_rate_model,
     train_rate_model,
 )
@@ -111,6 +112,7 @@ __all__ = [
     "parse_datasets",
     "predict_energy",
     "predict_rate",
+    "predict_rates",
     "run_benchmark",
     "run_monte_carlo",
     "save_energy_model",

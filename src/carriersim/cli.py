@@ -33,6 +33,7 @@ from .datamodel import (
 )
 from .energymodel import (
     EnergyHyper,
+    build_energy_samples,
     encode_features,
     fit_radio_energy_model,
     load_energy_model,
@@ -55,7 +56,7 @@ from .ratemodel import (
     build_rate_samples,
     load_rate_model,
     mean_rate_by_cell,
-    predict_rate,
+    predict_rates,
     save_rate_model,
     train_rate_model,
 )
@@ -129,15 +130,14 @@ def generate(settings, spec_path, out, truth):
 
 
 def _load_training_data(data_dir):
+    """(config, KPIs, energies) for training, preferring the shutdown-active
+    campaign when present."""
     data = Path(data_dir)
-    cfg, kpis, energies, mrs = parse_datasets(data)
-    # prefer the shutdown-active campaign for ML training when present
+    cfg, kpis, energies, _ = parse_datasets(data)
     biased_kpi = data / "kpi_biased.csv"
     biased_energy = data / "energy_biased.csv"
-    train_kpis = parse_kpis(biased_kpi) if biased_kpi.exists() else kpis
-    train_energies = (parse_energy(biased_energy) if biased_energy.exists()
-                      else energies)
-    return cfg, kpis, mrs, train_kpis, train_energies
+    return (cfg, parse_kpis(biased_kpi) if biased_kpi.exists() else kpis,
+            parse_energy(biased_energy) if biased_energy.exists() else energies)
 
 
 def _chronological_split(records, fraction=0.8):
@@ -156,7 +156,7 @@ def _chronological_split(records, fraction=0.8):
 def train(settings, data, out):
     """Train the energy and rate models from a dataset directory."""
     try:
-        cfg, _, _, train_kpis, train_energies = _load_training_data(data)
+        cfg, train_kpis, train_energies = _load_training_data(data)
         kpi_train, kpi_test = _chronological_split(train_kpis)
         energy_train, energy_test = _chronological_split(train_energies)
         energy_model = fit_radio_energy_model(
@@ -183,47 +183,32 @@ def train(settings, data, out):
 def _test_metrics(cfg, energy_model, rate_model, kpi_test, energy_test):
     metrics = {"energy_test_mae_wh": None, "energy_test_mape_percent": None,
                "rate_test_mae_mbps": None}
-    if energy_test:
-        from .energymodel import build_energy_samples
-
-        rows = build_energy_samples(cfg, kpi_test, energy_test)
-        if rows:
-            preds, truths = [], []
-            for row in rows:
-                vec = encode_features(energy_model.schema, row.radio,
-                                      row.cells, row.dl_loads,
-                                      row.cs_fractions)
-                preds.append(predict_energy(energy_model, vec)[0])
-                truths.append(row.energy_wh)
-            r = mae_mape(preds, truths)
-            metrics["energy_test_mae_wh"] = r.mae
-            metrics["energy_test_mape_percent"] = r.mape
-    if kpi_test:
-        avg_samples, _ = build_rate_samples(cfg, kpi_test)
-        rng = np.random.default_rng(0)
-        preds, truths = [], []
-        for cell, rows in sorted(avg_samples.items()):
-            if cell not in rate_model.cells:
-                continue
-            for s in rows:
-                value, _ = predict_rate(rate_model, cell, s.dl_prb_load,
-                                        s.rrc_ues, rng)
-                preds.append(value)
-                truths.append(s.rate_mbps)
-        if preds:
-            metrics["rate_test_mae_mbps"] = mae_mape(preds, truths).mae
+    rows = (build_energy_samples(cfg, kpi_test, energy_test) if energy_test
+            else [])
+    if rows:
+        r = mae_mape([predict_energy(energy_model, encode_features(
+            energy_model.schema, row.radio, row.cells, row.dl_loads,
+            row.cs_fractions))[0] for row in rows],
+            [row.energy_wh for row in rows])
+        metrics["energy_test_mae_wh"] = r.mae
+        metrics["energy_test_mape_percent"] = r.mape
+    avg_samples, _ = build_rate_samples(cfg, kpi_test)
+    rows = [s for cell, samples in sorted(avg_samples.items())
+            if cell in rate_model.cells for s in samples]
+    if rows:
+        preds, _ = predict_rates(
+            rate_model, [s.cell_id for s in rows],
+            [s.dl_prb_load for s in rows], [s.rrc_ues for s in rows],
+            np.random.default_rng(0))
+        metrics["rate_test_mae_mbps"] = mae_mape(
+            preds.tolist(), [s.rate_mbps for s in rows]).mae
     return metrics
-
-
-def _load_overrides(path):
-    if path is None:
-        return None
-    return json.loads(Path(path).read_text())
 
 
 def _prepare_network(data_dir, overrides_path):
     cfg, kpis, _, mrs = parse_datasets(data_dir)
-    overrides = _load_overrides(overrides_path)
+    overrides = (json.loads(Path(overrides_path).read_text())
+                 if overrides_path else None)
     if overrides:
         cfg = apply_overrides(cfg, overrides)
     tm = fit_traffic_model(kpis)
@@ -231,18 +216,9 @@ def _prepare_network(data_dir, overrides_path):
     return cfg, tm, handover
 
 
-def _predictions(cfg, tables, energy_model, rate_model, seed):
-    """Model-based energy and rate predictions from per-cell mean outputs."""
-    rng = np.random.default_rng([seed, 0x51])
-    out = {"energy_wh": {}, "rate_mbps": {}}
-    caps = {c.id: float(c.n_dl_prb) for c in cfg.cells}
-    for (cell, hour), load in sorted(tables["dl_load"].items()):
-        load = min(max(load, 0.0), 1.0)
-        if cell not in rate_model.cells:
-            continue
-        value, _ = predict_rate(rate_model, cell, load,
-                                tables["ue"][(cell, hour)], rng)
-        out["rate_mbps"][(cell, hour)] = value
+def _energy_predictions(cfg, tables, energy_model):
+    """Mean energy per (radio unit, hour), one radio-hour at a time."""
+    out = {}
     for radio in cfg.radio_units:
         cells = [cfg.cell(cid) for cid in radio.cell_ids]
         for hour in range(1, 25):
@@ -250,15 +226,9 @@ def _predictions(cfg, tables, energy_model, rate_model, seed):
                      for c in cells}
             fractions = {c.id: tables["cs_minutes"][(c.id, hour)] / 60.0
                          for c in cells}
-            vec = encode_features(energy_model.schema, radio, cells, loads,
-                                  fractions)
-            mu, _ = predict_energy(energy_model, vec)
-            out["energy_wh"][(radio.id, hour)] = mu
+            out[(radio.id, hour)] = predict_energy(energy_model, encode_features(
+                energy_model.schema, radio, cells, loads, fractions))[0]
     return out
-
-
-def _write_tables(path, tables):
-    write_truth(path, tables)
 
 
 @main.command()
@@ -284,9 +254,16 @@ def simulate(settings, data, models, out, overrides):
     write_hourly_report(out_dir / "abm_outputs.csv", outputs, cfg)
     write_run_dump(out_dir / "abm_runs.csv", outputs)
     tables = read_mean_report(out_dir / "abm_outputs.csv")
-    preds = _predictions(cfg, tables, energy_model, rate_model,
-                         settings["seed"])
-    _write_tables(out_dir / "predictions.csv", preds)
+    cells = rate_model.cells
+    keys = [key for key in sorted(tables["dl_load"]) if key[0] in cells]
+    rates, _ = predict_rates(
+        rate_model, [cell for cell, _ in keys],
+        [min(max(tables["dl_load"][key], 0.0), 1.0) for key in keys],
+        [tables["ue"][key] for key in keys],
+        np.random.default_rng([settings["seed"], 0x51]))
+    write_truth(out_dir / "predictions.csv",
+                {"energy_wh": _energy_predictions(cfg, tables, energy_model),
+                 "rate_mbps": dict(zip(keys, rates.tolist()))})
     click.echo(f"simulation outputs written to {out}")
 
 
@@ -309,7 +286,7 @@ def benchmark(settings, data, models, out, overrides):
         cfg, tm, handover = _prepare_network(data, overrides)
         energy_model = load_energy_model(Path(models) / "energy_model.json")
         outputs = run_benchmark(tm, cfg, handover)
-        _, _, _, train_kpis, _ = _load_training_data(data)
+        _, train_kpis, _ = _load_training_data(data)
         avg_samples, _ = build_rate_samples(cfg, train_kpis)
         mean_rates = mean_rate_by_cell(avg_samples)
     except SimulatorError as exc:
@@ -318,22 +295,11 @@ def benchmark(settings, data, models, out, overrides):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_point_report(out_dir / "benchmark_outputs.csv", outputs, cfg)
     tables = read_mean_report(out_dir / "benchmark_outputs.csv")
-    preds = {"energy_wh": {}, "rate_mbps": {}}
-    for (cell, hour) in sorted(tables["dl_load"]):
-        if cell in mean_rates:
-            preds["rate_mbps"][(cell, hour)] = mean_rates[cell]
-    for radio in cfg.radio_units:
-        cells = [cfg.cell(cid) for cid in radio.cell_ids]
-        for hour in range(1, 25):
-            loads = {c.id: min(max(tables["dl_load"][(c.id, hour)], 0.0), 1.0)
-                     for c in cells}
-            fractions = {c.id: tables["cs_minutes"][(c.id, hour)] / 60.0
-                         for c in cells}
-            vec = encode_features(energy_model.schema, radio, cells, loads,
-                                  fractions)
-            preds["energy_wh"][(radio.id, hour)] = predict_energy(
-                energy_model, vec)[0]
-    _write_tables(out_dir / "predictions.csv", preds)
+    write_truth(out_dir / "predictions.csv",
+                {"energy_wh": _energy_predictions(cfg, tables, energy_model),
+                 "rate_mbps": {(cell, hour): mean_rates[cell]
+                               for cell, hour in sorted(tables["dl_load"])
+                               if cell in mean_rates}})
     click.echo(f"benchmark outputs written to {out}")
 
 
@@ -361,13 +327,21 @@ def compare_cmd(abm_dir, bench_dir, truth_path, out):
         bench_tables = _estimator_tables(bench_dir, "benchmark_outputs.csv")
         truth_tables = read_truth(truth_path)
         aligned_abm, aligned_bench, aligned_truth = {}, {}, {}
+        coverage = []
         for kpi, truth in truth_tables.items():
-            if kpi not in abm_tables or kpi not in bench_tables:
+            estimates = {"abm": abm_tables.get(kpi),
+                         "benchmark": bench_tables.get(kpi)}
+            lacking = " and ".join(n for n, t in estimates.items() if t is None)
+            if lacking:
+                coverage.append(f"  {kpi}: skipped, not predicted by {lacking}")
                 continue
             keys = set(truth) & set(abm_tables[kpi]) & set(bench_tables[kpi])
             if not keys:
-                raise KeyMismatchError(
-                    f"no overlapping keys for KPI {kpi!r}")
+                raise KeyMismatchError(f"no overlapping keys for KPI {kpi!r}")
+            coverage.append(f"  {kpi}: kept {len(keys)} of {len(truth)} keys; "
+                            "dropped " + ", ".join(
+                                f"{len(set(truth) - set(t))} absent from {n}"
+                                for n, t in estimates.items()))
             aligned_truth[kpi] = {k: truth[k] for k in keys}
             aligned_abm[kpi] = {k: abm_tables[kpi][k] for k in keys}
             aligned_bench[kpi] = {k: bench_tables[kpi][k] for k in keys}
@@ -376,6 +350,7 @@ def compare_cmd(abm_dir, bench_dir, truth_path, out):
         _fail(exc)
     write_eval_report(out, report)
     click.echo(f"evaluation written to {out}")
+    click.echo("\n".join(["coverage against the truth keys:"] + coverage))
     for kpi, ev in sorted(report.kpis.items()):
         gain = ("n/a" if ev.gain_mae is None
                 else f"{100.0 * ev.gain_mae:.1f}%")

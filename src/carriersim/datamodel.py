@@ -29,12 +29,16 @@ mr.csv -- one row per UE measurement report:
     timestamp, ue_id, serving_cell, rsrp_dbm
   `timestamp` is ISO-8601 (`YYYY-MM-DDTHH:MM:SS`); `rsrp_dbm` holds
   `cell:value` pairs joined by `|` and must include the serving cell.
+
+Numeric fields must be finite: `nan` and `inf` are rejected with the file
+and row, like any other malformed value.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -292,6 +296,18 @@ def _require(header: list[str], columns: Iterable[str], path) -> None:
         raise MissingColumnError(f"{path}: missing column(s) {', '.join(missing)}")
 
 
+def _float(text: str) -> float:
+    """float(text), rejecting nan and inf with a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
+_TIMESTAMP = re.compile(r"\d{4}-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])"
+                        r"T([01]\d|2[0-3]):[0-5]\d:[0-5]\d")
+
+
 def _parse_pairs(text: str, path, row_index: int) -> dict[str, float]:
     pairs: dict[str, float] = {}
     text = text.strip()
@@ -300,7 +316,7 @@ def _parse_pairs(text: str, path, row_index: int) -> dict[str, float]:
     for chunk in text.split("|"):
         try:
             cell, value = chunk.split(":")
-            pairs[cell.strip()] = float(value)
+            pairs[cell.strip()] = _float(value)
         except ValueError:
             raise MalformedRowError(path, row_index, f"bad pair field {chunk!r}")
     return pairs
@@ -354,9 +370,9 @@ def parse_engineering(path, max_carriers: int = DEFAULT_MAX_CARRIERS) -> Network
             cell = Cell(
                 id=row["cell_id"],
                 radio_unit=row["radio_unit"],
-                frequency_mhz=float(row["frequency_mhz"]),
-                bandwidth_mhz=float(row["bandwidth_mhz"]),
-                max_tx_power_dbm=float(row["max_tx_power_dbm"]),
+                frequency_mhz=_float(row["frequency_mhz"]),
+                bandwidth_mhz=_float(row["bandwidth_mhz"]),
+                max_tx_power_dbm=_float(row["max_tx_power_dbm"]),
                 n_dl_prb=int(row["n_dl_prb"]),
                 n_ul_prb=int(row["n_ul_prb"]),
             )
@@ -372,12 +388,12 @@ def parse_engineering(path, max_carriers: int = DEFAULT_MAX_CARRIERS) -> Network
             pairing[cell.id] = paired
             try:
                 thresholds[cell.id] = ShutdownThresholds(
-                    entry_ue=float(row["entry_ue"]),
-                    entry_dl_prb=float(row["entry_dl_prb"]),
-                    entry_ul_prb=float(row["entry_ul_prb"]),
-                    leave_ue=float(row["leave_ue"]),
-                    leave_dl_prb=float(row["leave_dl_prb"]),
-                    leave_ul_prb=float(row["leave_ul_prb"]),
+                    entry_ue=_float(row["entry_ue"]),
+                    entry_dl_prb=_float(row["entry_dl_prb"]),
+                    entry_ul_prb=_float(row["entry_ul_prb"]),
+                    leave_ue=_float(row["leave_ue"]),
+                    leave_dl_prb=_float(row["leave_dl_prb"]),
+                    leave_ul_prb=_float(row["leave_ul_prb"]),
                 )
             except (ValueError, ConfigError) as exc:
                 raise MalformedRowError(path, i, str(exc))
@@ -387,8 +403,8 @@ def parse_engineering(path, max_carriers: int = DEFAULT_MAX_CARRIERS) -> Network
             raise MalformedRowError(path, i, f"unknown role {row['role']!r}")
         try:
             mobility[cell.id] = A4Params(
-                threshold_dbm=float(row["a4_threshold_dbm"]),
-                hysteresis_db=float(row["a4_hysteresis_db"]),
+                threshold_dbm=_float(row["a4_threshold_dbm"]),
+                hysteresis_db=_float(row["a4_hysteresis_db"]),
                 freq_offset_db=_parse_pairs(row["a4_freq_offsets_db"], path, i),
                 cell_offset_db=_parse_pairs(row["a4_cell_offsets_db"], path, i),
             )
@@ -427,18 +443,18 @@ def parse_kpis(path) -> list[CellKpiRecord]:
                 cell_id=row["cell_id"],
                 day=int(row["day"]),
                 hour=int(row["hour"]),
-                rrc_ues=float(row["rrc_ues"]),
-                dl_prbs=float(row["dl_prbs_used"]),
-                ul_prbs=float(row["ul_prbs_used"]),
-                dl_bits=float(row["dl_bits"]),
-                dl_bits_lastslot=float(row["dl_bits_lastslot"]),
-                dl_active_time_s=float(row["dl_active_time_s"]),
-                ul_bits=float(row["ul_bits"]),
-                dl_total_time_s=float(row["dl_total_time_s"]),
-                ul_time_s=float(row["ul_time_s"]),
+                rrc_ues=_float(row["rrc_ues"]),
+                dl_prbs=_float(row["dl_prbs_used"]),
+                ul_prbs=_float(row["ul_prbs_used"]),
+                dl_bits=_float(row["dl_bits"]),
+                dl_bits_lastslot=_float(row["dl_bits_lastslot"]),
+                dl_active_time_s=_float(row["dl_active_time_s"]),
+                ul_bits=_float(row["ul_bits"]),
+                dl_total_time_s=_float(row["dl_total_time_s"]),
+                ul_time_s=_float(row["ul_time_s"]),
                 rate_bins=tuple(
-                    float(row[f"rate_bin_{g:02d}"]) for g in range(1, N_RATE_BINS + 1)),
-                cs_minutes=float(row["cs_minutes"]),
+                    _float(row[f"rate_bin_{g:02d}"]) for g in range(1, N_RATE_BINS + 1)),
+                cs_minutes=_float(row["cs_minutes"]),
             )
         except ValueError as exc:
             raise MalformedRowError(path, i, str(exc))
@@ -471,7 +487,7 @@ def parse_energy(path) -> list[RadioEnergyRecord]:
                 radio_unit=row["radio_unit"],
                 day=int(row["day"]),
                 hour=int(row["hour"]),
-                energy_wh=float(row["energy_wh"]),
+                energy_wh=_float(row["energy_wh"]),
             )
         except ValueError as exc:
             raise MalformedRowError(path, i, str(exc))
@@ -486,6 +502,10 @@ def parse_mrs(path) -> list[MeasurementReport]:
     _require(header, _MR_COLUMNS, path)
     reports = []
     for i, row in enumerate(rows, start=1):
+        if not _TIMESTAMP.fullmatch(row["timestamp"]):
+            raise MalformedRowError(
+                path, i, f"timestamp {row['timestamp']!r} is not "
+                "YYYY-MM-DDTHH:MM:SS with hour 00-23")
         rsrp = _parse_pairs(row["rsrp_dbm"], path, i)
         rec = MeasurementReport(
             timestamp=row["timestamp"],

@@ -37,6 +37,7 @@ from .errors import (
     NonPositiveSigmaError,
     TooManyCarriersError,
     UnknownRadioTypeError,
+    UnsupportedVersionError,
 )
 
 CARRIER_SLOT_WIDTH = 10
@@ -402,7 +403,8 @@ def save_energy_model(path, model: EnergyModel) -> None:
 def load_energy_model(path) -> EnergyModel:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("version") != _SCHEMA_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')}")
+        raise UnsupportedVersionError(
+            f"{path}: unsupported checkpoint version {payload.get('version')}")
     schema = EnergyFeatureSchema(
         radio_types=tuple(payload["schema"]["radio_types"]),
         tx_modes=tuple(payload["schema"]["tx_modes"]),

@@ -85,3 +85,7 @@ class EmptySeriesError(SimulatorError):
 
 class KeyMismatchError(SimulatorError):
     """Estimator and ground-truth tables do not cover the same keys."""
+
+
+class UnsupportedVersionError(SimulatorError, ValueError):
+    """A saved model file has a format version this code cannot read."""

@@ -13,6 +13,7 @@ RLC volume/time counters, the 5%-tile from the per-range sample counters.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,13 +26,14 @@ from .datamodel import CellKpiRecord, NetworkConfig
 from .errors import (
     EmptyCountersError,
     UnknownCellError,
+    UnsupportedVersionError,
     ZeroActiveTimeError,
 )
 
 LOW_LOAD_CUTOFF = 0.1
 PMF_BIN_MBPS = 1.0
 _SPLIT_GAIN_EPS = 1e-12
-_BUNDLE_VERSION = 1
+_BUNDLE_VERSION = 2
 
 
 def default_bin_edges(n_bins: int = 15, first_edge: float = 0.5,
@@ -80,63 +82,63 @@ def p5_rate_from_bins(counters: Sequence[float],
 # Regression trees and boosting
 
 
-@dataclass
-class _Node:
-    feature: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    value: float = 0.0
+def _walk(feature: np.ndarray, threshold: np.ndarray, X) -> np.ndarray:
+    """Bottom slot per (tree, row), with one vectorised gather per level."""
+    tree = np.arange(len(feature))[:, None]
+    node = np.zeros((len(feature), len(X)), dtype=np.intp)
+    for _ in range(feature.shape[1].bit_length()):
+        left = X[np.arange(len(X)), feature[tree, node]] <= threshold[tree, node]
+        node = 2 * node + 2 - left
+    return node
 
 
 class RegressionTree:
-    """Exact-split CART regression tree; x <= threshold goes left."""
+    """Exact-split CART regression tree; x <= threshold goes left.
 
-    def __init__(self, max_depth: int):
+    Depth d is a heap of 2^(d+1)-1 slots, slot i's children at 2i+1 and
+    2i+2: split feature and threshold on the 2^d-1 inner slots, mean residual
+    on every slot. A node that stops splitting early is a pass-through
+    (feature -1, threshold +inf) whose value is copied to every slot below
+    it, so each row walks exactly d levels. `fit` fills `arrays` in place
+    when given, e.g. views of one row of an ensemble's stacked arrays."""
+
+    def __init__(self, max_depth: int, arrays=None):
+        inner = 2 ** max_depth - 1
         self.max_depth = max_depth
-        self.nodes: list[_Node] = []
+        self.feature, self.threshold, self.value = arrays or (
+            np.empty(inner, dtype=np.intp), np.empty(inner),
+            np.empty(2 * inner + 1))
 
-    def fit(self, X: np.ndarray, r: np.ndarray) -> "RegressionTree":
-        self.nodes = []
-        self._grow(X, r, np.arange(len(r)), depth=0)
-        return self
+    def fit(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Grow the tree on residuals `r`; return each row's leaf value."""
+        self.feature[:], self.threshold[:] = -1, np.inf
+        leaf = np.empty(len(r))
+        self._grow(X, r, np.arange(len(r)), 0, 0, leaf)
+        return leaf
 
-    def _grow(self, X, r, idx, depth) -> int:
-        node_id = len(self.nodes)
-        node = _Node(value=float(r[idx].mean()))
-        self.nodes.append(node)
-        if depth >= self.max_depth or len(idx) < 2:
-            return node_id
-        split = _best_split(X, r, idx)
+    def _grow(self, X, r, idx, slot, depth, leaf) -> None:
+        value = self.value[slot] = float(r[idx].mean())
+        split = (_best_split(X, r, idx)
+                 if depth < self.max_depth and len(idx) >= 2 else None)
         if split is None:
-            return node_id
+            for level in range(self.max_depth - depth + 1):
+                first = (slot + 1) * 2 ** level - 1
+                self.value[first:first + 2 ** level] = value
+            leaf[idx] = value
+            return
         feature, threshold = split
+        self.feature[slot], self.threshold[slot] = feature, threshold
         mask = X[idx, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X, r, idx[mask], depth + 1)
-        node.right = self._grow(X, r, idx[~mask], depth + 1)
-        return node_id
+        self._grow(X, r, idx[mask], 2 * slot + 1, depth + 1, leaf)
+        self._grow(X, r, idx[~mask], 2 * slot + 2, depth + 1, leaf)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(len(X))
-        stack = [(0, np.arange(len(X)))]
-        while stack:
-            node_id, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            node = self.nodes[node_id]
-            if node.feature < 0:
-                out[idx] = node.value
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        return out
+        return self.value[_walk(self.feature[None], self.threshold[None],
+                                np.asarray(X, dtype=float))[0]]
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.feature < 0)
+        return int(np.sum(self.feature >= 0)) + 1
 
 
 def _best_split(X, r, idx):
@@ -175,18 +177,31 @@ def _best_split(X, r, idx):
 
 @dataclass
 class BoostedEnsemble:
-    """Stage-wise additive model: mean initial estimate plus shrunken trees."""
+    """Stage-wise additive model: mean initial estimate plus shrunken trees,
+    stacked as (trees, slots) heap-layout arrays (see RegressionTree)."""
 
     init_value: float
     learning_rate: float
-    trees: list[RegressionTree] = field(default_factory=list)
+    feature: np.ndarray = field(default_factory=lambda: np.empty((0, 0), int))
+    threshold: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    value: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
     train_mse: list[float] = field(default_factory=list)
+
+    @property
+    def trees(self) -> list[RegressionTree]:
+        """One tree per row of the stacked arrays, viewing that row."""
+        depth = self.feature.shape[1].bit_length()    # 2^depth-1 inner slots
+        return [RegressionTree(depth, arrays) for arrays in
+                zip(self.feature, self.threshold, self.value)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
+        leaves = np.take_along_axis(
+            self.value, _walk(self.feature, self.threshold, X), axis=1)
         out = np.full(len(X), self.init_value)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict(X)
+        # tree by tree in fit order: the boosting loop's additions, in order
+        for leaf in leaves:
+            out += self.learning_rate * leaf
         return out
 
 
@@ -203,14 +218,15 @@ def fit_boosted(X: np.ndarray, y: np.ndarray,
                 hyper: RateHyper = RateHyper()) -> BoostedEnsemble:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    ensemble = BoostedEnsemble(init_value=float(y.mean()),
-                               learning_rate=hyper.learning_rate)
+    inner = 2 ** hyper.max_depth - 1
+    ensemble = BoostedEnsemble(
+        init_value=float(y.mean()), learning_rate=hyper.learning_rate,
+        feature=np.empty((hyper.n_estimators, inner), dtype=np.intp),
+        threshold=np.empty((hyper.n_estimators, inner)),
+        value=np.empty((hyper.n_estimators, 2 * inner + 1)))
     pred = np.full(len(y), ensemble.init_value)
-    for _ in range(hyper.n_estimators):
-        residual = y - pred
-        tree = RegressionTree(hyper.max_depth).fit(X, residual)
-        pred = pred + hyper.learning_rate * tree.predict(X)
-        ensemble.trees.append(tree)
+    for tree in ensemble.trees:
+        pred = pred + hyper.learning_rate * tree.fit(X, y - pred)
         ensemble.train_mse.append(float(np.mean((y - pred) ** 2)))
     return ensemble
 
@@ -315,33 +331,45 @@ def train_rate_model(avg_samples: Mapping[str, Sequence[RateSample]],
     return model
 
 
-def _predict_one(cell_model: CellRateModel, load: float, ues: float,
-                 cutoff: float, rng: np.random.Generator) -> float:
-    use_ensemble = load >= cutoff
-    if use_ensemble and cell_model.ensemble is not None:
-        value = float(cell_model.ensemble.predict([[load, ues]])[0])
-        return max(value, 0.0)
-    if cell_model.pmf is not None:
-        return cell_model.pmf.sample(rng)
-    if cell_model.ensemble is not None:
-        return max(float(cell_model.ensemble.predict([[load, ues]])[0]), 0.0)
-    return 0.0
+def predict_rates(model: RateModel, cells: Sequence[str], dl_prb_loads,
+                  rrc_ues, rng: np.random.Generator,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(mean rates, 5%-tile rates) in Mbps for rows (cell, load, UEs).
+
+    Loads at or above the cutoff use the ensembles (clamped at 0), one batch
+    per (target, cell); lower loads, and cells without an ensemble, draw
+    from the PMFs row by row, mean before 5%-tile, as a loop of
+    `predict_rate` would. A target without a model predicts 0."""
+    X = np.column_stack([dl_prb_loads, rrc_ues]).astype(float)
+    out = np.zeros((2, len(X)))
+    batches, draws = {}, []
+    for i, cell in enumerate(cells):
+        if not 0.0 <= X[i, 0] <= 1.0:
+            raise ValueError(f"load {X[i, 0]} outside [0, 1]")
+        if cell not in model.avg and cell not in model.ce:
+            raise UnknownCellError(f"no rate model for cell {cell!r}")
+        for target, cm in enumerate((model.avg.get(cell), model.ce.get(cell))):
+            if cm is None:
+                continue
+            if cm.ensemble is not None and (X[i, 0] >= model.cutoff
+                                            or cm.pmf is None):
+                batches.setdefault((target, cell), []).append(i)
+            elif cm.pmf is not None:
+                draws.append((target, i, cm.pmf))
+    for (target, cell), rows in batches.items():
+        value = (model.avg, model.ce)[target][cell].ensemble.predict(X[rows])
+        out[target, rows] = np.where(value < 0.0, 0.0, value)
+    for target, i, pmf in draws:
+        out[target, i] = pmf.sample(rng)
+    return out[0], out[1]
 
 
 def predict_rate(model: RateModel, cell: str, dl_prb_load: float,
                  rrc_ues: float, rng: np.random.Generator,
                  ) -> tuple[float, float]:
-    """(mean rate, 5%-tile rate) in Mbps. Loads at or above the cutoff use
-    the ensembles (clamped at 0); lower loads draw from the learned PMFs."""
-    if not 0.0 <= dl_prb_load <= 1.0:
-        raise ValueError(f"load {dl_prb_load} outside [0, 1]")
-    if cell not in model.avg and cell not in model.ce:
-        raise UnknownCellError(f"no rate model for cell {cell!r}")
-    avg = _predict_one(model.avg[cell], dl_prb_load, rrc_ues, model.cutoff,
-                       rng) if cell in model.avg else 0.0
-    ce = _predict_one(model.ce[cell], dl_prb_load, rrc_ues, model.cutoff,
-                      rng) if cell in model.ce else 0.0
-    return avg, ce
+    """`predict_rates` for one row: (mean rate, 5%-tile rate) in Mbps."""
+    avg, ce = predict_rates(model, [cell], [dl_prb_load], [rrc_ues], rng)
+    return float(avg[0]), float(ce[0])
 
 
 def build_rate_samples(cfg: NetworkConfig, kpis: Sequence[CellKpiRecord],
@@ -380,27 +408,20 @@ def mean_rate_by_cell(avg_samples: Mapping[str, Sequence[RateSample]],
 # Model bundle file
 
 
-def _tree_payload(tree: RegressionTree):
-    return {"max_depth": tree.max_depth,
-            "nodes": [[n.feature, n.threshold, n.left, n.right, n.value]
-                      for n in tree.nodes]}
-
-
-def _tree_from_payload(payload) -> RegressionTree:
-    tree = RegressionTree(payload["max_depth"])
-    tree.nodes = [_Node(feature=f, threshold=t, left=l, right=r, value=v)
-                  for f, t, l, r, v in payload["nodes"]]
-    return tree
+# Version 2 stores each ensemble's stacked tree arrays as base64 of their
+# little-endian bytes; loading decodes them without per-node objects.
+_ARRAY_DTYPES = {"feature": "<i2", "threshold": "<f8", "value": "<f8"}
 
 
 def _cell_payload(cm: CellRateModel):
     out = {}
-    if cm.ensemble is not None:
+    if (e := cm.ensemble) is not None:
         out["ensemble"] = {
-            "init_value": cm.ensemble.init_value,
-            "learning_rate": cm.ensemble.learning_rate,
-            "trees": [_tree_payload(t) for t in cm.ensemble.trees],
-        }
+            "init_value": e.init_value, "learning_rate": e.learning_rate,
+            "n_trees": len(e.value), "inner_slots": e.feature.shape[1],
+            **{name: base64.b64encode(np.asarray(getattr(e, name), dtype)
+                                      .tobytes()).decode("ascii")
+               for name, dtype in _ARRAY_DTYPES.items()}}
     if cm.pmf is not None:
         out["pmf"] = {"bin_mbps": cm.pmf.bin_mbps,
                       "first_bin": cm.pmf.first_bin,
@@ -412,10 +433,11 @@ def _cell_from_payload(payload) -> CellRateModel:
     ensemble = None
     if "ensemble" in payload:
         e = payload["ensemble"]
-        ensemble = BoostedEnsemble(init_value=e["init_value"],
-                                   learning_rate=e["learning_rate"],
-                                   trees=[_tree_from_payload(t)
-                                          for t in e["trees"]])
+        inner = e["inner_slots"]
+        ensemble = BoostedEnsemble(e["init_value"], e["learning_rate"], **{
+            name: np.frombuffer(base64.b64decode(e[name]), dtype).reshape(
+                e["n_trees"], 2 * inner + 1 if name == "value" else inner)
+            for name, dtype in _ARRAY_DTYPES.items()})
     pmf = None
     if "pmf" in payload:
         p = payload["pmf"]
@@ -438,7 +460,9 @@ def save_rate_model(path, model: RateModel) -> None:
 def load_rate_model(path) -> RateModel:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("version") != _BUNDLE_VERSION:
-        raise ValueError(f"unsupported bundle version {payload.get('version')}")
+        raise UnsupportedVersionError(
+            f"{path}: unsupported bundle version {payload.get('version')} "
+            f"(expected {_BUNDLE_VERSION}; retrain the models)")
     return RateModel(
         avg={cell: _cell_from_payload(p) for cell, p in payload["avg"].items()},
         ce={cell: _cell_from_payload(p) for cell, p in payload["ce"].items()},

@@ -11,6 +11,13 @@ def run_cli(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
 
 
+def copy_dir(src, dst):
+    dst.mkdir()
+    for p in Path(src).iterdir():
+        (dst / p.name).write_bytes(p.read_bytes())
+    return dst
+
+
 def dir_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir())
             if p.is_file()}
@@ -136,6 +143,32 @@ class TestSimulate:
                     "--overrides", overrides)
         assert r.exit_code == 1
 
+    def test_malformed_mr_timestamp_fails_cleanly(self, pipeline, tmp_path):
+        data = copy_dir(pipeline / "data", tmp_path / "data")
+        lines = (data / "mr.csv").read_text().splitlines()
+        stamp = lines[1].split(",", 1)[0]
+        lines[1] = lines[1].replace(stamp, stamp[:11] + "7" + stamp[13:], 1)
+        (data / "mr.csv").write_text("\n".join(lines) + "\n")
+        r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, "simulate",
+                    "--data", data, "--models", pipeline / "models",
+                    "--out", tmp_path / "o")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)   # not an escaped error
+        assert "error:" in r.output and "mr.csv, row 1" in r.output
+        assert "Traceback" not in r.output
+
+    def test_old_rate_bundle_fails_cleanly(self, pipeline, tmp_path):
+        models = copy_dir(pipeline / "models", tmp_path / "models")
+        (models / "rate_model.json").write_text(json.dumps(
+            {"version": 1, "cutoff": 0.1, "bin_edges": [], "avg": {},
+             "ce": {}}))
+        r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, "simulate",
+                    "--data", pipeline / "data", "--models", models,
+                    "--out", tmp_path / "o")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert "error:" in r.output and "retrain" in r.output
+
     def test_same_seed_byte_identical_outputs(self, pipeline, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -203,6 +236,35 @@ class TestCompareCommand:
         for kpi, ev in report.items():
             if ev["accuracy_gain_mae"] is not None:
                 assert ev["accuracy_gain_mae"] == pytest.approx(0.0)
+
+    def test_reports_dropped_keys_and_skipped_kpis(self, pipeline, estimates,
+                                                   tmp_path):
+        abm, bench = estimates
+        partial = copy_dir(bench, tmp_path / "partial")
+        lines = (partial / "predictions.csv").read_text().splitlines()
+        kept = [l for l in lines
+                if not (l.startswith("rate_mbps,") and ",3," in l)
+                and not l.startswith("energy_wh,")]
+        truth = (pipeline / "data" / "truth.csv").read_text().splitlines()
+        dropped = sum(l.startswith("rate_mbps,") and ",3," in l
+                      for l in truth)
+        assert dropped > 0
+        (partial / "predictions.csv").write_text("\n".join(kept) + "\n")
+        r = run_cli("compare", "--abm", abm, "--benchmark", partial,
+                    "--truth", pipeline / "data" / "truth.csv",
+                    "--out", tmp_path / "report")
+        assert r.exit_code == 0, r.output
+        lines = r.output.splitlines()
+        assert "  energy_wh: skipped, not predicted by benchmark" in lines
+        rate = [l for l in lines if l.startswith("  rate_mbps: kept")]
+        assert len(rate) == 1
+        assert f"dropped 0 absent from abm, {dropped} absent from " \
+               "benchmark" in rate[0]
+        full = [l for l in lines if l.startswith("  cs_minutes: kept")]
+        assert full and full[0].endswith(
+            "dropped 0 absent from abm, 0 absent from benchmark")
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert "energy_wh" not in report
 
     def test_mismatched_cells_fail(self, pipeline, estimates, tmp_path):
         abm, bench = estimates

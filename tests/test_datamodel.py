@@ -12,7 +12,10 @@ from carriersim.datamodel import (
     draw_inputs,
     fit_traffic_model,
     parse_datasets,
+    parse_energy,
+    parse_engineering,
     parse_kpis,
+    parse_mrs,
     write_datasets,
     write_kpis,
 )
@@ -113,6 +116,59 @@ class TestParsing:
         with pytest.raises(MalformedRowError):
             write_fixture(tmp_path, mrs=[mr])
             parse_datasets(tmp_path)
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_kpi_counter_rejected(self, tmp_path, text):
+        path = tmp_path / "kpi.csv"
+        write_kpis(path, [make_kpi(), make_kpi(hour=2, rrc_ues=7.25)])
+        path.write_text(path.read_text().replace("7.25", text))
+        with pytest.raises(MalformedRowError) as err:
+            parse_kpis(path)
+        assert err.value.row_index == 2
+        assert "kpi.csv" in str(err.value)
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    def test_non_finite_energy_rejected(self, tmp_path, text):
+        paths, _ = write_fixture(tmp_path)
+        lines = paths.energy.read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + text
+        paths.energy.write_text("\n".join(lines))
+        with pytest.raises(MalformedRowError) as err:
+            parse_energy(paths.energy)
+        assert err.value.row_index == 3
+
+    @pytest.mark.parametrize("column", ["frequency_mhz", "entry_dl_prb",
+                                        "a4_hysteresis_db",
+                                        "a4_cell_offsets_db"])
+    def test_non_finite_engineering_value_rejected(self, tmp_path, column):
+        paths, _ = write_fixture(tmp_path)
+        lines = paths.engineering.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[2].split(",")      # the capacity cell
+        assert row[header.index("role")] == "capacity"
+        row[header.index(column)] = ("b1:nan" if column.endswith("offsets_db")
+                                     else "nan")
+        lines[2] = ",".join(row)
+        paths.engineering.write_text("\n".join(lines))
+        with pytest.raises(MalformedRowError) as err:
+            parse_engineering(paths.engineering)
+        assert err.value.row_index == 2
+
+    @pytest.mark.parametrize("stamp", ["2024-03-04T24:00:05",
+                                       "2024-03-04 13:00:05",
+                                       "2024-03-04T1:00:05", "13:00",
+                                       "2024-13-04T13:00:05", ""])
+    def test_malformed_mr_timestamp_rejected(self, tmp_path, stamp):
+        good = MeasurementReport(timestamp="2024-03-04T23:59:59", ue_id="u0",
+                                 serving_cell="c1",
+                                 neighbor_rsrp_dbm={"c1": -90.0})
+        bad = MeasurementReport(timestamp=stamp, ue_id="u1",
+                                serving_cell="c1",
+                                neighbor_rsrp_dbm={"c1": -90.0})
+        paths, _ = write_fixture(tmp_path, mrs=[good, bad])
+        with pytest.raises(MalformedRowError) as err:
+            parse_mrs(paths.mr)
+        assert err.value.row_index == 2
 
     def test_dataset_paths_in_dir(self, tmp_path):
         paths = DatasetPaths.in_dir(tmp_path)

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,12 +17,14 @@ from carriersim.ratemodel import (
     mean_rate_by_cell,
     p5_rate_from_bins,
     predict_rate,
+    predict_rates,
     save_rate_model,
     train_rate_model,
 )
 from carriersim.errors import (
     EmptyCountersError,
     UnknownCellError,
+    UnsupportedVersionError,
     ZeroActiveTimeError,
 )
 
@@ -98,15 +103,28 @@ def brute_force_tree(X, r, idx, max_depth, depth=0):
     return node
 
 
-def assert_same_structure(tree: RegressionTree, node_id: int, oracle: dict):
-    node = tree.nodes[node_id]
-    assert node.feature == oracle["feature"]
-    if node.feature < 0:
-        assert node.value == pytest.approx(oracle["value"], rel=1e-12)
+def assert_same_structure(tree: RegressionTree, slot: int, oracle: dict):
+    """Heap layout: slot i's children are 2i+1 and 2i+2; a leaf above the
+    bottom level passes its value down to every slot below it."""
+    feature = tree.feature[slot] if slot < len(tree.feature) else -1
+    assert feature == oracle["feature"]
+    if feature < 0:
+        assert tree.value[slot] == pytest.approx(oracle["value"], rel=1e-12)
+        assert_pass_through(tree, slot, tree.value[slot])
         return
-    assert node.threshold == pytest.approx(oracle["threshold"], rel=1e-12)
-    assert_same_structure(tree, node.left, oracle["left"])
-    assert_same_structure(tree, node.right, oracle["right"])
+    assert tree.threshold[slot] == pytest.approx(oracle["threshold"],
+                                                 rel=1e-12)
+    assert_same_structure(tree, 2 * slot + 1, oracle["left"])
+    assert_same_structure(tree, 2 * slot + 2, oracle["right"])
+
+
+def assert_pass_through(tree: RegressionTree, slot: int, value: float):
+    assert tree.value[slot] == value
+    if slot < len(tree.feature):
+        assert tree.feature[slot] == -1
+        assert tree.threshold[slot] == np.inf
+        assert_pass_through(tree, 2 * slot + 1, value)
+        assert_pass_through(tree, 2 * slot + 2, value)
 
 
 class TestRegressionTree:
@@ -116,7 +134,8 @@ class TestRegressionTree:
             n = int(rng.integers(3, 21))
             X = rng.normal(size=(n, 1)).round(2)
             r = rng.normal(size=n)
-            tree = RegressionTree(max_depth=4).fit(X, r)
+            tree = RegressionTree(max_depth=4)
+            tree.fit(X, r)
             oracle = brute_force_tree(X, r, np.arange(n), max_depth=4)
             assert_same_structure(tree, 0, oracle)
 
@@ -124,23 +143,37 @@ class TestRegressionTree:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(300, 2))
         r = rng.normal(size=300)
-        tree = RegressionTree(max_depth=4).fit(X, r)
+        tree = RegressionTree(max_depth=4)
+        tree.fit(X, r)
         assert tree.n_leaves <= 16
 
     def test_predictions_piecewise_constant(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(50, 1))
         r = rng.normal(size=50)
-        tree = RegressionTree(max_depth=3).fit(X, r)
+        tree = RegressionTree(max_depth=3)
+        tree.fit(X, r)
         preds = tree.predict(np.linspace(-3, 3, 500).reshape(-1, 1))
         assert len(np.unique(preds)) <= tree.n_leaves
 
     def test_pure_node_stays_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
         r = np.array([5.0, 5.0, 5.0])
-        tree = RegressionTree(max_depth=4).fit(X, r)
-        assert len(tree.nodes) == 1
-        assert tree.nodes[0].value == 5.0
+        tree = RegressionTree(max_depth=4)
+        tree.fit(X, r)
+        assert tree.n_leaves == 1
+        assert tree.feature[0] == -1
+        assert tree.value[0] == 5.0
+        assert_pass_through(tree, 0, 5.0)
+
+    def test_fit_returns_training_leaf_values(self):
+        rng = np.random.default_rng(6)
+        X = rng.integers(0, 5, size=(40, 2)).astype(float)
+        r = rng.normal(size=40)
+        tree = RegressionTree(max_depth=4)
+        leaf = tree.fit(X, r)
+        assert tree.n_leaves < 16          # some nodes stop splitting early
+        assert np.array_equal(leaf, tree.predict(X))
 
 
 class TestBoosting:
@@ -169,6 +202,65 @@ class TestBoosting:
         ss_res = np.sum((y[test] - pred) ** 2)
         ss_tot = np.sum((y[test] - y[test].mean()) ** 2)
         assert 1 - ss_res / ss_tot > 0.95
+
+
+def frozen_data():
+    """The data of tests/data/frozen_ensemble.json: few rows with tied
+    features, so some nodes stop splitting above the bottom level."""
+    rng = np.random.default_rng(20240101)
+    n = 24
+    load = rng.uniform(0.1, 1.0, n).round(1)
+    ues = rng.integers(1, 5, n).astype(float)
+    y = 60.0 * (1.0 - load) + 0.5 * ues + rng.normal(0.0, 2.0, n)
+    return np.column_stack([load, ues]), y
+
+
+def frozen_grid():
+    load, ues = np.meshgrid(np.linspace(0.0, 1.0, 21), np.arange(0.0, 11.0))
+    return np.column_stack([load.ravel(), ues.ravel()])
+
+
+class TestFrozenEnsemble:
+    """50 trees of depth 4 fitted by the node-list implementation that the
+    heap layout replaced; its outputs are stored as float.hex strings, and
+    the current code must reproduce them bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def frozen(self):
+        path = Path(__file__).parent / "data" / "frozen_ensemble.json"
+        return {k: [float.fromhex(v) for v in values]
+                for k, values in json.loads(path.read_text()).items()}
+
+    @pytest.fixture(scope="class")
+    def ensemble(self):
+        X, y = frozen_data()
+        return fit_boosted(X, y, RateHyper(n_estimators=50, max_depth=4))
+
+    def test_trees_stop_early(self, ensemble):
+        assert all(t.n_leaves < 16 for t in ensemble.trees)
+
+    def test_train_mse_bit_identical(self, ensemble, frozen):
+        assert ensemble.train_mse == frozen["train_mse"]
+
+    def test_grid_predictions_bit_identical(self, ensemble, frozen):
+        assert ensemble.predict(frozen_grid()).tolist() == \
+            frozen["grid_predictions"]
+
+    def test_training_predictions_bit_identical(self, ensemble, frozen):
+        X, _ = frozen_data()
+        assert ensemble.predict(X).tolist() == frozen["train_predictions"]
+
+    def test_loaded_bundle_bit_identical(self, ensemble, frozen, tmp_path):
+        from carriersim.ratemodel import CellRateModel, RateModel
+
+        model = RateModel(avg={"c1": CellRateModel(ensemble, None)}, ce={})
+        save_rate_model(tmp_path / "rate.json", model)
+        loaded = load_rate_model(tmp_path / "rate.json").avg["c1"].ensemble
+        for name in ("feature", "threshold", "value"):
+            assert np.array_equal(getattr(loaded, name),
+                                  getattr(ensemble, name))
+        assert loaded.predict(frozen_grid()).tolist() == \
+            frozen["grid_predictions"]
 
 
 def make_rate_samples(cell="c1", n_high=60, n_low=20, seed=0):
@@ -272,3 +364,49 @@ class TestSampleExtraction:
         rows = {"c1": [RateSample("c1", 1, 0.5, 2.0, 10.0),
                        RateSample("c1", 2, 0.6, 2.0, 20.0)]}
         assert mean_rate_by_cell(rows) == {"c1": 15.0}
+
+
+class TestBatchedPrediction:
+    def test_batch_equals_loop_of_predict_rate(self):
+        c1 = make_rate_samples("c1", seed=0)
+        pmf_only = [RateSample(cell_id="c2", hour=1, dl_prb_load=0.02,
+                               rrc_ues=1.0, rate_mbps=v)
+                    for v in (12.5, 14.0, 19.9)]
+        model = train_rate_model({"c1": c1, "c2": pmf_only}, {"c1": c1},
+                                 RateHyper(n_estimators=25))
+        assert model.avg["c2"].ensemble is None and "c2" not in model.ce
+        rng = np.random.default_rng(9)
+        cells = list(rng.choice(["c1", "c2"], size=40))
+        loads = rng.uniform(0.0, 0.4, size=40)    # both sides of the cutoff
+        loads[:3] = [0.1, 0.0, 1.0]
+        ues = rng.integers(1, 20, size=40).astype(float)
+        rng_batch, rng_loop = (np.random.default_rng(3),
+                               np.random.default_rng(3))
+        avg, ce = predict_rates(model, cells, loads, ues, rng_batch)
+        loop = [predict_rate(model, c, l, u, rng_loop)
+                for c, l, u in zip(cells, loads, ues)]
+        assert avg.tolist() == [a for a, _ in loop]
+        assert ce.tolist() == [c for _, c in loop]
+        assert rng_batch.random() == rng_loop.random()
+
+    def test_empty_batch(self):
+        model = train_rate_model({"c1": make_rate_samples()}, {},
+                                 RateHyper(n_estimators=5))
+        avg, ce = predict_rates(model, [], [], [], np.random.default_rng(0))
+        assert avg.shape == ce.shape == (0,)
+
+    def test_bad_row_rejected(self):
+        model = train_rate_model({"c1": make_rate_samples()}, {},
+                                 RateHyper(n_estimators=5))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError):
+            predict_rates(model, ["c1", "c1"], [0.5, float("nan")],
+                          [2.0, 2.0], rng)
+        with pytest.raises(UnknownCellError):
+            predict_rates(model, ["c1", "zz"], [0.5, 0.5], [2.0, 2.0], rng)
+
+    def test_old_bundle_version_rejected(self, tmp_path):
+        path = tmp_path / "rate.json"
+        path.write_text(json.dumps({"version": 1, "avg": {}, "ce": {}}))
+        with pytest.raises(UnsupportedVersionError, match="version 1"):
+            load_rate_model(path)
