@@ -18,14 +18,17 @@ pool and use per-(seed, hour, run) RNG streams; a RunState is owned by its run.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import NetworkConfig, TrafficModel, draw_inputs
+from .datamodel import (NetworkConfig, ShutdownThresholds, TrafficModel,
+                        draw_inputs)
 from .errors import EmptyCandidateSetError, InconsistentReplayError
-from .rules import PROBABILITY_SUM_TOL, HandoverModel, check_shutdown_entry
+from .rules import (PROBABILITY_SUM_TOL, HandoverModel, check_shutdown_entry,
+                    check_wakeup)
 
 HOURS = tuple(range(1, 25))
 SHUTDOWN_MINUTES = 60.0
@@ -62,13 +65,11 @@ class SimNetwork:
                                    dtype=np.intp)
         self.paired_global = np.array(
             [self.index[cfg.pairing[c]] for c in self.cap_ids], dtype=np.intp)
-        th = [cfg.energy_saving[c] for c in self.cap_ids]
-        self.entry_ue = np.array([t.entry_ue for t in th])
-        self.entry_dl = np.array([t.entry_dl_prb for t in th])
-        self.entry_ul = np.array([t.entry_ul_prb for t in th])
-        self.leave_ue = np.array([t.leave_ue for t in th])
-        self.leave_dl = np.array([t.leave_dl_prb for t in th])
-        self.leave_ul = np.array([t.leave_ul_prb for t in th])
+        # per-capacity-cell threshold arrays under the ShutdownThresholds names
+        self.th = SimpleNamespace(**{
+            f.name: np.array([getattr(cfg.energy_saving[c], f.name)
+                              for c in self.cap_ids])
+            for f in fields(ShutdownThresholds)})
         self.n_dl_prb = np.array([c.n_dl_prb for c in cfg.cells], dtype=float)
         self.is_capacity = np.zeros(self.n_cells, dtype=bool)
         self.is_capacity[self.cap_global] = True
@@ -76,25 +77,50 @@ class SimNetwork:
         self.cap_of_global[self.cap_global] = np.arange(self.n_cap)
 
 
+def _entry(targets: np.ndarray, probs: np.ndarray):
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return targets, probs, cum
+
+
+def _handover_targets(net: SimNetwork, handover: HandoverModel, cid: str,
+                      hour: int):
+    """(target indices, probabilities, cumulative PMF) over the positive
+    entries of `cid`'s handover PMF in cell-id order, or None if no feasible
+    A4 target was observed for the hour."""
+    items = sorted((j, p) for j, p in handover.targets(cid, hour).items()
+                   if p > 0)
+    if not items:
+        return None
+    total = sum(p for _, p in items)
+    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+        raise ValueError(f"handover PMF for {cid!r} at hour {hour} "
+                         f"sums to {total!r}")
+    return _entry(np.array([net.index[j] for j, _ in items], dtype=np.intp),
+                  np.array([p for _, p in items]))
+
+
+def _live_targets(net: SimNetwork, x: np.ndarray, entry):
+    """`entry` without the capacity targets that configuration `x` has shut
+    down (targets sharing the coverage frequency), renormalised; None when
+    no target is left."""
+    if entry is None:
+        return None
+    targets, probs, _ = entry
+    is_cap = net.is_capacity[targets]
+    if not is_cap.any():
+        return entry
+    alive = ~is_cap | x[net.cap_of_global[targets]]
+    if alive.all():
+        return entry
+    if not alive.any():
+        return None
+    return _entry(targets[alive], probs[alive] / probs[alive].sum())
+
+
 def build_transfer_table(net: SimNetwork, handover: HandoverModel, hour: int):
-    """Per capacity cell: (target indices, cumulative PMF) or None if no
-    feasible A4 target was observed for the hour."""
-    table = []
-    for cid in net.cap_ids:
-        probs = handover.targets(cid, hour)
-        items = sorted((j, p) for j, p in probs.items() if p > 0)
-        if not items:
-            table.append(None)
-            continue
-        total = sum(p for _, p in items)
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValueError(f"handover PMF for {cid!r} at hour {hour} "
-                             f"sums to {total!r}")
-        targets = np.array([net.index[j] for j, _ in items], dtype=np.intp)
-        cum = np.cumsum([p for _, p in items])
-        cum[-1] = 1.0
-        table.append((targets, cum))
-    return table
+    """Per capacity cell: its _handover_targets entry for the hour."""
+    return [_handover_targets(net, handover, cid, hour) for cid in net.cap_ids]
 
 
 @dataclass
@@ -122,8 +148,7 @@ class RunState:
                  "base_ue", "base_dl", "base_ul", "sd_frozen",
                  "contribs", "origin_hosts", "replay")
 
-    def __init__(self, net: SimNetwork, hour: int, base_ue, base_dl, base_ul,
-                 replay: ReplayLog):
+    def __init__(self, net: SimNetwork, hour: int, base_ue, base_dl, base_ul):
         self.net = net
         self.hour = hour
         self.x = np.ones(net.n_cap, dtype=bool)
@@ -135,13 +160,13 @@ class RunState:
         self.ul = base_ul.copy()
         self.t_cs = np.zeros(net.n_cells)
         cap, paired = net.cap_global, net.paired_global
-        self.sd_frozen = (
-            (base_ue[cap] < net.entry_ue)
-            & (base_dl[cap] + base_dl[paired] < net.entry_dl)
-            & (base_ul[cap] + base_ul[paired] < net.entry_ul))
+        self.sd_frozen = check_shutdown_entry(
+            base_ue[cap], base_dl[cap], base_dl[paired], base_ul[cap],
+            base_ul[paired], net.th)
         self.contribs: list[list] = [[] for _ in range(net.n_cells)]
         self.origin_hosts: dict[int, set[int]] = {}
-        self.replay = replay
+        self.replay = ReplayLog(hour=hour, base_ue=base_ue.copy(),
+                                base_dl=base_dl.copy(), base_ul=base_ul.copy())
 
     def fingerprint(self) -> tuple:
         """Byte-exact summary of the observable state."""
@@ -173,9 +198,7 @@ def _new_state(net: SimNetwork, tm: TrafficModel, hour: int,
     base_ue = np.array([float(draws[c].ues) for c in net.cell_ids])
     base_dl = np.array([draws[c].dl_prbs for c in net.cell_ids])
     base_ul = np.array([draws[c].ul_prbs for c in net.cell_ids])
-    replay = ReplayLog(hour=hour, base_ue=base_ue.copy(),
-                       base_dl=base_dl.copy(), base_ul=base_ul.copy())
-    return RunState(net, hour, base_ue, base_dl, base_ul, replay)
+    return RunState(net, hour, base_ue, base_dl, base_ul)
 
 
 # ---------------------------------------------------------------------------
@@ -231,29 +254,18 @@ def _apply_shutdown(state: RunState, a: int, moves, step: int) -> None:
     state.replay.events.append(("sd", step, a, tuple(moves)))
 
 
-def _transfer(state: RunState, a: int, table, rng: np.random.Generator,
+def _transfer(state: RunState, a: int, entry, rng: np.random.Generator,
               step: int) -> bool:
-    """Shut down capacity cell `a`, handing its UEs to drawn targets.
+    """Shut down capacity cell `a`, handing its UEs to targets drawn from its
+    transfer-table entry.
 
     Returns False (state untouched) when no feasible target exists, i.e. the
     shutdown attempt is abandoned.
     """
-    entry = table[a]
+    entry = _live_targets(state.net, state.x, entry)
     if entry is None:
         return False
-    targets, cum = entry
-    is_cap = state.net.is_capacity[targets]
-    if is_cap.any():
-        # targets sharing the coverage frequency may themselves be shut down
-        alive = ~is_cap | state.x[state.net.cap_of_global[targets]]
-        if not alive.any():
-            return False
-        if not alive.all():
-            kept = np.flatnonzero(alive)
-            probs = np.diff(np.concatenate(([0.0], cum)))[kept]
-            cum = np.cumsum(probs / probs.sum())
-            cum[-1] = 1.0
-            targets = targets[kept]
+    targets, _, cum = entry
     moves = _draw_moves(state, a, targets, cum, rng)
     _apply_shutdown(state, a, moves, step)
     return True
@@ -276,10 +288,23 @@ def _eligible_masks(state: RunState) -> tuple[np.ndarray, np.ndarray]:
     net = state.net
     paired = net.paired_global
     sd = state.x & state.sd_frozen
-    ac = ~state.x & ((state.ue[paired] > net.leave_ue)
-                     | (state.dl[paired] > net.leave_dl)
-                     | (state.ul[paired] > net.leave_ul))
+    ac = ~state.x & check_wakeup(state.ue[paired], state.dl[paired],
+                                 state.ul[paired], net.th)
     return sd, ac
+
+
+def _pick(margins, rng: np.random.Generator) -> int:
+    """Position drawn from the margin-weighted PMF: negative margins are
+    clamped to zero and an all-zero total falls back to a uniform choice."""
+    weights = np.maximum(margins, 0.0)
+    total = weights.sum()
+    if total <= 0.0:
+        cum = np.arange(1, len(weights) + 1) / len(weights)
+    else:
+        cum = np.cumsum(weights / total)
+    cum[-1] = 1.0
+    k = int(np.searchsorted(cum, rng.random(), side="right"))
+    return min(k, len(weights) - 1)
 
 
 def _select(state: RunState, sd: np.ndarray, ac: np.ndarray,
@@ -288,26 +313,16 @@ def _select(state: RunState, sd: np.ndarray, ac: np.ndarray,
     cap, paired = net.cap_global, net.paired_global
     d = np.zeros(net.n_cap)
     # shutdown margin on the frozen draws, wakeup margin on current counters
-    d[sd] = net.entry_dl[sd] - (state.base_dl[cap] + state.base_dl[paired])[sd]
-    d[ac] = state.dl[paired][ac] - net.leave_dl[ac]
+    d[sd] = (net.th.entry_dl_prb[sd]
+             - (state.base_dl[cap] + state.base_dl[paired])[sd])
+    d[ac] = state.dl[paired][ac] - net.th.leave_dl_prb[ac]
     idx = np.flatnonzero(sd | ac)
-    weights = np.maximum(d[idx], 0.0)
-    total = weights.sum()
-    if total <= 0.0:
-        cum = np.arange(1, len(idx) + 1) / len(idx)
-    else:
-        cum = np.cumsum(weights / total)
-    cum[-1] = 1.0
-    k = int(np.searchsorted(cum, rng.random(), side="right"))
-    return int(idx[min(k, len(idx) - 1)])
+    return int(idx[_pick(d[idx], rng)])
 
 
 def replay_log(log: ReplayLog, net: SimNetwork) -> RunState:
     """Rebuild the RunState a log describes by reapplying every event."""
-    fresh = ReplayLog(hour=log.hour, base_ue=log.base_ue.copy(),
-                      base_dl=log.base_dl.copy(), base_ul=log.base_ul.copy())
-    state = RunState(net, log.hour, fresh.base_ue, fresh.base_dl,
-                     fresh.base_ul, fresh)
+    state = RunState(net, log.hour, log.base_ue, log.base_dl, log.base_ul)
     for event in list(log.events):
         if event[0] == "sd":
             _, step, a, moves = event
@@ -346,15 +361,7 @@ def select_agent(to_shutdown: Iterable[str], to_wakeup: Iterable[str],
                 for c in sorted(to_wakeup)]
     if not entries:
         raise EmptyCandidateSetError("no candidate cells")
-    weights = np.maximum([w for _, w in entries], 0.0)
-    total = weights.sum()
-    if total <= 0.0:
-        cum = np.arange(1, len(entries) + 1) / len(entries)
-    else:
-        cum = np.cumsum(weights / total)
-    cum[-1] = 1.0
-    k = int(np.searchsorted(cum, rng.random(), side="right"))
-    return entries[min(k, len(entries) - 1)][0]
+    return entries[_pick([w for _, w in entries], rng)][0]
 
 
 def transfer_users(cell_id: str, state: RunState, handover: HandoverModel,
@@ -367,19 +374,9 @@ def transfer_users(cell_id: str, state: RunState, handover: HandoverModel,
     a = state.net.cap_index[cell_id]
     if not state.x[a]:
         raise ValueError(f"{cell_id!r} is already shut down")
-    table = [None] * state.net.n_cap
-    probs = handover.targets(cell_id, hour)
-    items = sorted((j, p) for j, p in probs.items() if p > 0)
-    if items:
-        total = sum(p for _, p in items)
-        if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-            raise ValueError(f"handover PMF for {cell_id!r} sums to {total!r}")
-        targets = np.array([state.net.index[j] for j, _ in items],
-                           dtype=np.intp)
-        cum = np.cumsum([p for _, p in items])
-        cum[-1] = 1.0
-        table[a] = (targets, cum)
-    return _transfer(state, a, table, rng, step=len(state.replay.events) + 1)
+    return _transfer(state, a,
+                     _handover_targets(state.net, handover, cell_id, hour),
+                     rng, step=len(state.replay.events) + 1)
 
 
 def reactivate(cell_id: str, state: RunState) -> RunState:
@@ -429,14 +426,14 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
     start = _coerce_start(net, starting_x)
     state = _new_state(net, tm, hour, rng)
     for a in np.flatnonzero(~start):
-        _transfer(state, int(a), table, rng, step=0)
+        _transfer(state, int(a), table[a], rng, step=0)
     for t in range(1, abm_cfg.max_steps + 1):
         sd, ac = _eligible_masks(state)
         if not sd.any() and not ac.any():
             return RunResult(state, t, True)
         a = _select(state, sd, ac, rng)
         if state.x[a]:
-            _transfer(state, a, table, rng, step=t)
+            _transfer(state, a, table[a], rng, step=t)
         else:
             _reactivate(state, a, step=t)
         if on_step is not None:
@@ -537,10 +534,12 @@ def run_benchmark(tm: TrafficModel, cfg: NetworkConfig,
     Every hour starts all-active from the Gaussian means. Capacity cells are
     visited in descending entry-margin order; each cell that satisfies the
     entry rule on the evolving means is shut down with expected-value
-    (fractional) UE/PRB movement proportional to the handover PMF. No RNG is
+    (fractional) UE/PRB movement proportional to the handover PMF, renormalised
+    over the targets still active; with none left it stays active. No RNG is
     consumed, so repeated calls are bit-identical.
     """
     net = SimNetwork(cfg)
+    cap, paired = net.cap_global, net.paired_global
     outputs = []
     for hour in HOURS:
         ue = np.array([tm.at(c, hour).ues.mean for c in net.cell_ids])
@@ -548,26 +547,24 @@ def run_benchmark(tm: TrafficModel, cfg: NetworkConfig,
         ul = np.array([tm.at(c, hour).ul_prbs.mean for c in net.cell_ids])
         np.clip(dl, 0.0, net.n_dl_prb, out=dl)
         cs = np.zeros(net.n_cells)
-        cap, paired = net.cap_global, net.paired_global
-        margins = net.entry_dl - (dl[cap] + dl[paired])
-        order = np.argsort(-margins, kind="stable")
-        for a in order:
-            g = cap[a]
-            p = paired[a]
-            th = cfg.energy_saving[net.cap_ids[a]]
-            if not check_shutdown_entry(ue[g], dl[g], dl[p], ul[g], ul[p], th):
+        x = np.ones(net.n_cap, dtype=bool)
+        margins = net.th.entry_dl_prb - (dl[cap] + dl[paired])
+        for a in np.argsort(-margins, kind="stable"):
+            g, p, cid = cap[a], paired[a], net.cap_ids[a]
+            if not check_shutdown_entry(ue[g], dl[g], dl[p], ul[g], ul[p],
+                                        cfg.energy_saving[cid]):
                 continue
-            probs = handover.targets(net.cap_ids[a], hour)
-            items = sorted((j, q) for j, q in probs.items() if q > 0)
-            if not items:
+            entry = _live_targets(net, x, _handover_targets(net, handover,
+                                                            cid, hour))
+            if entry is None:
                 continue
-            for j, q in items:
-                t = net.index[j]
-                ue[t] += ue[g] * q
-                dl[t] += dl[g] * q
-                ul[t] += ul[g] * q
+            targets, q, _ = entry
+            ue[targets] += ue[g] * q
+            dl[targets] += dl[g] * q
+            ul[targets] += ul[g] * q
             ue[g] = dl[g] = ul[g] = 0.0
             cs[g] = SHUTDOWN_MINUTES
+            x[a] = False
         outputs.append(PointOutputs(hour=hour, cells=net.cell_ids,
                                     ues=ue, dl_prbs=dl, cs_minutes=cs))
     return outputs
@@ -600,21 +597,6 @@ def write_hourly_report(path, outputs: Sequence[HourlyOutputs],
                     repr(float(cs_m[i])), repr(float(cs_s[i]))])
 
 
-def write_point_report(path, outputs: Sequence[PointOutputs],
-                       cfg: NetworkConfig) -> None:
-    caps = {c.id: float(c.n_dl_prb) for c in cfg.cells}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MEAN_COLUMNS)
-        for out in outputs:
-            for i, cell in enumerate(out.cells):
-                writer.writerow([
-                    cell, out.hour, repr(float(out.ues[i])), repr(0.0),
-                    repr(float(out.dl_prbs[i])), repr(0.0),
-                    repr(float(out.dl_prbs[i] / caps[cell])),
-                    repr(float(out.cs_minutes[i])), repr(0.0)])
-
-
 def write_run_dump(path, outputs: Sequence[HourlyOutputs]) -> None:
     """Raw per-run values for distribution inspection."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -631,7 +613,7 @@ def write_run_dump(path, outputs: Sequence[HourlyOutputs]) -> None:
 
 
 def read_mean_report(path) -> dict[str, dict[tuple[str, int], float]]:
-    """Read a report written by write_hourly_report/write_point_report into
+    """Read a report written by write_hourly_report into
     {kpi: {(cell, hour): value}} tables (ue, dl_prbs, dl_load, cs_minutes)."""
     tables: dict[str, dict[tuple[str, int], float]] = {
         "ue": {}, "dl_prbs": {}, "dl_load": {}, "cs_minutes": {}}

@@ -17,11 +17,11 @@ import numpy as np
 from . import __version__
 from .abm import (
     AbmConfig,
+    HourlyOutputs,
     read_mean_report,
     run_benchmark,
     simulate_day,
     write_hourly_report,
-    write_point_report,
     write_run_dump,
 )
 from .datamodel import (
@@ -129,15 +129,11 @@ def generate(settings, spec_path, out, truth):
     click.echo(f"scenario written to {out}")
 
 
-def _load_training_data(data_dir):
-    """(config, KPIs, energies) for training, preferring the shutdown-active
-    campaign when present."""
-    data = Path(data_dir)
-    cfg, kpis, energies, _ = parse_datasets(data)
-    biased_kpi = data / "kpi_biased.csv"
-    biased_energy = data / "energy_biased.csv"
-    return (cfg, parse_kpis(biased_kpi) if biased_kpi.exists() else kpis,
-            parse_energy(biased_energy) if biased_energy.exists() else energies)
+def _training_records(data_dir, name, parse, records):
+    """The shutdown-active campaign's `name` file when present, else the
+    `records` already parsed from the plain campaign."""
+    path = Path(data_dir) / name
+    return parse(path) if path.exists() else records
 
 
 def _chronological_split(records, fraction=0.8):
@@ -156,7 +152,10 @@ def _chronological_split(records, fraction=0.8):
 def train(settings, data, out):
     """Train the energy and rate models from a dataset directory."""
     try:
-        cfg, train_kpis, train_energies = _load_training_data(data)
+        cfg, kpis, energies, _ = parse_datasets(data)
+        train_kpis = _training_records(data, "kpi_biased.csv", parse_kpis, kpis)
+        train_energies = _training_records(data, "energy_biased.csv",
+                                           parse_energy, energies)
         kpi_train, kpi_test = _chronological_split(train_kpis)
         energy_train, energy_test = _chronological_split(train_energies)
         energy_model = fit_radio_energy_model(
@@ -213,7 +212,7 @@ def _prepare_network(data_dir, overrides_path):
         cfg = apply_overrides(cfg, overrides)
     tm = fit_traffic_model(kpis)
     handover = build_handover_model_for_hours(cfg, mrs)
-    return cfg, tm, handover
+    return cfg, tm, handover, kpis
 
 
 def _energy_predictions(cfg, tables, energy_model):
@@ -243,7 +242,7 @@ def _energy_predictions(cfg, tables, energy_model):
 def simulate(settings, data, models, out, overrides):
     """Run the stochastic simulation and predict energy/rates."""
     try:
-        cfg, tm, handover = _prepare_network(data, overrides)
+        cfg, tm, handover, _ = _prepare_network(data, overrides)
         energy_model = load_energy_model(Path(models) / "energy_model.json")
         rate_model = load_rate_model(Path(models) / "rate_model.json")
         outputs = simulate_day(tm, cfg, handover, _abm_config(settings))
@@ -283,17 +282,21 @@ def benchmark(settings, data, models, out, overrides):
     trained model on the baseline's point estimates.
     """
     try:
-        cfg, tm, handover = _prepare_network(data, overrides)
+        cfg, tm, handover, kpis = _prepare_network(data, overrides)
         energy_model = load_energy_model(Path(models) / "energy_model.json")
         outputs = run_benchmark(tm, cfg, handover)
-        _, train_kpis, _ = _load_training_data(data)
-        avg_samples, _ = build_rate_samples(cfg, train_kpis)
+        avg_samples, _ = build_rate_samples(cfg, _training_records(
+            data, "kpi_biased.csv", parse_kpis, kpis))
         mean_rates = mean_rate_by_cell(avg_samples)
     except SimulatorError as exc:
         _fail(exc)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_point_report(out_dir / "benchmark_outputs.csv", outputs, cfg)
+    # point estimates as one-run distributions: mean = value, std = 0.0
+    write_hourly_report(out_dir / "benchmark_outputs.csv", [
+        HourlyOutputs(hour=o.hour, cells=o.cells, ues=o.ues[None],
+                      dl_prbs=o.dl_prbs[None], cs_minutes=o.cs_minutes[None])
+        for o in outputs], cfg)
     tables = read_mean_report(out_dir / "benchmark_outputs.csv")
     write_truth(out_dir / "predictions.csv",
                 {"energy_wh": _energy_predictions(cfg, tables, energy_model),

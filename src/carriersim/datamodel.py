@@ -623,37 +623,53 @@ def write_datasets(directory, cfg, kpis, energies, mrs) -> DatasetPaths:
 # Traffic model
 
 
+def _check_number(value, where: str) -> None:
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _check_patch(kind: str, cell_id: str, patch) -> None:
+    """Every value must be a finite number; the A4 offset fields must map
+    cell ids to finite numbers."""
+    if not isinstance(patch, Mapping):
+        raise ConfigError(f"{kind} override for {cell_id!r} must be an object")
+    for name, value in patch.items():
+        where = f"{kind} override {name!r} for {cell_id!r}"
+        if name in ("freq_offset_db", "cell_offset_db"):
+            if not isinstance(value, Mapping):
+                raise ConfigError(f"{where} must map cell ids to dB values")
+            for j, v in value.items():
+                _check_number(v, f"{where} at {j!r}")
+        else:
+            _check_number(value, where)
+
+
 def apply_overrides(cfg: NetworkConfig, overrides: Mapping) -> NetworkConfig:
     """Return a copy of the configuration with per-cell shutdown-threshold
     and A4 parameter patches applied.
 
     `overrides` holds optional "thresholds" and "a4" maps keyed by cell id;
     values are partial field updates (e.g. {"entry_dl_prb": 120.0} or
-    {"threshold_dbm": -95.0}). Unknown cells or fields are errors.
+    {"threshold_dbm": -95.0}). Unknown cells or fields, non-finite or
+    non-numeric values and non-mapping A4 offsets are errors.
     """
     import dataclasses
 
-    thresholds = dict(cfg.energy_saving)
-    for cell_id, patch in overrides.get("thresholds", {}).items():
-        if cell_id not in thresholds:
-            raise BadReferenceError(
-                f"threshold override for unknown capacity cell {cell_id!r}")
-        try:
-            thresholds[cell_id] = dataclasses.replace(thresholds[cell_id],
-                                                      **patch)
-        except TypeError:
-            raise ConfigError(f"bad threshold override fields for {cell_id!r}")
-    mobility = dict(cfg.mobility)
-    for cell_id, patch in overrides.get("a4", {}).items():
-        if cell_id not in mobility:
-            raise BadReferenceError(
-                f"A4 override for unknown cell {cell_id!r}")
-        try:
-            mobility[cell_id] = dataclasses.replace(mobility[cell_id], **patch)
-        except TypeError:
-            raise ConfigError(f"bad A4 override fields for {cell_id!r}")
-    return dataclasses.replace(cfg, energy_saving=thresholds,
-                               mobility=mobility)
+    tables = {"thresholds": dict(cfg.energy_saving), "a4": dict(cfg.mobility)}
+    for key, kind in (("thresholds", "threshold"), ("a4", "A4")):
+        table = tables[key]
+        for cell_id, patch in overrides.get(key, {}).items():
+            if cell_id not in table:
+                raise BadReferenceError(
+                    f"{kind} override for unknown cell {cell_id!r}")
+            _check_patch(kind, cell_id, patch)
+            try:
+                table[cell_id] = dataclasses.replace(table[cell_id], **patch)
+            except TypeError:
+                raise ConfigError(f"bad {kind} override fields for {cell_id!r}")
+    return dataclasses.replace(cfg, energy_saving=tables["thresholds"],
+                               mobility=tables["a4"])
 
 
 def fit_traffic_model(kpis: Iterable[CellKpiRecord],

@@ -19,19 +19,23 @@ def check_shutdown_entry(ues: float, dl_prbs: float, dl_prbs_paired: float,
                          th: ShutdownThresholds) -> bool:
     """A capacity cell may shut down only if all three loads sit strictly
     below the entry thresholds (own UE count, combined DL PRBs, combined UL
-    PRBs with the paired coverage cell)."""
-    return (ues < th.entry_ue
-            and dl_prbs + dl_prbs_paired < th.entry_dl_prb
-            and ul_prbs + ul_prbs_paired < th.entry_ul_prb)
+    PRBs with the paired coverage cell).
+
+    Elementwise: arrays of loads, with `th` holding per-cell arrays under the
+    ShutdownThresholds field names, give a boolean array."""
+    return ((ues < th.entry_ue)
+            & (dl_prbs + dl_prbs_paired < th.entry_dl_prb)
+            & (ul_prbs + ul_prbs_paired < th.entry_ul_prb))
 
 
 def check_wakeup(paired_ues: float, paired_dl_prbs: float, paired_ul_prbs: float,
                  th: ShutdownThresholds) -> bool:
     """The paired coverage cell requests reactivation as soon as any of its
-    own counters rises strictly above the leaving thresholds."""
-    return (paired_ues > th.leave_ue
-            or paired_dl_prbs > th.leave_dl_prb
-            or paired_ul_prbs > th.leave_ul_prb)
+    own counters rises strictly above the leaving thresholds. Elementwise,
+    like check_shutdown_entry."""
+    return ((paired_ues > th.leave_ue)
+            | (paired_dl_prbs > th.leave_dl_prb)
+            | (paired_ul_prbs > th.leave_ul_prb))
 
 
 def a4_qualifies(rsrp_dbm: float, a4: A4Params, neighbor: str) -> bool:
@@ -56,11 +60,6 @@ class HandoverModel:
 
     def targets(self, capacity_cell: str, hour: int) -> Mapping[str, float]:
         return self.probabilities.get((capacity_cell, hour), {})
-
-    def merged(self, other: "HandoverModel") -> "HandoverModel":
-        table = dict(self.probabilities)
-        table.update(other.probabilities)
-        return HandoverModel(probabilities=table)
 
 
 def transfer_candidates(cfg: NetworkConfig, capacity_cell: str) -> list[str]:
@@ -103,11 +102,8 @@ def build_handover_model(cfg: NetworkConfig, mrs: Iterable[MeasurementReport],
     for cell in sorted(cfg.capacity_cells):
         votes = counts[cell]
         total = sum(votes.values())
-        if total == 0:
-            table[(cell, hour)] = {j: 0.0 for j in candidates[cell]}
-        else:
-            table[(cell, hour)] = {j: votes.get(j, 0) / total
-                                   for j in candidates[cell]}
+        table[(cell, hour)] = {j: votes.get(j, 0) / total if total else 0.0
+                               for j in candidates[cell]}
     return HandoverModel(probabilities=table)
 
 
@@ -119,7 +115,8 @@ def build_handover_model_for_hours(cfg: NetworkConfig,
     by_hour: dict[int, list[MeasurementReport]] = {}
     for report in mrs:
         by_hour.setdefault(report.hour, []).append(report)
-    model = HandoverModel(probabilities={})
+    table: dict[tuple[str, int], Mapping[str, float]] = {}
     for hour in hours:
-        model = model.merged(build_handover_model(cfg, by_hour.get(hour, []), hour))
-    return model
+        table.update(build_handover_model(cfg, by_hour.get(hour, []),
+                                          hour).probabilities)
+    return HandoverModel(probabilities=table)

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from carriersim.abm import (
     AbmConfig,
+    HourlyOutputs,
     SimNetwork,
     eligible_sets,
     read_mean_report,
@@ -14,11 +17,11 @@ from carriersim.abm import (
     simulate_day,
     transfer_users,
     write_hourly_report,
-    write_point_report,
     write_run_dump,
 )
 from carriersim.datamodel import ShutdownThresholds
 from carriersim.errors import EmptyCandidateSetError
+from carriersim.rules import transfer_candidates
 
 from conftest import make_handover, make_network, make_traffic
 
@@ -37,6 +40,20 @@ def run_once(cfg, traffic_values, handover, seed=0, max_steps=400, hour=1,
     abm_cfg = AbmConfig(runs=1, max_steps=max_steps, seed=seed)
     return run_monte_carlo(tm, cfg, handover, abm_cfg, start, hour,
                            np.random.default_rng(seed), on_step=on_step)
+
+
+def cofrequency_network():
+    """c1 and c2 paired with b1, all three on b1's frequency, so each
+    capacity cell is an A4 target of the other."""
+    cfg = make_network(n_capacity=2, n_coverage=1)
+    cells = tuple(dataclasses.replace(c, frequency_mhz=800.0)
+                  for c in cfg.cells)
+    cfg = dataclasses.replace(cfg, cells=cells)
+    assert transfer_candidates(cfg, "c2") == ["b1", "c1"]
+    return cfg
+
+
+COFREQ_TRAFFIC = {"c1": (1, 5, 2), "c2": (3, 12, 5), "b1": (8, 20, 5)}
 
 
 class TestEligibleSets:
@@ -144,6 +161,33 @@ class TestTransferUsers:
         after = state.totals()
         for b, a in zip(before, after):
             assert a == pytest.approx(b, rel=1e-12)
+
+    def test_shut_down_capacity_target_is_dropped(self):
+        cfg = cofrequency_network()
+        state, _ = fresh_state(cfg, COFREQ_TRAFFIC)
+        i = state.net.index
+        rng = np.random.default_rng(5)
+        assert transfer_users("c1", state, make_handover({"c1": {"b1": 1.0}}),
+                              1, rng)
+        before = state.totals()
+        handover = make_handover({"c2": {"c1": 0.5, "b1": 0.5}})
+        assert transfer_users("c2", state, handover, 1, rng)
+        # c1 is off: every UE of c2 lands on b1, none on c1
+        assert {move[1] for move in state.replay.events[-1][3]} == {i["b1"]}
+        assert state.ue[i["c1"]] == 0.0 and state.dl[i["c1"]] == 0.0
+        assert state.ue[i["b1"]] == pytest.approx(12.0, abs=1e-6)
+        for b, a in zip(before, state.totals()):
+            assert a == pytest.approx(b, rel=1e-12)
+
+    def test_only_shut_down_targets_abandons(self):
+        cfg = cofrequency_network()
+        state, _ = fresh_state(cfg, COFREQ_TRAFFIC)
+        rng = np.random.default_rng(5)
+        transfer_users("c1", state, make_handover({"c1": {"b1": 1.0}}), 1, rng)
+        fp = state.fingerprint()
+        assert not transfer_users("c2", state,
+                                  make_handover({"c2": {"c1": 1.0}}), 1, rng)
+        assert state.fingerprint() == fp
 
 
 class TestReactivate:
@@ -378,6 +422,21 @@ class TestBenchmark:
         for out in run_benchmark(tm, cfg, handover):
             assert np.all(out.cs_minutes == 0.0)
 
+    @pytest.mark.parametrize("pmf, c2_off", [({"c1": 1.0}, False),
+                                              ({"c1": 0.5, "b1": 0.5}, True)])
+    def test_never_moves_load_onto_shut_down_cells(self, pmf, c2_off):
+        # c1 has the larger margin, shuts down first; c2's PMF points at c1
+        cfg = cofrequency_network()
+        tm = make_traffic(cfg, COFREQ_TRAFFIC)
+        handover = make_handover({"c1": {"b1": 1.0}, "c2": pmf})
+        for out in run_benchmark(tm, cfg, handover):
+            i = {c: out.cells.index(c) for c in ("c1", "c2", "b1")}
+            assert out.cs_minutes[i["c1"]] == 60.0
+            assert out.ues[i["c1"]] == 0.0 and out.dl_prbs[i["c1"]] == 0.0
+            assert out.cs_minutes[i["c2"]] == (60.0 if c2_off else 0.0)
+            assert out.ues[i["b1"]] == pytest.approx(12.0 if c2_off else 9.0)
+            assert out.ues.sum() == pytest.approx(12.0)
+
 
 class TestReports:
     def test_report_round_trip(self, tmp_path):
@@ -394,7 +453,10 @@ class TestReports:
 
         bench = run_benchmark(tm, cfg, handover)
         bpath = tmp_path / "bench.csv"
-        write_point_report(bpath, bench, cfg)
+        write_hourly_report(bpath, [
+            HourlyOutputs(hour=b.hour, cells=b.cells, ues=b.ues[None],
+                          dl_prbs=b.dl_prbs[None], cs_minutes=b.cs_minutes[None])
+            for b in bench], cfg)
         btables = read_mean_report(bpath)
         assert btables["cs_minutes"][("c1", 1)] == 60.0
 

@@ -143,6 +143,19 @@ class TestSimulate:
                     "--overrides", overrides)
         assert r.exit_code == 1
 
+    def test_non_numeric_a4_override_fails_cleanly(self, pipeline, tmp_path):
+        overrides = tmp_path / "ov.json"
+        overrides.write_text(json.dumps({"a4": {
+            "cap001": {"threshold_dbm": "abc"}}}))
+        r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, "simulate",
+                    "--data", pipeline / "data",
+                    "--models", pipeline / "models", "--out", tmp_path / "o",
+                    "--overrides", overrides)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert "error:" in r.output
+        assert "'threshold_dbm'" in r.output and "'cap001'" in r.output
+
     def test_malformed_mr_timestamp_fails_cleanly(self, pipeline, tmp_path):
         data = copy_dir(pipeline / "data", tmp_path / "data")
         lines = (data / "mr.csv").read_text().splitlines()
@@ -192,6 +205,22 @@ class TestBenchmarkCommand:
             outs.append(dir_bytes(out))
         assert outs[0] == outs[1]
         assert "benchmark_outputs.csv" in outs[0]
+
+    def test_parses_dataset_once(self, pipeline, tmp_path, monkeypatch):
+        import carriersim.cli as cli
+
+        calls = []
+        parse_datasets = cli.parse_datasets
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return parse_datasets(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_datasets", counting)
+        r = run_cli("--seed", 5, "benchmark", "--data", pipeline / "data",
+                    "--models", pipeline / "models", "--out", tmp_path / "b")
+        assert r.exit_code == 0, r.output
+        assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")

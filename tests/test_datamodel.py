@@ -9,6 +9,7 @@ from carriersim.datamodel import (
     DatasetPaths,
     MeasurementReport,
     RadioEnergyRecord,
+    apply_overrides,
     draw_inputs,
     fit_traffic_model,
     parse_datasets,
@@ -21,6 +22,7 @@ from carriersim.datamodel import (
 )
 from carriersim.errors import (
     BadReferenceError,
+    ConfigError,
     MalformedRowError,
     MissingColumnError,
     NoSamplesError,
@@ -173,6 +175,33 @@ class TestParsing:
     def test_dataset_paths_in_dir(self, tmp_path):
         paths = DatasetPaths.in_dir(tmp_path)
         assert paths.kpi.name == "kpi.csv"
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("overrides, field", [
+        ({"thresholds": {"c1": {"entry_dl_prb": "120"}}}, "entry_dl_prb"),
+        ({"thresholds": {"c1": {"leave_ue": True}}}, "leave_ue"),
+        ({"thresholds": {"c1": {"entry_ue": float("nan")}}}, "entry_ue"),
+        ({"a4": {"c1": {"threshold_dbm": "abc"}}}, "threshold_dbm"),
+        ({"a4": {"c1": {"hysteresis_db": float("inf")}}}, "hysteresis_db"),
+        ({"a4": {"c1": {"freq_offset_db": 3.0}}}, "freq_offset_db"),
+        ({"a4": {"c1": {"cell_offset_db": ["b1", 2.0]}}}, "cell_offset_db"),
+        ({"a4": {"c1": {"cell_offset_db": {"b1": None}}}}, "cell_offset_db"),
+    ])
+    def test_bad_values_name_cell_and_field(self, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(make_network(), overrides)
+        assert "'c1'" in str(err.value) and repr(field) in str(err.value)
+
+    def test_numeric_patches_apply(self):
+        cfg = apply_overrides(make_network(), {
+            "thresholds": {"c1": {"entry_dl_prb": 120, "leave_dl_prb": 85.0}},
+            "a4": {"c1": {"threshold_dbm": -95.0,
+                          "cell_offset_db": {"b1": 2.0}}}})
+        assert cfg.energy_saving["c1"].entry_dl_prb == 120
+        assert cfg.energy_saving["c1"].leave_dl_prb == 85.0
+        assert cfg.mobility["c1"].threshold_dbm == -95.0
+        assert cfg.mobility["c1"].cell_offset_db == {"b1": 2.0}
 
 
 class TestTrafficFit:

@@ -1,3 +1,7 @@
+from dataclasses import fields
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,6 +70,45 @@ class TestWakeup:
         dl = 120.0
         assert check_wakeup(0, dl, 0, TH)
         assert dl - TH.leave_dl_prb > 0
+
+
+class TestRulesOnArrays:
+    """Array loads give the scalar predicate's result cell by cell, with the
+    thresholds shared or per-cell arrays (the simulator's layout). Loads and
+    thresholds come from one grid, so ties with the thresholds occur."""
+
+    GRID = np.array([0.0, 5.0, 10.0, 20.0, 40.0, 50.0, 60.0, 90.0, 100.0])
+    N = 500
+
+    def thresholds(self, rng, shared):
+        if shared:
+            return TH, lambda i: TH
+        arrays = {f.name: rng.choice(self.GRID, self.N)
+                  for f in fields(ShutdownThresholds)}
+        return SimpleNamespace(**arrays), lambda i: ShutdownThresholds(
+            **{name: float(v[i]) for name, v in arrays.items()})
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_shutdown_entry_matches_scalar(self, shared):
+        rng = np.random.default_rng(11)
+        th, cell_th = self.thresholds(rng, shared)
+        loads = rng.choice(self.GRID, (5, self.N))
+        got = check_shutdown_entry(*loads, th)
+        want = [check_shutdown_entry(*map(float, loads[:, i]), cell_th(i))
+                for i in range(self.N)]
+        assert got.dtype == bool and got.tolist() == want
+        assert 0 < sum(want) < self.N
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_wakeup_matches_scalar(self, shared):
+        rng = np.random.default_rng(12)
+        th, cell_th = self.thresholds(rng, shared)
+        loads = rng.choice(self.GRID, (3, self.N))
+        got = check_wakeup(*loads, th)
+        want = [check_wakeup(*map(float, loads[:, i]), cell_th(i))
+                for i in range(self.N)]
+        assert got.dtype == bool and got.tolist() == want
+        assert 0 < sum(want) < self.N
 
 
 class TestA4:
