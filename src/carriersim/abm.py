@@ -578,23 +578,40 @@ _MEAN_COLUMNS = ["cell_id", "hour", "ue_mean", "ue_std", "dl_prb_mean",
                  "dl_prb_std", "dl_load_mean", "cs_min_mean", "cs_min_std"]
 
 
+def mean_tables(outputs: Sequence[HourlyOutputs], cfg: NetworkConfig,
+                ) -> dict[str, dict[tuple[str, int], float]]:
+    """Per-cell hourly means as {kpi: {(cell, hour): value}} tables (ue,
+    dl_prbs, dl_load, cs_minutes): the values write_hourly_report writes and
+    read_mean_report reads back."""
+    caps = {c.id: float(c.n_dl_prb) for c in cfg.cells}
+    tables: dict[str, dict[tuple[str, int], float]] = {
+        "ue": {}, "dl_prbs": {}, "dl_load": {}, "cs_minutes": {}}
+    for out in outputs:
+        ue, dl, cs = (a.mean(axis=0).tolist()
+                      for a in (out.ues, out.dl_prbs, out.cs_minutes))
+        for i, cell in enumerate(out.cells):
+            key = (cell, out.hour)
+            tables["ue"][key], tables["dl_prbs"][key] = ue[i], dl[i]
+            tables["dl_load"][key] = dl[i] / caps[cell]
+            tables["cs_minutes"][key] = cs[i]
+    return tables
+
+
 def write_hourly_report(path, outputs: Sequence[HourlyOutputs],
                         cfg: NetworkConfig) -> None:
     """Per-cell hourly means and stds (population std over the R runs)."""
-    caps = {c.id: float(c.n_dl_prb) for c in cfg.cells}
+    means = mean_tables(outputs, cfg)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_MEAN_COLUMNS)
         for out in outputs:
-            ue_m, ue_s = out.ues.mean(axis=0), out.ues.std(axis=0)
-            dl_m, dl_s = out.dl_prbs.mean(axis=0), out.dl_prbs.std(axis=0)
-            cs_m, cs_s = out.cs_minutes.mean(axis=0), out.cs_minutes.std(axis=0)
+            ue, dl, cs = (a.std(axis=0).tolist()
+                          for a in (out.ues, out.dl_prbs, out.cs_minutes))
             for i, cell in enumerate(out.cells):
-                writer.writerow([
-                    cell, out.hour, repr(float(ue_m[i])), repr(float(ue_s[i])),
-                    repr(float(dl_m[i])), repr(float(dl_s[i])),
-                    repr(float(dl_m[i] / caps[cell])),
-                    repr(float(cs_m[i])), repr(float(cs_s[i]))])
+                key = (cell, out.hour)
+                writer.writerow([cell, out.hour, *map(repr, (
+                    means["ue"][key], ue[i], means["dl_prbs"][key], dl[i],
+                    means["dl_load"][key], means["cs_minutes"][key], cs[i]))])
 
 
 def write_run_dump(path, outputs: Sequence[HourlyOutputs]) -> None:

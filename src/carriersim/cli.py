@@ -18,6 +18,7 @@ from . import __version__
 from .abm import (
     AbmConfig,
     HourlyOutputs,
+    mean_tables,
     read_mean_report,
     run_benchmark,
     simulate_day,
@@ -40,7 +41,7 @@ from .energymodel import (
     predict_energy,
     save_energy_model,
 )
-from .errors import KeyMismatchError, SimulatorError
+from .errors import ConfigError, KeyMismatchError, SimulatorError
 from .harness import (
     ScenarioSpec,
     compare,
@@ -206,9 +207,11 @@ def _test_metrics(cfg, energy_model, rate_model, kpi_test, energy_test):
 
 def _prepare_network(data_dir, overrides_path):
     cfg, kpis, _, mrs = parse_datasets(data_dir)
-    overrides = (json.loads(Path(overrides_path).read_text())
-                 if overrides_path else None)
-    if overrides:
+    if overrides_path:
+        try:
+            overrides = json.loads(Path(overrides_path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{overrides_path}: not valid JSON ({exc})")
         cfg = apply_overrides(cfg, overrides)
     tm = fit_traffic_model(kpis)
     handover = build_handover_model_for_hours(cfg, mrs)
@@ -252,7 +255,7 @@ def simulate(settings, data, models, out, overrides):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_hourly_report(out_dir / "abm_outputs.csv", outputs, cfg)
     write_run_dump(out_dir / "abm_runs.csv", outputs)
-    tables = read_mean_report(out_dir / "abm_outputs.csv")
+    tables = mean_tables(outputs, cfg)
     cells = rate_model.cells
     keys = [key for key in sorted(tables["dl_load"]) if key[0] in cells]
     rates, _ = predict_rates(
@@ -293,11 +296,11 @@ def benchmark(settings, data, models, out, overrides):
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # point estimates as one-run distributions: mean = value, std = 0.0
-    write_hourly_report(out_dir / "benchmark_outputs.csv", [
-        HourlyOutputs(hour=o.hour, cells=o.cells, ues=o.ues[None],
-                      dl_prbs=o.dl_prbs[None], cs_minutes=o.cs_minutes[None])
-        for o in outputs], cfg)
-    tables = read_mean_report(out_dir / "benchmark_outputs.csv")
+    hourly = [HourlyOutputs(hour=o.hour, cells=o.cells, ues=o.ues[None],
+                            dl_prbs=o.dl_prbs[None],
+                            cs_minutes=o.cs_minutes[None]) for o in outputs]
+    write_hourly_report(out_dir / "benchmark_outputs.csv", hourly, cfg)
+    tables = mean_tables(hourly, cfg)
     write_truth(out_dir / "predictions.csv",
                 {"energy_wh": _energy_predictions(cfg, tables, energy_model),
                  "rate_mbps": {(cell, hour): mean_rates[cell]

@@ -649,17 +649,30 @@ def apply_overrides(cfg: NetworkConfig, overrides: Mapping) -> NetworkConfig:
     """Return a copy of the configuration with per-cell shutdown-threshold
     and A4 parameter patches applied.
 
-    `overrides` holds optional "thresholds" and "a4" maps keyed by cell id;
-    values are partial field updates (e.g. {"entry_dl_prb": 120.0} or
-    {"threshold_dbm": -95.0}). Unknown cells or fields, non-finite or
-    non-numeric values and non-mapping A4 offsets are errors.
+    `overrides` is a map with optional "thresholds" and "a4" maps keyed by
+    cell id; values are partial field updates (e.g. {"entry_dl_prb": 120.0}
+    or {"threshold_dbm": -95.0}). Other sections, non-map sections, unknown
+    cells or fields, non-finite or non-numeric values and non-mapping A4
+    offsets are errors.
     """
     import dataclasses
 
     tables = {"thresholds": dict(cfg.energy_saving), "a4": dict(cfg.mobility)}
+    if not isinstance(overrides, Mapping):
+        raise ConfigError("overrides must be an object with 'thresholds' "
+                          "and/or 'a4' sections")
+    unknown = [key for key in overrides if key not in tables]
+    if unknown:
+        raise ConfigError(f"unknown override section(s) "
+                          f"{', '.join(map(repr, unknown))}; expected "
+                          "'thresholds' or 'a4'")
     for key, kind in (("thresholds", "threshold"), ("a4", "A4")):
         table = tables[key]
-        for cell_id, patch in overrides.get(key, {}).items():
+        section = overrides.get(key, {})
+        if not isinstance(section, Mapping):
+            raise ConfigError(f"override section {key!r} must map cell ids "
+                              "to patches")
+        for cell_id, patch in section.items():
             if cell_id not in table:
                 raise BadReferenceError(
                     f"{kind} override for unknown cell {cell_id!r}")

@@ -33,6 +33,7 @@ from .errors import (
 LOW_LOAD_CUTOFF = 0.1
 PMF_BIN_MBPS = 1.0
 _SPLIT_GAIN_EPS = 1e-12
+_LOCKSTEP_ENSEMBLES = 256     # ensembles grown together; bounds the arrays
 _BUNDLE_VERSION = 2
 
 
@@ -111,26 +112,9 @@ class RegressionTree:
 
     def fit(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Grow the tree on residuals `r`; return each row's leaf value."""
-        self.feature[:], self.threshold[:] = -1, np.inf
-        leaf = np.empty(len(r))
-        self._grow(X, r, np.arange(len(r)), 0, 0, leaf)
-        return leaf
-
-    def _grow(self, X, r, idx, slot, depth, leaf) -> None:
-        value = self.value[slot] = float(r[idx].mean())
-        split = (_best_split(X, r, idx)
-                 if depth < self.max_depth and len(idx) >= 2 else None)
-        if split is None:
-            for level in range(self.max_depth - depth + 1):
-                first = (slot + 1) * 2 ** level - 1
-                self.value[first:first + 2 ** level] = value
-            leaf[idx] = value
-            return
-        feature, threshold = split
-        self.feature[slot], self.threshold[slot] = feature, threshold
-        mask = X[idx, feature] <= threshold
-        self._grow(X, r, idx[mask], 2 * slot + 1, depth + 1, leaf)
-        self._grow(X, r, idx[~mask], 2 * slot + 2, depth + 1, leaf)
+        return _Presorted([np.asarray(X, dtype=float)]).grow(
+            np.asarray(r, dtype=float)[None], self.feature[None],
+            self.threshold[None], self.value[None])[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[_walk(self.feature[None], self.threshold[None],
@@ -141,38 +125,126 @@ class RegressionTree:
         return int(np.sum(self.feature >= 0)) + 1
 
 
-def _best_split(X, r, idx):
-    """Exhaustive best split by squared-error reduction.
+class _Presorted:
+    """The training rows of a batch of trees that grow together, one depth
+    level at a time: tree i on ensemble i's rows X_i.
 
-    Candidate thresholds are midpoints between consecutive distinct values;
-    ties break towards the lower feature index, then the lower threshold.
-    """
-    n = len(idx)
-    total = r[idx].sum()
-    base = total * total / n
-    best_gain = _SPLIT_GAIN_EPS
-    best = None
-    for feature in range(X.shape[1]):
-        xs = X[idx, feature]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        r_sorted = r[idx][order]
-        boundaries = np.flatnonzero(xs_sorted[1:] != xs_sorted[:-1]) + 1
-        if len(boundaries) == 0:
-            continue
-        csum = np.cumsum(r_sorted)
-        left_sum = csum[boundaries - 1]
-        left_n = boundaries
-        right_sum = total - left_sum
-        right_n = n - boundaries
-        score = left_sum ** 2 / left_n + right_sum ** 2 / right_n
-        k = int(np.argmax(score))
-        gain = score[k] - base
-        if gain > best_gain:
-            best_gain = gain
-            cut = boundaries[k]
-            best = (feature, float((xs_sorted[cut - 1] + xs_sorted[cut]) / 2.0))
-    return best
+    Rows are padded to the batch's longest, N. Each ensemble's stable order
+    by every feature is computed once, because X is the same for all its
+    trees: as flat row indices (E, F, N) with the padding last, with the
+    sorted values and, per sorted position, the last position of its run of
+    equal values.
+
+    A level's split search runs over padded (E, K nodes, F, N) arrays. A
+    node's prefix sums of residuals in feature order are one cumsum with the
+    other rows' residuals set to zero, which adds exact zeros and so gives
+    the bits of a cumsum over the node's own sorted rows. A candidate cut is
+    the last member of a run of equal values that has a member after it;
+    the threshold is the midpoint to that next member. The first best cut
+    wins within a feature, the lower feature index between features, and a
+    split needs a gain above _SPLIT_GAIN_EPS."""
+
+    def __init__(self, Xs: Sequence[np.ndarray]):
+        self.n = np.array([len(X) for X in Xs])
+        E, N, F = len(Xs), int(self.n.max()), Xs[0].shape[1]
+        self.shape = E, N, F
+        self.ens, self.col = np.arange(E)[:, None], np.arange(N)
+        self.x = np.zeros((E, F, N))
+        order = np.broadcast_to(self.col, (E, F, N)).copy()
+        for e, X in enumerate(Xs):
+            self.x[e, :, :len(X)] = X.T
+            order[e, :, :len(X)] = np.argsort(X, axis=0, kind="stable").T
+        self.order = order + N * self.ens[:, None]
+        self.xs = self.x.ravel()[
+            (self.ens * F + np.arange(F))[..., None] * N + order]
+        last = np.ones((E, F, N), dtype=bool)
+        last[..., :-1] = self.xs[..., 1:] != self.xs[..., :-1]
+        self.run_end = np.minimum.accumulate(
+            np.where(last, self.col, N)[..., ::-1], axis=-1)[..., ::-1]
+        self._run_end_at = {}
+
+    def grow(self, R: np.ndarray, feature: np.ndarray, threshold: np.ndarray,
+             value: np.ndarray) -> np.ndarray:
+        """Grow one tree per ensemble on residuals R (E, N) into the heap
+        arrays `feature`/`threshold` (E, inner slots) and `value` (E, slots);
+        return each row's leaf value (E, N)."""
+        E, N, F = self.shape
+        max_depth = feature.shape[1].bit_length()
+        feature[:], threshold[:] = -1, np.inf
+        live = self.col < self.n[:, None]          # rows of splitting nodes
+        slot = np.zeros((E, N), dtype=np.intp)
+        r_sorted = R.ravel()[self.order]
+        for depth in range(max_depth + 1):
+            first, K = 2 ** depth - 1, 2 ** depth
+            node = np.where(live, slot - first, -1)
+            count, total = self._totals(R, node, K)
+            np.divide(total, count, out=value[:, first:first + K],
+                      where=count > 0)
+            if depth == max_depth:
+                break
+            f, thr, split = self._best_splits(r_sorted, node, count, total)
+            feature[:, first:first + K][split] = f[split]
+            threshold[:, first:first + K][split] = thr[split]
+            at = self.ens * K + np.maximum(node, 0)
+            live &= split.ravel()[at]
+            x = self.x.ravel()[(self.ens * F + f.ravel()[at]) * N + self.col]
+            right = x > thr.ravel()[at]
+            slot = np.where(live, 2 * slot + 1 + right, slot)
+        for depth in range(max_depth):             # pass-through values
+            first, K = 2 ** depth - 1, 2 ** depth
+            stopped = feature[:, first:first + K] < 0
+            for child in (2 * first + 1, 2 * first + 2):
+                np.copyto(value[:, child:child + 2 * K:2],
+                          value[:, first:first + K], where=stopped)
+        return value[self.ens, slot]
+
+    def _totals(self, R, node, K):
+        """Row count and residual sum per (ensemble, node < K).
+
+        Each sum is one numpy sum over the node's rows in ascending row
+        order, the order a recursive grower takes them in, so numpy's
+        pairwise summation rounds it the same way."""
+        E = len(R)
+        key = np.where(node >= 0, node + K * self.ens, E * K).ravel()
+        count = np.bincount(key, minlength=E * K + 1)[:-1]
+        rows = R.ravel()[key.argsort(kind="stable")]
+        ends = count.cumsum()
+        nodes = count.nonzero()[0]
+        total = np.zeros(E * K)
+        total[nodes] = [np.add.reduce(rows[a:b]) for a, b in
+                        zip((ends - count)[nodes].tolist(),
+                            ends[nodes].tolist())]
+        return count.reshape(E, K), total.reshape(E, K)
+
+    def _best_splits(self, r_sorted, node, count, total):
+        """(feature, threshold, whether to split) per (ensemble, node)."""
+        E, N, F = self.shape
+        K = count.shape[1]
+        if K not in self._run_end_at:
+            self._run_end_at[K] = (
+                ((self.ens * K + np.arange(K))[..., None] * F + np.arange(F))
+                [..., None] * N + self.run_end[:, None])
+        member = node.ravel()[self.order][:, None] == np.arange(K)[:, None,
+                                                                   None]
+        left_sum = np.where(member, r_sorted[:, None], 0.0).cumsum(-1)
+        left_n = member.cumsum(-1)
+        n = count[:, :, None, None]
+        cut = (member & (left_n < n)
+               & (left_n == left_n.ravel()[self._run_end_at[K]]))
+        right_sum = total[:, :, None, None] - left_sum
+        score = np.where(cut, left_sum ** 2 / np.maximum(left_n, 1)
+                         + right_sum ** 2 / np.maximum(n - left_n, 1),
+                         -np.inf)
+        gain = score.max(-1) - (total * total / np.maximum(count, 1))[..., None]
+        f = gain.argmax(-1)
+        at = (self.ens * K + np.arange(K)) * F + f
+        p = score.argmax(-1).ravel()[at]
+        seen = left_n.reshape(-1, N)[at]
+        q = (seen > left_n.ravel()[at * N + p][..., None]).argmax(-1)
+        row = (self.ens * F + f) * N
+        xs = self.xs.ravel()
+        return (f, (xs[row + p] + xs[row + q]) / 2.0,
+                gain.max(-1) > _SPLIT_GAIN_EPS)
 
 
 @dataclass
@@ -216,19 +288,47 @@ class RateHyper:
 
 def fit_boosted(X: np.ndarray, y: np.ndarray,
                 hyper: RateHyper = RateHyper()) -> BoostedEnsemble:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    inner = 2 ** hyper.max_depth - 1
-    ensemble = BoostedEnsemble(
-        init_value=float(y.mean()), learning_rate=hyper.learning_rate,
-        feature=np.empty((hyper.n_estimators, inner), dtype=np.intp),
-        threshold=np.empty((hyper.n_estimators, inner)),
-        value=np.empty((hyper.n_estimators, 2 * inner + 1)))
-    pred = np.full(len(y), ensemble.init_value)
-    for tree in ensemble.trees:
-        pred = pred + hyper.learning_rate * tree.fit(X, y - pred)
-        ensemble.train_mse.append(float(np.mean((y - pred) ** 2)))
-    return ensemble
+    """`fit_boosted_many` of one training set."""
+    return fit_boosted_many([(X, y)], hyper)[0]
+
+
+def fit_boosted_many(data: Sequence[tuple[np.ndarray, np.ndarray]],
+                     hyper: RateHyper = RateHyper()) -> list[BoostedEnsemble]:
+    """One ensemble per (X, y) training set. The sets are fitted in lockstep,
+    _LOCKSTEP_ENSEMBLES at a time: tree t of every ensemble is grown before
+    tree t + 1 of any (see _Presorted). Every reduction stays within one
+    ensemble, so each ensemble is bit-identical to fitting it alone."""
+    out = []
+    for start in range(0, len(data), _LOCKSTEP_ENSEMBLES):
+        out += _fit_lockstep([(np.asarray(X, dtype=float),
+                               np.asarray(y, dtype=float)) for X, y in
+                              data[start:start + _LOCKSTEP_ENSEMBLES]], hyper)
+    return out
+
+
+def _fit_lockstep(data, hyper: RateHyper) -> list[BoostedEnsemble]:
+    rows = _Presorted([X for X, _ in data])
+    E, N, _ = rows.shape
+    T, inner = hyper.n_estimators, 2 ** hyper.max_depth - 1
+    feature = np.empty((T, E, inner), dtype=np.intp)
+    threshold = np.empty((T, E, inner))
+    value = np.empty((T, E, 2 * inner + 1))
+    mse = np.empty((E, T))
+    Y = np.zeros((E, N))
+    for e, (_, y) in enumerate(data):
+        Y[e, :len(y)] = y
+    init = [float(y.mean()) for _, y in data]
+    pred = np.repeat(np.array(init)[:, None], N, axis=1)
+    for t in range(T):
+        pred = pred + hyper.learning_rate * rows.grow(
+            Y - pred, feature[t], threshold[t], value[t])
+        sq = (Y - pred) ** 2
+        for e, n in enumerate(rows.n.tolist()):
+            mse[e, t] = sq[e, :n].mean()
+    return [BoostedEnsemble(
+        init[e], hyper.learning_rate, *(np.ascontiguousarray(a[:, e]) for a in
+                                        (feature, threshold, value)),
+        train_mse=mse[e].tolist()) for e in range(E)]
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +403,33 @@ class RateModel:
         return set(self.avg) | set(self.ce)
 
 
-def _fit_cell(samples: Sequence[RateSample], hyper: RateHyper) -> CellRateModel:
-    high = [s for s in samples if s.dl_prb_load >= hyper.low_load_cutoff]
-    low = [s for s in samples if s.dl_prb_load < hyper.low_load_cutoff]
-    ensemble = None
-    if high:
-        X = np.array([[s.dl_prb_load, s.rrc_ues] for s in high])
-        y = np.array([s.rate_mbps for s in high])
-        ensemble = fit_boosted(X, y, hyper)
-    pmf = RatePmf.from_values([s.rate_mbps for s in low],
-                              hyper.pmf_bin_mbps) if low else None
-    return CellRateModel(ensemble=ensemble, pmf=pmf)
-
-
 def train_rate_model(avg_samples: Mapping[str, Sequence[RateSample]],
                      ce_samples: Mapping[str, Sequence[RateSample]],
                      hyper: RateHyper = RateHyper()) -> RateModel:
-    """Fit both targets per cell. Cells whose rows all sit below the load
-    cutoff end up PMF-only (no ensemble); that is a degraded mode, not an
-    error."""
+    """Fit both targets per cell: a PMF of the rows below the load cutoff and
+    an ensemble of the rest, all ensembles in one `fit_boosted_many` call.
+    Cells whose rows all sit below the cutoff end up PMF-only (no ensemble);
+    that is a degraded mode, not an error."""
     model = RateModel(avg={}, ce={}, cutoff=hyper.low_load_cutoff)
+    fits = []
     for cell in sorted(set(avg_samples) | set(ce_samples)):
-        if avg_samples.get(cell):
-            model.avg[cell] = _fit_cell(avg_samples[cell], hyper)
-        if ce_samples.get(cell):
-            model.ce[cell] = _fit_cell(ce_samples[cell], hyper)
+        for table, samples in ((model.avg, avg_samples),
+                               (model.ce, ce_samples)):
+            rows = samples.get(cell)
+            if not rows:
+                continue
+            low = [s.rate_mbps for s in rows
+                   if s.dl_prb_load < hyper.low_load_cutoff]
+            high = [s for s in rows if s.dl_prb_load >= hyper.low_load_cutoff]
+            table[cell] = CellRateModel(None, RatePmf.from_values(
+                low, hyper.pmf_bin_mbps) if low else None)
+            if high:
+                fits.append((table[cell], high))
+    ensembles = fit_boosted_many(
+        [(np.array([[s.dl_prb_load, s.rrc_ues] for s in high]),
+          np.array([s.rate_mbps for s in high])) for _, high in fits], hyper)
+    for (cm, _), ensemble in zip(fits, ensembles):
+        cm.ensemble = ensemble
     return model
 
 

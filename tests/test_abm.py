@@ -8,6 +8,7 @@ from carriersim.abm import (
     HourlyOutputs,
     SimNetwork,
     eligible_sets,
+    mean_tables,
     read_mean_report,
     reactivate,
     replay_log,
@@ -464,3 +465,17 @@ class TestReports:
         write_run_dump(dump, outputs)
         lines = dump.read_text().splitlines()
         assert len(lines) == 1 + 24 * 3 * 2
+
+    def test_mean_tables_equal_report_read_back(self, tmp_path):
+        cfg = make_network()
+        tm = make_traffic(cfg, {"c1": (3, 12, 5), "b1": (8, 20, 5)})
+        handover = make_handover({"c1": {"b1": 1.0}})
+        outputs = simulate_day(tm, cfg, handover, AbmConfig(runs=7, seed=2))
+        path = tmp_path / "abm.csv"
+        write_hourly_report(path, outputs, cfg)
+        tables = mean_tables(outputs, cfg)
+        assert tables == read_mean_report(path)
+        assert list(tables["ue"]) == [(c, o.hour) for o in outputs
+                                      for c in o.cells]
+        assert all(type(v) is float for t in tables.values()
+                   for v in t.values())

@@ -143,6 +143,28 @@ class TestSimulate:
                     "--overrides", overrides)
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"thresholds": []}', "'thresholds' must map cell ids"),
+        ('{"a4": "cap001"}', "'a4' must map cell ids"),
+        ("[1]", "overrides must be an object"),
+        ("[]", "overrides must be an object"),
+        ('{"threshold": {"cap001": {"entry_ue": 1.0}}}',
+         "unknown override section(s) 'threshold'"),
+        ('{"thresholds": ', "not valid JSON"),
+    ])
+    def test_malformed_override_file_fails_cleanly(self, pipeline, tmp_path,
+                                                   text, message):
+        overrides = tmp_path / "ov.json"
+        overrides.write_text(text)
+        for command in ("simulate", "benchmark"):
+            r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, command,
+                        "--data", pipeline / "data",
+                        "--models", pipeline / "models",
+                        "--out", tmp_path / command, "--overrides", overrides)
+            assert r.exit_code == 1
+            assert isinstance(r.exception, SystemExit)
+            assert "error:" in r.output and message in r.output
+
     def test_non_numeric_a4_override_fails_cleanly(self, pipeline, tmp_path):
         overrides = tmp_path / "ov.json"
         overrides.write_text(json.dumps({"a4": {

@@ -13,6 +13,7 @@ from carriersim.ratemodel import (
     build_rate_samples,
     default_bin_edges,
     fit_boosted,
+    fit_boosted_many,
     load_rate_model,
     mean_rate_by_cell,
     p5_rate_from_bins,
@@ -261,6 +262,131 @@ class TestFrozenEnsemble:
                                   getattr(ensemble, name))
         assert loaded.predict(frozen_grid()).tolist() == \
             frozen["grid_predictions"]
+
+
+def frozen_large_data():
+    """The data of tests/data/frozen_ensemble_large.json: 300 rows, more than
+    numpy's 128-element pairwise-summation block, with continuous loads and
+    tied UE counts."""
+    rng = np.random.default_rng(20240301)
+    n = 300
+    load = rng.uniform(0.1, 1.0, n)
+    ues = rng.integers(1, 9, n).astype(float)
+    y = 60.0 * (1.0 - load) + 0.5 * ues + rng.normal(0.0, 2.0, n)
+    return np.column_stack([load, ues]), y
+
+
+class TestFrozenLargeEnsemble:
+    """50 trees of depth 4 on 300 rows, fitted by the recursive node-by-node
+    grower that the lockstep level-wise one replaced; stored as float.hex
+    strings, reproduced bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def frozen(self):
+        path = Path(__file__).parent / "data" / "frozen_ensemble_large.json"
+        return {k: [float.fromhex(v) for v in values]
+                for k, values in json.loads(path.read_text()).items()}
+
+    @pytest.fixture(scope="class")
+    def ensemble(self):
+        X, y = frozen_large_data()
+        return fit_boosted(X, y, RateHyper(n_estimators=50, max_depth=4))
+
+    def test_train_mse_bit_identical(self, ensemble, frozen):
+        assert ensemble.train_mse == frozen["train_mse"]
+
+    def test_grid_predictions_bit_identical(self, ensemble, frozen):
+        assert ensemble.predict(frozen_grid()).tolist() == \
+            frozen["grid_predictions"]
+
+    def test_training_predictions_bit_identical(self, ensemble, frozen):
+        X, _ = frozen_large_data()
+        assert ensemble.predict(X).tolist() == frozen["train_predictions"]
+
+
+def assert_same_ensemble(a: BoostedEnsemble, b: BoostedEnsemble):
+    assert a.init_value == b.init_value
+    assert a.train_mse == b.train_mse
+    for name in ("feature", "threshold", "value"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestLockstepFit:
+    @staticmethod
+    def training_sets():
+        rng = np.random.default_rng(77)
+        sets = [(np.array([[0.5, 3.0]]), np.array([12.0])),          # n = 1
+                (np.array([[0.2, 1.0], [0.7, 1.0]]), np.array([40.0, 9.0])),
+                (np.column_stack([np.full(30, 0.4),                   # constant
+                                  rng.integers(1, 6, 30)]), rng.normal(size=30)),
+                (np.tile([0.3, 2.0], (12, 1)), rng.normal(size=12)),  # all tied
+                frozen_large_data(),
+                frozen_data()]
+        X = rng.uniform(0.1, 1.0, (140, 2)).round(2)
+        sets.append((X, 50.0 * X[:, 0] + rng.normal(size=140)))
+        return sets
+
+    def test_batch_equals_each_ensemble_alone(self):
+        hyper = RateHyper(n_estimators=30, max_depth=4)
+        sets = self.training_sets()
+        together = fit_boosted_many(sets, hyper)
+        assert len(together) == len(sets)
+        for (X, y), ensemble in zip(sets, together):
+            assert_same_ensemble(ensemble, fit_boosted(X, y, hyper))
+
+    def test_chunked_batches_equal_one_batch(self, monkeypatch):
+        from carriersim import ratemodel
+
+        hyper = RateHyper(n_estimators=10, max_depth=3)
+        sets = self.training_sets()
+        whole = fit_boosted_many(sets, hyper)
+        monkeypatch.setattr(ratemodel, "_LOCKSTEP_ENSEMBLES", 3)
+        for a, b in zip(whole, fit_boosted_many(sets, hyper), strict=True):
+            assert_same_ensemble(a, b)
+
+    def test_batch_order_does_not_matter(self):
+        hyper = RateHyper(n_estimators=10, max_depth=3)
+        sets = self.training_sets()
+        forward = fit_boosted_many(sets, hyper)
+        backward = fit_boosted_many(sets[::-1], hyper)[::-1]
+        for a, b in zip(forward, backward):
+            assert_same_ensemble(a, b)
+
+    def test_single_tree_matches_first_boosting_stage(self):
+        X, y = frozen_large_data()
+        ensemble = fit_boosted(X, y, RateHyper(n_estimators=1, max_depth=4))
+        tree = RegressionTree(max_depth=4)
+        tree.fit(X, y - ensemble.init_value)
+        for name in ("feature", "threshold", "value"):
+            assert np.array_equal(getattr(tree, name),
+                                  getattr(ensemble, name)[0])
+
+    def test_degenerate_sets_stay_single_leaves(self):
+        ensembles = fit_boosted_many(self.training_sets()[:4],
+                                     RateHyper(n_estimators=5))
+        for ensemble in ensembles[:1] + ensembles[3:4]:
+            assert all(t.n_leaves == 1 for t in ensemble.trees)
+        assert all(t.n_leaves <= 2 for t in ensembles[1].trees)
+        assert np.all(ensembles[2].feature != 0)    # load never splits
+
+    def test_equal_scores_cut_at_the_first(self):
+        tree = RegressionTree(max_depth=1)
+        # cuts after x=0 and after x=2 both score 0/1 + 2^2/3
+        tree.fit(np.array([[0.0], [1.0], [2.0], [3.0]]),
+                 np.array([0.0, 1.0, 1.0, 0.0]))
+        assert tree.threshold[0] == 0.5
+
+    def test_equal_gains_split_on_the_lower_feature(self):
+        rng = np.random.default_rng(5)
+        load = rng.uniform(0.1, 1.0, 60).round(2)
+        X = np.column_stack([load, 10.0 * load])    # the same partitions
+        ensemble = fit_boosted(X, 30.0 * load + rng.normal(size=60),
+                               RateHyper(n_estimators=20))
+        assert np.any(ensemble.feature == 0)
+        assert not np.any(ensemble.feature == 1)
+
+    def test_no_training_sets(self):
+        assert fit_boosted_many([], RateHyper(n_estimators=5)) == []
 
 
 def make_rate_samples(cell="c1", n_high=60, n_low=20, seed=0):
