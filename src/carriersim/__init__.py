@@ -16,10 +16,8 @@ from .abm import (
 from .datamodel import (
     A4Params,
     Cell,
-    CellDraw,
     CellKpiRecord,
     DatasetPaths,
-    HourlyGaussian,
     MeasurementReport,
     NetworkConfig,
     RadioEnergyRecord,
@@ -74,13 +72,11 @@ __all__ = [
     "A4Params",
     "AbmConfig",
     "Cell",
-    "CellDraw",
     "CellKpiRecord",
     "DatasetPaths",
     "EnergyHyper",
     "EnergyModel",
     "HandoverModel",
-    "HourlyGaussian",
     "HourlyOutputs",
     "MeasurementReport",
     "NetworkConfig",

@@ -194,11 +194,8 @@ class RunState:
 
 def _new_state(net: SimNetwork, tm: TrafficModel, hour: int,
                rng: np.random.Generator) -> RunState:
-    draws = draw_inputs(tm, hour, rng, cfg=net.cfg)
-    base_ue = np.array([float(draws[c].ues) for c in net.cell_ids])
-    base_dl = np.array([draws[c].dl_prbs for c in net.cell_ids])
-    base_ul = np.array([draws[c].ul_prbs for c in net.cell_ids])
-    return RunState(net, hour, base_ue, base_dl, base_ul)
+    draw = draw_inputs(tm, hour, rng, cfg=net.cfg)[tm.rows(net.cell_ids)]
+    return RunState(net, hour, *draw.T.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +537,10 @@ def run_benchmark(tm: TrafficModel, cfg: NetworkConfig,
     """
     net = SimNetwork(cfg)
     cap, paired = net.cap_global, net.paired_global
+    rows = tm.rows(net.cell_ids)
     outputs = []
     for hour in HOURS:
-        ue = np.array([tm.at(c, hour).ues.mean for c in net.cell_ids])
-        dl = np.array([tm.at(c, hour).dl_prbs.mean for c in net.cell_ids])
-        ul = np.array([tm.at(c, hour).ul_prbs.mean for c in net.cell_ids])
+        ue, dl, ul = tm.mean[hour - 1, rows].T.copy()
         np.clip(dl, 0.0, net.n_dl_prb, out=dl)
         cs = np.zeros(net.n_cells)
         x = np.ones(net.n_cap, dtype=bool)

@@ -235,41 +235,43 @@ class MeasurementReport:
         return int(self.timestamp[11:13]) + 1
 
 
-@dataclass(frozen=True)
-class HourlyGaussian:
-    mean: float
-    std: float
-
-    def __post_init__(self):
-        if self.std <= 0:
-            raise ConfigError("HourlyGaussian std must be positive")
-
-
-@dataclass(frozen=True)
-class CellHourTraffic:
-    ues: HourlyGaussian
-    dl_prbs: HourlyGaussian
-    ul_prbs: HourlyGaussian
+TRAFFIC_KPIS = ("ues", "dl_prbs", "ul_prbs")
 
 
 @dataclass(frozen=True)
 class TrafficModel:
-    """Unbiased per-cell, per-hour Gaussians of UE count and PRB usage."""
+    """Unbiased per-cell, per-hour Gaussians of UE count and PRB usage.
 
-    per_cell_hour: Mapping[tuple[str, int], CellHourTraffic]
+    `mean` and `std` have shape (24, len(cells), 3): hour h at index h - 1,
+    cells in `cells` order and the last axis in TRAFFIC_KPIS order. Means
+    must be finite and stds finite and positive.
+    """
+
     cells: tuple[str, ...]
+    mean: np.ndarray
+    std: np.ndarray
 
-    def at(self, cell_id: str, hour: int) -> CellHourTraffic:
-        return self.per_cell_hour[(cell_id, hour)]
+    def __post_init__(self):
+        shape = (24, len(self.cells), len(TRAFFIC_KPIS))
+        for name in ("mean", "std"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != shape:
+                raise ConfigError(f"traffic {name} has shape {value.shape}, "
+                                  f"expected {shape}")
+            object.__setattr__(self, name, value)
+        if not np.isfinite(self.mean).all():
+            raise ConfigError("traffic means must be finite")
+        if not (np.isfinite(self.std) & (self.std > 0)).all():
+            raise ConfigError("traffic stds must be finite and positive")
 
-
-@dataclass(frozen=True)
-class CellDraw:
-    """One random realization of a cell's hourly traffic."""
-
-    ues: int
-    dl_prbs: float
-    ul_prbs: float
+    def rows(self, cell_ids: Iterable[str]) -> np.ndarray:
+        """Row of each of `cell_ids` in `mean` and `std`. A cell without
+        traffic misses every hour, so it raises NoSamplesError(cell, 1)."""
+        index = {c: k for k, c in enumerate(self.cells)}
+        try:
+            return np.array([index[c] for c in cell_ids], dtype=np.intp)
+        except KeyError as exc:
+            raise NoSamplesError(exc.args[0], 1) from None
 
 
 @dataclass(frozen=True)
@@ -693,29 +695,27 @@ def fit_traffic_model(kpis: Iterable[CellKpiRecord],
     floored at `sigma_floor` (a single sample gives std == sigma_floor).
     Raises NoSamplesError if any observed cell misses an hour entirely.
     """
-    grouped: dict[tuple[str, int], list[CellKpiRecord]] = {}
-    seen: set[str] = set()
-    cells: list[str] = []
+    grouped: dict[tuple[str, int], list[tuple[float, float, float]]] = {}
+    cells: dict[str, None] = {}
     for rec in kpis:
-        if rec.cell_id not in seen:
-            seen.add(rec.cell_id)
-            cells.append(rec.cell_id)
-        grouped.setdefault((rec.cell_id, rec.hour), []).append(rec)
-    table: dict[tuple[str, int], CellHourTraffic] = {}
-    for cell in cells:
+        cells.setdefault(rec.cell_id)
+        grouped.setdefault((rec.cell_id, rec.hour), []).append(
+            (rec.rrc_ues, rec.dl_prbs, rec.ul_prbs))
+    mean = np.empty((24, len(cells), len(TRAFFIC_KPIS)))
+    std = np.empty_like(mean)
+    for k, cell in enumerate(cells):
         for hour in range(1, 25):
             samples = grouped.get((cell, hour))
             if not samples:
                 raise NoSamplesError(cell, hour)
-            table[(cell, hour)] = CellHourTraffic(
-                ues=_fit_gaussian([s.rrc_ues for s in samples], sigma_floor),
-                dl_prbs=_fit_gaussian([s.dl_prbs for s in samples], sigma_floor),
-                ul_prbs=_fit_gaussian([s.ul_prbs for s in samples], sigma_floor),
-            )
-    return TrafficModel(per_cell_hour=table, cells=tuple(cells))
+            for m, values in enumerate(zip(*samples)):
+                mean[hour - 1, k, m], std[hour - 1, k, m] = _fit_gaussian(
+                    values, sigma_floor)
+    return TrafficModel(cells=tuple(cells), mean=mean, std=std)
 
 
-def _fit_gaussian(values: list[float], sigma_floor: float) -> HourlyGaussian:
+def _fit_gaussian(values: tuple[float, ...],
+                  sigma_floor: float) -> tuple[float, float]:
     n = len(values)
     mean = math.fsum(values) / n
     if n > 1:
@@ -723,28 +723,25 @@ def _fit_gaussian(values: list[float], sigma_floor: float) -> HourlyGaussian:
         std = math.sqrt(var)
     else:
         std = 0.0
-    return HourlyGaussian(mean=mean, std=max(std, sigma_floor))
+    return mean, max(std, sigma_floor)
 
 
 def draw_inputs(tm: TrafficModel, hour: int, rng: np.random.Generator,
-                cfg: NetworkConfig | None = None) -> dict[str, CellDraw]:
-    """Draw one traffic realization per cell for the given hour.
+                cfg: NetworkConfig | None = None) -> np.ndarray:
+    """Draw one traffic realization per cell for the given hour: an
+    (n_cells, 3) array in `tm.cells` order, columns in TRAFFIC_KPIS order.
 
     Gaussian draws are truncated at 0; the UE count is rounded to the nearest
-    nonnegative integer and PRB draws are clamped to the cell's PRB capacity
-    when a NetworkConfig is supplied. The caller owns the RNG.
+    integer and PRB draws are clamped to the cell's PRB capacity when a
+    NetworkConfig is supplied. One call draws the cells in order, each cell's
+    KPIs in order. The caller owns the RNG.
     """
     if not 1 <= hour <= 24:
         raise ValueError(f"hour {hour} outside 1..24")
-    draws: dict[str, CellDraw] = {}
-    for cell in tm.cells:
-        traffic = tm.at(cell, hour)
-        ues = max(0.0, rng.normal(traffic.ues.mean, traffic.ues.std))
-        dl = max(0.0, rng.normal(traffic.dl_prbs.mean, traffic.dl_prbs.std))
-        ul = max(0.0, rng.normal(traffic.ul_prbs.mean, traffic.ul_prbs.std))
-        if cfg is not None:
-            spec = cfg.cell(cell)
-            dl = min(dl, float(spec.n_dl_prb))
-            ul = min(ul, float(spec.n_ul_prb))
-        draws[cell] = CellDraw(ues=int(np.rint(ues)), dl_prbs=dl, ul_prbs=ul)
-    return draws
+    draw = np.maximum(rng.normal(tm.mean[hour - 1], tm.std[hour - 1]), 0.0)
+    draw[:, 0] = np.rint(draw[:, 0])
+    if cfg is not None:
+        capacity = [(cfg.cell(c).n_dl_prb, cfg.cell(c).n_ul_prb)
+                    for c in tm.cells]
+        np.minimum(draw[:, 1:], capacity, out=draw[:, 1:])
+    return draw

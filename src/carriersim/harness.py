@@ -27,9 +27,7 @@ from .abm import AbmConfig, HourlyOutputs, simulate_day
 from .datamodel import (
     A4Params,
     Cell,
-    CellHourTraffic,
     CellKpiRecord,
-    HourlyGaussian,
     MeasurementReport,
     NetworkConfig,
     RadioEnergyRecord,
@@ -87,14 +85,10 @@ class RateLaw:
     max_mbps: float = 80.0
     load_slope: float = 0.7
     ue_drag: float = 0.05
-    ce_fraction: float = 0.42
 
     def mean_rate(self, dl_load: float, ues: float) -> float:
         return self.max_mbps * (1.0 - self.load_slope * dl_load) \
             / (1.0 + self.ue_drag * max(ues, 0.0))
-
-    def edge_rate(self, dl_load: float, ues: float) -> float:
-        return self.ce_fraction * self.mean_rate(dl_load, ues)
 
 
 def diurnal_profile(hour: int, trough: float = 0.18) -> float:
@@ -188,24 +182,23 @@ def _build_network(spec: ScenarioSpec) -> NetworkConfig:
 
 def _build_true_traffic(cfg: NetworkConfig, spec: ScenarioSpec,
                         rng: np.random.Generator) -> TrafficModel:
-    per = {}
     cells = tuple(c.id for c in cfg.cells)
     factors = {cid: rng.uniform(0.75, 1.25) for cid in cells}
-    for cell in cfg.cells:
+    mean = np.empty((24, len(cells), 3))
+    std = np.empty_like(mean)
+    for k, cell in enumerate(cfg.cells):
         is_cap = cell.id in cfg.capacity_cells
         peak_load = spec.peak_capacity_load if is_cap else spec.peak_coverage_load
         peak_ues = spec.peak_capacity_ues if is_cap else spec.peak_capacity_ues * 1.2
         f = factors[cell.id]
         for hour in range(1, 25):
             p = diurnal_profile(hour)
-            mu_u = peak_ues * p * f
-            mu_dl = peak_load * cell.n_dl_prb * p * f
-            mu_ul = 0.4 * peak_load * cell.n_ul_prb * p * f
-            per[(cell.id, hour)] = CellHourTraffic(
-                ues=HourlyGaussian(mu_u, max(spec.traffic_noise * mu_u, 0.3)),
-                dl_prbs=HourlyGaussian(mu_dl, max(spec.traffic_noise * mu_dl, 0.5)),
-                ul_prbs=HourlyGaussian(mu_ul, max(spec.traffic_noise * mu_ul, 0.3)))
-    return TrafficModel(per_cell_hour=per, cells=cells)
+            mu = (peak_ues * p * f, peak_load * cell.n_dl_prb * p * f,
+                  0.4 * peak_load * cell.n_ul_prb * p * f)
+            mean[hour - 1, k] = mu
+            std[hour - 1, k] = [max(spec.traffic_noise * m, floor)
+                                for m, floor in zip(mu, (0.3, 0.5, 0.3))]
+    return TrafficModel(cells=cells, mean=mean, std=std)
 
 
 def _default_energy_law() -> EnergyLaw:
@@ -286,57 +279,19 @@ def _kpi_row(cfg: NetworkConfig, rate_law: RateLaw, spec: ScenarioSpec,
         ul_bits=v_total * 0.3, ul_time_s=t_active)
 
 
-def _unbiased_campaign(cfg, traffic, energy_law, rate_law, spec, rng):
+def _campaign(cfg, energy_law, rate_law, spec, rng, draw_day):
+    """KPI and energy records of one measurement campaign. `draw_day()`
+    iterates over one day's (ues, dl, ul, cs_minutes) per cell and hour, cells
+    in configuration order; each KPI row is made right after its values."""
     kpis, energies = [], []
-    radios = {r.id: r for r in cfg.radio_units}
+    keys = [(cell.id, hour) for cell in cfg.cells for hour in range(1, 25)]
     for day in range(1, spec.n_days + 1):
-        day_values = {}
-        for cell in cfg.cells:
-            for hour in range(1, 25):
-                g = traffic.at(cell.id, hour)
-                ues = max(rng.normal(g.ues.mean, g.ues.std), 0.0)
-                dl = min(max(rng.normal(g.dl_prbs.mean, g.dl_prbs.std), 0.0),
-                         cell.n_dl_prb)
-                ul = min(max(rng.normal(g.ul_prbs.mean, g.ul_prbs.std), 0.0),
-                         cell.n_ul_prb)
-                day_values[(cell.id, hour)] = (ues, dl, ul)
-                kpis.append(_kpi_row(cfg, rate_law, spec, rng, cell.id, day,
-                                     hour, ues, dl, ul, cs_minutes=0.0))
-        for radio in radios.values():
-            cells = [cfg.cell(cid) for cid in radio.cell_ids]
-            for hour in range(1, 25):
-                loads = {c.id: day_values[(c.id, hour)][1] / c.n_dl_prb
-                         for c in cells}
-                true_e = energy_law.radio_energy(radio.radio_type, cells,
-                                                 loads, {})
-                energies.append(RadioEnergyRecord(
-                    radio_unit=radio.id, day=day, hour=hour,
-                    energy_wh=max(true_e + rng.normal(0, spec.energy_noise_wh),
-                                  0.0)))
-    return kpis, energies
-
-
-def _biased_campaign(cfg, traffic, energy_law, rate_law, spec, handover, rng):
-    """A second measurement campaign with carrier shutdown active: one
-    simulated realization per day against the true laws."""
-    kpis, energies = [], []
-    radios = {r.id: r for r in cfg.radio_units}
-    for day in range(1, spec.n_days + 1):
-        day_seed = int(rng.integers(0, 2 ** 31 - 1))
-        outputs = simulate_day(traffic, cfg, handover,
-                               AbmConfig(runs=1, max_steps=400, seed=day_seed))
         values = {}
-        for out in outputs:
-            for i, cell_id in enumerate(out.cells):
-                values[(cell_id, out.hour)] = (
-                    float(out.ues[0, i]), float(out.dl_prbs[0, i]),
-                    float(out.ul_prbs[0, i]), float(out.cs_minutes[0, i]))
-        for cell in cfg.cells:
-            for hour in range(1, 25):
-                ues, dl, ul, cs = values[(cell.id, hour)]
-                kpis.append(_kpi_row(cfg, rate_law, spec, rng, cell.id, day,
-                                     hour, ues, dl, ul, cs_minutes=cs))
-        for radio in radios.values():
+        for (cell_id, hour), v in zip(keys, draw_day()):
+            values[(cell_id, hour)] = v
+            kpis.append(_kpi_row(cfg, rate_law, spec, rng, cell_id, day,
+                                 hour, *v))
+        for radio in cfg.radio_units:
             cells = [cfg.cell(cid) for cid in radio.cell_ids]
             for hour in range(1, 25):
                 loads = {c.id: values[(c.id, hour)][1] / c.n_dl_prb
@@ -350,6 +305,31 @@ def _biased_campaign(cfg, traffic, energy_law, rate_law, spec, handover, rng):
                     energy_wh=max(true_e + rng.normal(0, spec.energy_noise_wh),
                                   0.0)))
     return kpis, energies
+
+
+def _drawn_day(cfg, traffic, rng):
+    """Unbiased campaign: every cell-hour drawn from the true Gaussians,
+    truncated at 0 and clamped to the PRB capacity, with no shutdown."""
+    for k, cell in enumerate(cfg.cells):
+        for hour in range(1, 25):
+            (mu_u, mu_dl, mu_ul), (sd_u, sd_dl, sd_ul) = (
+                traffic.mean[hour - 1, k], traffic.std[hour - 1, k])
+            ues = max(rng.normal(mu_u, sd_u), 0.0)
+            dl = min(max(rng.normal(mu_dl, sd_dl), 0.0), cell.n_dl_prb)
+            ul = min(max(rng.normal(mu_ul, sd_ul), 0.0), cell.n_ul_prb)
+            yield ues, dl, ul, 0.0
+
+
+def _simulated_day(cfg, traffic, handover, rng):
+    """Shutdown-active campaign: one simulated realization of the day
+    against the true laws."""
+    day_seed = int(rng.integers(0, 2 ** 31 - 1))
+    outputs = simulate_day(traffic, cfg, handover,
+                           AbmConfig(runs=1, max_steps=400, seed=day_seed))
+    for i in range(len(cfg.cells)):
+        for out in outputs:
+            yield (float(out.ues[0, i]), float(out.dl_prbs[0, i]),
+                   float(out.ul_prbs[0, i]), float(out.cs_minutes[0, i]))
 
 
 def generate_scenario(spec: ScenarioSpec, out_dir, seed: int,
@@ -370,13 +350,14 @@ def generate_scenario(spec: ScenarioSpec, out_dir, seed: int,
     energy_law = _default_energy_law()
     rate_law = RateLaw()
     mrs = _generate_mrs(cfg, spec, rng)
-    kpis, energies = _unbiased_campaign(cfg, traffic, energy_law, rate_law,
-                                        spec, rng)
+    kpis, energies = _campaign(cfg, energy_law, rate_law, spec, rng,
+                               lambda: _drawn_day(cfg, traffic, rng))
     out = Path(out_dir)
     write_datasets(out, cfg, kpis, energies, mrs)
     handover = build_handover_model_for_hours(cfg, mrs)
-    kpis_b, energies_b = _biased_campaign(cfg, traffic, energy_law, rate_law,
-                                          spec, handover, rng)
+    kpis_b, energies_b = _campaign(
+        cfg, energy_law, rate_law, spec, rng,
+        lambda: _simulated_day(cfg, traffic, handover, rng))
     write_kpis(out / "kpi_biased.csv", kpis_b)
     write_energy(out / "energy_biased.csv", energies_b)
     (out / "scenario.json").write_text(json.dumps({

@@ -52,8 +52,9 @@ def a4_qualifies(rsrp_dbm: float, a4: A4Params, neighbor: str) -> bool:
 class HandoverModel:
     """Per capacity cell and hour: PMF over transfer target cells.
 
-    A missing or all-zero entry means no feasible A4 target was observed, in
-    which case a shutdown attempt is abandoned.
+    Only targets that received votes are stored. A missing or empty entry
+    means no feasible A4 target was observed, in which case a shutdown
+    attempt is abandoned.
     """
 
     probabilities: Mapping[tuple[str, int], Mapping[str, float]]
@@ -77,17 +78,17 @@ def build_handover_model(cfg: NetworkConfig, mrs: Iterable[MeasurementReport],
     served by a capacity cell votes for its strongest A4-qualifying neighbour
     on the paired coverage frequency (ties broken towards the lowest cell id);
     votes are normalized per cell. Cells with no qualifying report get an
-    all-zero map.
+    empty map.
     """
-    candidates = {c: transfer_candidates(cfg, c) for c in cfg.capacity_cells}
-    candidate_sets = {c: set(cands) for c, cands in candidates.items()}
+    candidates = {c: set(transfer_candidates(cfg, c))
+                  for c in cfg.capacity_cells}
     counts: dict[str, dict[str, int]] = {c: {} for c in cfg.capacity_cells}
     for report in mrs:
         serving = report.serving_cell
         if serving not in counts:
             continue
         a4 = cfg.mobility[serving]
-        eligible = candidate_sets[serving]
+        eligible = candidates[serving]
         best: str | None = None
         best_rsrp = -float("inf")
         for neighbor, rsrp in report.neighbor_rsrp_dbm.items():
@@ -102,8 +103,7 @@ def build_handover_model(cfg: NetworkConfig, mrs: Iterable[MeasurementReport],
     for cell in sorted(cfg.capacity_cells):
         votes = counts[cell]
         total = sum(votes.values())
-        table[(cell, hour)] = {j: votes.get(j, 0) / total if total else 0.0
-                               for j in candidates[cell]}
+        table[(cell, hour)] = {j: n / total for j, n in sorted(votes.items())}
     return HandoverModel(probabilities=table)
 
 

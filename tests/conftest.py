@@ -4,9 +4,7 @@ import pytest
 from carriersim.datamodel import (
     A4Params,
     Cell,
-    CellHourTraffic,
     CellKpiRecord,
-    HourlyGaussian,
     NetworkConfig,
     RadioUnit,
     ShutdownThresholds,
@@ -75,19 +73,15 @@ def make_kpi(cell_id="c1", day=1, hour=1, rrc_ues=5.0, dl_prbs=20.0,
 def make_traffic(cfg, values, std=1e-9):
     """Near-degenerate TrafficModel. `values` maps cell -> (ues, dl, ul),
     or (cell, hour) -> (ues, dl, ul) for hour-dependent fixtures."""
-    per = {}
     cells = tuple(c.id for c in cfg.cells)
-    for cell in cells:
+    mean = np.empty((24, len(cells), 3))
+    for k, cell in enumerate(cells):
         for hour in range(1, 25):
             v = values.get((cell, hour), values.get(cell))
             if v is None:
                 raise KeyError(f"no traffic values for {cell}")
-            u, dl, ul = v
-            per[(cell, hour)] = CellHourTraffic(
-                ues=HourlyGaussian(float(u), std),
-                dl_prbs=HourlyGaussian(float(dl), std),
-                ul_prbs=HourlyGaussian(float(ul), std))
-    return TrafficModel(per_cell_hour=per, cells=cells)
+            mean[hour - 1, k] = v
+    return TrafficModel(cells=cells, mean=mean, std=np.full_like(mean, std))
 
 
 def make_handover(targets_by_cell, hours=range(1, 25)):

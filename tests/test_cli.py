@@ -259,6 +259,22 @@ def estimates(pipeline, tmp_path_factory):
     return abm, bench
 
 
+class TestCellWithoutKpiRows:
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_fails_cleanly(self, pipeline, tmp_path, command):
+        data = copy_dir(pipeline / "data", tmp_path / "data")
+        lines = (data / "kpi.csv").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith("cap002,")]
+        assert len(kept) < len(lines)
+        (data / "kpi.csv").write_text("\n".join(kept) + "\n")
+        r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, command,
+                    "--data", data, "--models", pipeline / "models",
+                    "--out", tmp_path / "o")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)   # not an escaped error
+        assert "error:" in r.output and "'cap002'" in r.output
+
+
 class TestCompareCommand:
     def test_report_written(self, pipeline, estimates, tmp_path):
         abm, bench = estimates

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carriersim.datamodel import (
+    TRAFFIC_KPIS,
     DatasetPaths,
     MeasurementReport,
     RadioEnergyRecord,
+    TrafficModel,
     apply_overrides,
     draw_inputs,
     fit_traffic_model,
@@ -204,24 +206,26 @@ class TestOverrides:
         assert cfg.mobility["c1"].cell_offset_db == {"b1": 2.0}
 
 
+UES, DL, UL = (TRAFFIC_KPIS.index(k) for k in ("ues", "dl_prbs", "ul_prbs"))
+
+
 class TestTrafficFit:
     def test_zero_variance_floored(self):
         kpis = [make_kpi(day=d, hour=h, rrc_ues=10.0)
                 for d in (1, 2, 3) for h in range(1, 25)]
         tm = fit_traffic_model(kpis, sigma_floor=1e-6)
-        g = tm.at("c1", 1).ues
-        assert g.mean == 10.0
-        assert g.std == 1e-6
+        assert tm.mean[0, 0, UES] == 10.0
+        assert tm.std[0, 0, UES] == 1e-6
 
     def test_two_sample_std_uses_n_minus_one(self):
         # samples {0, 20}: mean 10, std sqrt(2 * 100 / 1) = sqrt(200)
         kpis = [make_kpi(day=d, hour=h, rrc_ues=v)
                 for (d, v) in ((1, 0.0), (2, 20.0)) for h in range(1, 25)]
         tm = fit_traffic_model(kpis)
-        g = tm.at("c1", 3).ues
-        assert g.mean == 10.0
-        assert g.std == pytest.approx(math.sqrt(200.0), rel=1e-12)
-        assert g.std == pytest.approx(14.142135623730951, rel=1e-12)
+        assert tm.mean[2, 0, UES] == 10.0
+        assert tm.std[2, 0, UES] == pytest.approx(math.sqrt(200.0), rel=1e-12)
+        assert tm.std[2, 0, UES] == pytest.approx(14.142135623730951,
+                                                  rel=1e-12)
 
     def test_missing_hour_raises_no_samples(self):
         kpis = [make_kpi(day=1, hour=h) for h in range(1, 24)]  # hour 24 absent
@@ -232,7 +236,7 @@ class TestTrafficFit:
     def test_single_sample_uses_floor(self):
         kpis = [make_kpi(day=1, hour=h, rrc_ues=7.5) for h in range(1, 25)]
         tm = fit_traffic_model(kpis, sigma_floor=1e-3)
-        assert tm.at("c1", 5).ues.std == 1e-3
+        assert tm.std[4, 0, UES] == 1e-3
 
     @given(st.lists(st.floats(min_value=0, max_value=1e4,
                               allow_nan=False), min_size=1, max_size=40))
@@ -242,7 +246,7 @@ class TestTrafficFit:
                 for d, v in enumerate(values, start=1) for h in range(1, 25)]
         tm = fit_traffic_model(kpis)
         expected = math.fsum(values) / len(values)
-        got = tm.at("c1", 1).ues.mean
+        got = tm.mean[0, 0, UES]
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -250,9 +254,9 @@ class TestDrawInputs:
     def test_degenerate_distribution_returns_mean(self, rng):
         kpis = [make_kpi(day=1, hour=h, rrc_ues=5.0) for h in range(1, 25)]
         tm = fit_traffic_model(kpis)
-        draw = draw_inputs(tm, 1, rng)["c1"]
-        assert draw.ues == 5
-        assert isinstance(draw.ues, int)
+        draw = draw_inputs(tm, 1, rng)
+        assert draw.shape == (1, 3)
+        assert draw[0, UES] == 5.0
 
     def test_negative_mean_truncated_to_zero(self, rng):
         # fabricate a negative-mean Gaussian directly through fitted values
@@ -260,7 +264,7 @@ class TestDrawInputs:
                 for d, v in ((1, 0.0), (2, 0.0)) for h in range(1, 25)]
         tm = fit_traffic_model(kpis)
         # mean 0, tiny sigma: every draw rounds to 0 and never goes negative
-        draws = [draw_inputs(tm, 2, np.random.default_rng(s))["c1"].ues
+        draws = [draw_inputs(tm, 2, np.random.default_rng(s))[0, UES]
                  for s in range(20)]
         assert all(d == 0 for d in draws)
 
@@ -270,10 +274,10 @@ class TestDrawInputs:
         tm = fit_traffic_model(kpis)
         a = draw_inputs(tm, 7, np.random.default_rng(99))
         b = draw_inputs(tm, 7, np.random.default_rng(99))
-        assert a == b
+        assert a.tobytes() == b.tobytes()
         # frozen expected value for seed 99 (pinned after first run)
-        assert a["c1"].ues == 18
-        assert a["c1"].dl_prbs == pytest.approx(31.90043840440342, rel=0, abs=0)
+        assert a[0, UES] == 18
+        assert a[0, DL] == pytest.approx(31.90043840440342, rel=0, abs=0)
 
     def test_prb_draw_clamped_to_capacity(self):
         cfg = make_network()
@@ -285,8 +289,9 @@ class TestDrawInputs:
                                          dl_prbs=5000.0, ul_prbs=5000.0))
         tm = fit_traffic_model(kpis)
         draw = draw_inputs(tm, 1, np.random.default_rng(0), cfg=cfg)
-        assert draw["c1"].dl_prbs == 270.0
-        assert draw["b1"].dl_prbs == 100.0
+        assert tm.cells == ("c1", "b1")
+        assert draw[0, DL] == 270.0
+        assert draw[1, DL] == 100.0
 
     def test_truncation_negligible_mean_statistics(self):
         # mu >> 5 sigma: sample mean of 1e5 draws within 4 sigma / sqrt(n) of mu
@@ -298,14 +303,105 @@ class TestDrawInputs:
             for h in range(1, 25):
                 kpis.append(make_kpi(day=d, hour=h, dl_prbs=max(v, 0.0)))
         tm = fit_traffic_model(kpis)
-        fitted = tm.at("c1", 1).dl_prbs
+        mean, std = tm.mean[0, 0, DL], tm.std[0, 0, DL]
         rng = np.random.default_rng(7)
         samples = np.array([
-            max(0.0, rng.normal(fitted.mean, fitted.std)) for _ in range(n)])
-        assert abs(samples.mean() - fitted.mean) < 4 * fitted.std / math.sqrt(n)
+            max(0.0, rng.normal(mean, std)) for _ in range(n)])
+        assert abs(samples.mean() - mean) < 4 * std / math.sqrt(n)
 
     def test_bad_hour_rejected(self, rng):
         kpis = [make_kpi(day=1, hour=h) for h in range(1, 25)]
         tm = fit_traffic_model(kpis)
         with pytest.raises(ValueError):
             draw_inputs(tm, 0, rng)
+
+
+def _scalar_draw(tm, hour, rng, cfg=None):
+    """draw_inputs written as one scalar rng.normal call per cell and KPI."""
+    rows = []
+    for k, cell in enumerate(tm.cells):
+        ues, dl, ul = (max(0.0, rng.normal(tm.mean[hour - 1, k, m],
+                                           tm.std[hour - 1, k, m]))
+                       for m in range(3))
+        if cfg is not None:
+            dl = min(dl, float(cfg.cell(cell).n_dl_prb))
+            ul = min(ul, float(cfg.cell(cell).n_ul_prb))
+        rows.append((float(int(np.rint(ues))), dl, ul))
+    return np.array(rows)
+
+
+class TestDrawInputsArrays:
+    # b1 sits around zero (truncation), c2 above its PRB capacity (clamping)
+    BASE = {"b1": (-1.0, -4.0, 1.0), "b2": (30.0, 60.0, 40.0),
+            "c1": (12.0, 262.0, 130.0), "c2": (5.0, 400.0, 200.0)}
+
+    def traffic(self):
+        cfg = make_network(n_capacity=2, n_coverage=2)
+        cells = tuple(c.id for c in cfg.cells)
+        scale = 1.0 + np.arange(24)[:, None, None] / 24.0
+        mean = scale * np.array([self.BASE[c] for c in cells])[None]
+        return cfg, TrafficModel(cells=cells, mean=mean,
+                                 std=np.full_like(mean, 6.0))
+
+    @pytest.mark.parametrize("with_cfg", [False, True])
+    def test_bit_identical_to_scalar_loop(self, with_cfg):
+        cfg, tm = self.traffic()
+        cfg = cfg if with_cfg else None
+        truncated = clamped = 0
+        for seed in (0, 1, 7, 99, 2024):
+            for hour in (1, 5, 13, 24):
+                got = draw_inputs(tm, hour, np.random.default_rng(seed), cfg)
+                want = _scalar_draw(tm, hour, np.random.default_rng(seed), cfg)
+                assert got.shape == (4, 3)
+                assert got.tobytes() == want.tobytes()
+                truncated += int((got == 0.0).sum())
+                clamped += int((got[:, DL] == 270.0).sum())
+        assert truncated > 0
+        assert (clamped > 0) == with_cfg
+
+    def test_consumes_same_stream_as_scalar_loop(self):
+        _, tm = self.traffic()
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        draw_inputs(tm, 9, a)
+        _scalar_draw(tm, 9, b)
+        assert a.random() == b.random()
+
+    def test_rows_follow_cell_ids(self):
+        _, tm = self.traffic()
+        assert tm.rows(["c2", "b1"]).tolist() == [3, 0]
+        with pytest.raises(NoSamplesError) as err:
+            tm.rows(["b1", "zz9"])
+        assert (err.value.cell, err.value.hour) == ("zz9", 1)
+
+
+class TestTrafficModelChecks:
+    def good(self):
+        return np.ones((24, 2, 3)), np.ones((24, 2, 3))
+
+    @pytest.mark.parametrize("shape", [(23, 2, 3), (24, 3, 3), (24, 2),
+                                       (24, 2, 4)])
+    @pytest.mark.parametrize("which", ["mean", "std"])
+    def test_bad_shape_rejected(self, which, shape):
+        arrays = dict(zip(("mean", "std"), self.good()))
+        arrays[which] = np.ones(shape)
+        with pytest.raises(ConfigError, match="shape"):
+            TrafficModel(cells=("a", "b"), **arrays)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_std_rejected(self, bad):
+        mean, std = self.good()
+        std[7, 1, 2] = bad
+        with pytest.raises(ConfigError, match="std"):
+            TrafficModel(cells=("a", "b"), mean=mean, std=std)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        mean, std = self.good()
+        mean[0, 0, 0] = bad
+        with pytest.raises(ConfigError, match="mean"):
+            TrafficModel(cells=("a", "b"), mean=mean, std=std)
+
+    def test_zero_sigma_floor_rejected(self):
+        kpis = [make_kpi(day=1, hour=h) for h in range(1, 25)]
+        with pytest.raises(ConfigError):
+            fit_traffic_model(kpis, sigma_floor=0.0)

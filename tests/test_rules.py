@@ -165,7 +165,7 @@ class TestHandoverModel:
         cfg = make_network(n_capacity=1, n_coverage=2, a4_threshold=-80.0)
         mrs = [report("c1", {"c1": -70.0, "b1": -95.0, "b2": -99.0})]
         model = build_handover_model(cfg, mrs, hour=13)
-        assert model.targets("c1", 13) == {"b1": 0.0, "b2": 0.0}
+        assert model.targets("c1", 13) == {}
 
     def test_single_qualifying_neighbor_gets_probability_one(self):
         cfg = make_network(n_capacity=1, n_coverage=2, a4_threshold=-110.0)
@@ -173,11 +173,18 @@ class TestHandoverModel:
         model = build_handover_model(cfg, mrs, hour=13)
         assert model.targets("c1", 13)["b1"] == 1.0
 
+    def test_only_voted_targets_are_stored(self):
+        # b2 and b3 are candidates on the coverage layer but get no vote
+        cfg = make_network(n_capacity=1, n_coverage=3, a4_threshold=-110.0)
+        mrs = [report("c1", {"c1": -70.0, "b1": -95.0, "b2": -120.0})]
+        model = build_handover_model(cfg, mrs, hour=13)
+        assert model.targets("c1", 13) == {"b1": 1.0}
+
     def test_cell_without_reports_gets_zero_map(self):
         cfg = make_network(n_capacity=2, n_coverage=1)
         mrs = [report("c1", {"c1": -70.0, "b1": -95.0})]
         model = build_handover_model(cfg, mrs, hour=13)
-        assert model.targets("c2", 13) == {"b1": 0.0}
+        assert model.targets("c2", 13) == {}
 
     def test_tie_breaks_to_lowest_cell_id(self):
         cfg = make_network(n_capacity=1, n_coverage=3, a4_threshold=-110.0)
