@@ -2,9 +2,12 @@
 
 Each Monte Carlo run draws hourly traffic for every cell, then walks the space
 of shutdown configurations one cell flip at a time: eligibility rule checks,
-margin-weighted agent selection, UE transfer on shutdown, exact state
-restoration on reactivation. Every movement is logged so a run can be replayed
-from its initial draw, and per-hour runs roll forward into the next hour.
+margin-weighted agent selection (`_pick`, the one selection PMF), UE transfer
+on shutdown, exact state restoration on reactivation. A run keeps every
+capacity cell's candidacy and margin; a step re-checks only the acting cell
+and the capacity cells paired with a cell whose counters it changed. Every
+movement is logged so a run can be replayed from its initial draw, and
+per-hour runs roll forward into the next hour.
 
 State bookkeeping uses a per-host contribution ledger: a host cell's counters
 are always rederived as its own drawn base plus the logged contributions it
@@ -75,6 +78,10 @@ class SimNetwork:
         self.is_capacity[self.cap_global] = True
         self.cap_of_global = np.full(self.n_cells, -1, dtype=np.intp)
         self.cap_of_global[self.cap_global] = np.arange(self.n_cap)
+        self.cap_th = tuple(cfg.energy_saving[c] for c in self.cap_ids)
+        # per global cell: the capacity cells paired with it
+        self.paired_caps = [(self.paired_global == g).nonzero()[0].tolist()
+                            for g in range(self.n_cells)]
 
 
 def _entry(targets: np.ndarray, probs: np.ndarray):
@@ -108,7 +115,7 @@ def _live_targets(net: SimNetwork, x: np.ndarray, entry):
         return None
     targets, probs, _ = entry
     is_cap = net.is_capacity[targets]
-    if not is_cap.any():
+    if not np.count_nonzero(is_cap):
         return entry
     alive = ~is_cap | x[net.cap_of_global[targets]]
     if alive.all():
@@ -145,7 +152,7 @@ class RunState:
     contribution ledger and replay log."""
 
     __slots__ = ("net", "hour", "x", "ue", "dl", "ul", "t_cs",
-                 "base_ue", "base_dl", "base_ul", "sd_frozen",
+                 "base_ue", "base_dl", "base_ul", "sd_frozen", "sd_margin",
                  "contribs", "origin_hosts", "replay")
 
     def __init__(self, net: SimNetwork, hour: int, base_ue, base_dl, base_ul):
@@ -163,6 +170,7 @@ class RunState:
         self.sd_frozen = check_shutdown_entry(
             base_ue[cap], base_dl[cap], base_dl[paired], base_ul[cap],
             base_ul[paired], net.th)
+        self.sd_margin = net.th.entry_dl_prb - (base_dl[cap] + base_dl[paired])
         self.contribs: list[list] = [[] for _ in range(net.n_cells)]
         self.origin_hosts: dict[int, set[int]] = {}
         self.replay = ReplayLog(hour=hour, base_ue=base_ue.copy(),
@@ -177,9 +185,9 @@ class RunState:
         return float(self.ue.sum()), float(self.dl.sum()), float(self.ul.sum())
 
     def _refold(self, g: int) -> None:
-        ue = self.base_ue[g]
-        dl = self.base_dl[g]
-        ul = self.base_ul[g]
+        ue = self.base_ue.item(g)
+        dl = self.base_dl.item(g)
+        ul = self.base_ul.item(g)
         for _, n, dla, ula in self.contribs[g]:
             ue += n
             dl += dla
@@ -207,27 +215,32 @@ def _draw_moves(state: RunState, a: int, targets: np.ndarray, cum: np.ndarray,
     """Draw a transfer target per departing UE, grouped by origin."""
     net = state.net
     g = net.cap_global[a]
-    n_ue = int(round(state.ue[g]))
+    n_ue = round(state.ue.item(g))
     if n_ue == 0:
         return []
-    m_dl = state.dl[g] / n_ue
-    m_ul = state.ul[g] / n_ue
-    groups = [(a, int(round(state.base_ue[g])))]
+    m_dl = state.dl.item(g) / n_ue
+    m_ul = state.ul.item(g) / n_ue
+    groups = [(a, round(state.base_ue.item(g)))]
     groups += [(origin, n) for origin, n, _, _ in state.contribs[g]]
     moves = []
     for origin, count in groups:
         if count == 0:
             continue
-        picks = np.searchsorted(cum, rng.random(count), side="right")
-        np.minimum(picks, len(targets) - 1, out=picks)
-        counts = np.bincount(picks, minlength=len(targets))
-        for slot in np.flatnonzero(counts):
-            n = int(counts[slot])
+        u = rng.random(count)  # also for one target: the stream stays
+        if len(targets) == 1:
+            slots = ((0, count),)
+        else:
+            picks = cum.searchsorted(u, side="right")
+            np.minimum(picks, len(targets) - 1, out=picks)
+            counts = np.bincount(picks, minlength=len(targets))
+            slots = [(s, int(counts[s])) for s in counts.nonzero()[0]]
+        for slot, n in slots:
             moves.append((origin, int(targets[slot]), n, n * m_dl, n * m_ul))
     return moves
 
 
-def _apply_shutdown(state: RunState, a: int, moves, step: int) -> None:
+def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
+    """Apply drawn moves and shut `a` down; returns the target cells."""
     net = state.net
     g = net.cap_global[a]
     touched = set()
@@ -249,26 +262,27 @@ def _apply_shutdown(state: RunState, a: int, moves, step: int) -> None:
     state.t_cs[g] = SHUTDOWN_MINUTES
     state.x[a] = False
     state.replay.events.append(("sd", step, a, tuple(moves)))
+    return touched
 
 
 def _transfer(state: RunState, a: int, entry, rng: np.random.Generator,
-              step: int) -> bool:
+              step: int) -> set[int] | None:
     """Shut down capacity cell `a`, handing its UEs to targets drawn from its
-    transfer-table entry.
+    transfer-table entry; returns the cells that received UEs.
 
-    Returns False (state untouched) when no feasible target exists, i.e. the
+    Returns None (state untouched) when no feasible target exists, i.e. the
     shutdown attempt is abandoned.
     """
     entry = _live_targets(state.net, state.x, entry)
     if entry is None:
-        return False
+        return None
     targets, _, cum = entry
-    moves = _draw_moves(state, a, targets, cum, rng)
-    _apply_shutdown(state, a, moves, step)
-    return True
+    return _apply_shutdown(state, a, _draw_moves(state, a, targets, cum, rng),
+                           step)
 
 
-def _reactivate(state: RunState, a: int, step: int) -> None:
+def _reactivate(state: RunState, a: int, step: int) -> list[int]:
+    """Bring `a` back; returns the cells that hosted its UEs."""
     net = state.net
     g = net.cap_global[a]
     hosts = sorted(state.origin_hosts.pop(a, ()))
@@ -279,6 +293,7 @@ def _reactivate(state: RunState, a: int, step: int) -> None:
     state.t_cs[g] = 0.0
     state._refold(g)
     state.replay.events.append(("ac", step, a))
+    return hosts
 
 
 def _eligible_masks(state: RunState) -> tuple[np.ndarray, np.ndarray]:
@@ -290,31 +305,38 @@ def _eligible_masks(state: RunState) -> tuple[np.ndarray, np.ndarray]:
     return sd, ac
 
 
+def _refresh(state: RunState, a: int, touched, cand: np.ndarray,
+             margin: np.ndarray) -> None:
+    """Re-evaluate the candidacy and margin of `a` and of every capacity cell
+    paired with `a` or a `touched` cell: no other cell's inputs changed."""
+    net, x = state.net, state.x
+    paired_caps = net.paired_caps
+    for k in [a, *paired_caps[net.cap_global[a]],
+              *(k for h in touched for k in paired_caps[h])]:
+        if x[k]:
+            cand[k], margin[k] = state.sd_frozen[k], state.sd_margin[k]
+        else:
+            p, th = net.paired_global[k], net.cap_th[k]
+            dl = state.dl.item(p)
+            cand[k] = check_wakeup(state.ue.item(p), dl, state.ul.item(p), th)
+            margin[k] = dl - th.leave_dl_prb
+
+
 def _pick(margins, rng: np.random.Generator) -> int:
     """Position drawn from the margin-weighted PMF: negative margins are
-    clamped to zero and an all-zero total falls back to a uniform choice."""
+    clamped to zero and an all-zero total falls back to a uniform choice.
+    Always consumes one rng.random()."""
+    u, n = rng.random(), len(margins)
+    if n == 1:
+        return 0
     weights = np.maximum(margins, 0.0)
     total = weights.sum()
     if total <= 0.0:
-        cum = np.arange(1, len(weights) + 1) / len(weights)
+        cum = np.arange(1, n + 1) / n
     else:
-        cum = np.cumsum(weights / total)
+        cum = (weights / total).cumsum()
     cum[-1] = 1.0
-    k = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(k, len(weights) - 1)
-
-
-def _select(state: RunState, sd: np.ndarray, ac: np.ndarray,
-            rng: np.random.Generator) -> int:
-    net = state.net
-    cap, paired = net.cap_global, net.paired_global
-    d = np.zeros(net.n_cap)
-    # shutdown margin on the frozen draws, wakeup margin on current counters
-    d[sd] = (net.th.entry_dl_prb[sd]
-             - (state.base_dl[cap] + state.base_dl[paired])[sd])
-    d[ac] = state.dl[paired][ac] - net.th.leave_dl_prb[ac]
-    idx = np.flatnonzero(sd | ac)
-    return int(idx[_pick(d[idx], rng)])
+    return min(int(cum.searchsorted(u, side="right")), n - 1)
 
 
 def replay_log(log: ReplayLog, net: SimNetwork) -> RunState:
@@ -373,7 +395,7 @@ def transfer_users(cell_id: str, state: RunState, handover: HandoverModel,
         raise ValueError(f"{cell_id!r} is already shut down")
     return _transfer(state, a,
                      _handover_targets(state.net, handover, cell_id, hour),
-                     rng, step=len(state.replay.events) + 1)
+                     rng, step=len(state.replay.events) + 1) is not None
 
 
 def reactivate(cell_id: str, state: RunState) -> RunState:
@@ -422,17 +444,24 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
         net, handover, hour)
     start = _coerce_start(net, starting_x)
     state = _new_state(net, tm, hour, rng)
-    for a in np.flatnonzero(~start):
+    for a in (~start).nonzero()[0]:
         _transfer(state, int(a), table[a], rng, step=0)
+    sd, ac = _eligible_masks(state)
+    cand = sd | ac
+    # shutdown margin on the frozen draws, wakeup margin on current counters
+    margin = np.where(state.x, state.sd_margin,
+                      state.dl[net.paired_global] - net.th.leave_dl_prb)
     for t in range(1, abm_cfg.max_steps + 1):
-        sd, ac = _eligible_masks(state)
-        if not sd.any() and not ac.any():
+        idx = cand.nonzero()[0]
+        if not len(idx):
             return RunResult(state, t, True)
-        a = _select(state, sd, ac, rng)
+        a = int(idx[_pick(margin[idx], rng)])
         if state.x[a]:
-            _transfer(state, a, table[a], rng, step=t)
+            touched = _transfer(state, a, table[a], rng, step=t)
         else:
-            _reactivate(state, a, step=t)
+            touched = _reactivate(state, a, step=t)
+        if touched is not None:
+            _refresh(state, a, touched, cand, margin)
         if on_step is not None:
             on_step(state, t)
     return RunResult(state, abm_cfg.max_steps, False)
@@ -456,10 +485,6 @@ class HourlyOutputs:
     @property
     def mean_ues(self) -> np.ndarray:
         return self.ues.mean(axis=0)
-
-    @property
-    def mean_dl_prbs(self) -> np.ndarray:
-        return self.dl_prbs.mean(axis=0)
 
     @property
     def mean_cs_minutes(self) -> np.ndarray:

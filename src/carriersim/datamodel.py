@@ -741,7 +741,12 @@ def draw_inputs(tm: TrafficModel, hour: int, rng: np.random.Generator,
     draw = np.maximum(rng.normal(tm.mean[hour - 1], tm.std[hour - 1]), 0.0)
     draw[:, 0] = np.rint(draw[:, 0])
     if cfg is not None:
-        capacity = [(cfg.cell(c).n_dl_prb, cfg.cell(c).n_ul_prb)
-                    for c in tm.cells]
+        cells = cfg._cell_index
+        try:
+            capacity = [(cells[c].n_dl_prb, cells[c].n_ul_prb)
+                        for c in tm.cells]
+        except KeyError as exc:
+            raise BadReferenceError(f"traffic model cell {exc.args[0]!r} "
+                                    "is not in the network") from None
         np.minimum(draw[:, 1:], capacity, out=draw[:, 1:])
     return draw

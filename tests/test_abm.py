@@ -7,6 +7,14 @@ from carriersim.abm import (
     AbmConfig,
     HourlyOutputs,
     SimNetwork,
+    _apply_shutdown,
+    _coerce_start,
+    _eligible_masks,
+    _live_targets,
+    _new_state,
+    _pick,
+    _reactivate,
+    build_transfer_table,
     eligible_sets,
     mean_tables,
     read_mean_report,
@@ -28,8 +36,6 @@ from conftest import make_handover, make_network, make_traffic
 
 
 def fresh_state(cfg, traffic_values, hour=1, seed=0):
-    from carriersim.abm import _new_state
-
     net = SimNetwork(cfg)
     tm = make_traffic(cfg, traffic_values)
     return _new_state(net, tm, hour, np.random.default_rng(seed)), tm
@@ -342,6 +348,163 @@ class TestRunMonteCarlo:
             result = run_once(cfg, values, handover, seed=seed, max_steps=50)
             replayed = replay_log(result.state.replay, result.state.net)
             assert replayed.fingerprint() == result.state.fingerprint()
+
+
+# The stepper as it was before selection state was kept incrementally:
+# eligibility and margins recomputed over every capacity cell at each step.
+# Copied verbatim so that run_monte_carlo can be held to it bit for bit.
+
+
+def _reference_pick(margins, rng):
+    weights = np.maximum(margins, 0.0)
+    total = weights.sum()
+    if total <= 0.0:
+        cum = np.arange(1, len(weights) + 1) / len(weights)
+    else:
+        cum = np.cumsum(weights / total)
+    cum[-1] = 1.0
+    k = int(np.searchsorted(cum, rng.random(), side="right"))
+    return min(k, len(weights) - 1)
+
+
+def _reference_select(state, sd, ac, rng):
+    net = state.net
+    cap, paired = net.cap_global, net.paired_global
+    d = np.zeros(net.n_cap)
+    # shutdown margin on the frozen draws, wakeup margin on current counters
+    d[sd] = (net.th.entry_dl_prb[sd]
+             - (state.base_dl[cap] + state.base_dl[paired])[sd])
+    d[ac] = state.dl[paired][ac] - net.th.leave_dl_prb[ac]
+    idx = np.flatnonzero(sd | ac)
+    return int(idx[_reference_pick(d[idx], rng)])
+
+
+def _reference_draw_moves(state, a, targets, cum, rng):
+    net = state.net
+    g = net.cap_global[a]
+    n_ue = int(round(state.ue[g]))
+    if n_ue == 0:
+        return []
+    m_dl = state.dl[g] / n_ue
+    m_ul = state.ul[g] / n_ue
+    groups = [(a, int(round(state.base_ue[g])))]
+    groups += [(origin, n) for origin, n, _, _ in state.contribs[g]]
+    moves = []
+    for origin, count in groups:
+        if count == 0:
+            continue
+        picks = np.searchsorted(cum, rng.random(count), side="right")
+        np.minimum(picks, len(targets) - 1, out=picks)
+        counts = np.bincount(picks, minlength=len(targets))
+        for slot in np.flatnonzero(counts):
+            n = int(counts[slot])
+            moves.append((origin, int(targets[slot]), n, n * m_dl, n * m_ul))
+    return moves
+
+
+def _reference_transfer(state, a, entry, rng, step):
+    entry = _live_targets(state.net, state.x, entry)
+    if entry is None:
+        return False
+    targets, _, cum = entry
+    moves = _reference_draw_moves(state, a, targets, cum, rng)
+    _apply_shutdown(state, a, moves, step)
+    return True
+
+
+def reference_run(tm, cfg, handover, abm_cfg, starting_x, hour, rng):
+    """(state, steps, stable, candidate count of every acted step)."""
+    net = SimNetwork(cfg)
+    table = build_transfer_table(net, handover, hour)
+    start = _coerce_start(net, starting_x)
+    state = _new_state(net, tm, hour, rng)
+    for a in np.flatnonzero(~start):
+        _reference_transfer(state, int(a), table[a], rng, step=0)
+    n_cand = []
+    for t in range(1, abm_cfg.max_steps + 1):
+        sd, ac = _eligible_masks(state)
+        if not sd.any() and not ac.any():
+            return state, t, True, n_cand
+        n_cand.append(int((sd | ac).sum()))
+        a = _reference_select(state, sd, ac, rng)
+        if state.x[a]:
+            _reference_transfer(state, a, table[a], rng, step=t)
+        else:
+            _reactivate(state, a, step=t)
+    return state, abm_cfg.max_steps, False, n_cand
+
+
+def _oscillating(n_capacity, n_coverage):
+    """Low leave thresholds: shutdowns push coverage cells into wakeups."""
+    return make_network(n_capacity=n_capacity, n_coverage=n_coverage,
+                        entry_ue=20, entry_dl=120, entry_ul=60, leave_ue=14,
+                        leave_dl=40, leave_ul=30)
+
+
+REFERENCE_CASES = {
+    # multi-target PMFs, capacity cells as targets, chained foreign UEs
+    # (c1 -> c2 -> c3 -> b2), and c4 whose shutdowns are always abandoned
+    "mixed": (_oscillating(4, 2),
+              {"c1": {"c2": 0.5, "b1": 0.5}, "c2": {"c3": 0.7, "b1": 0.3},
+               "c3": {"b2": 0.6, "c4": 0.4}, "c4": {}},
+              {"c1": (5, 18, 7), "c2": (4, 12, 5), "c3": (6, 20, 8),
+               "c4": (3, 10, 4), "b1": (8, 20, 5), "b2": (6, 15, 4)}),
+    # one capacity cell with one target: single-candidate, single-target
+    "single": (_oscillating(1, 1), {"c1": {"b1": 1.0}},
+               {"c1": (5, 18, 7), "b1": (8, 30, 5)}),
+    # a capacity target that is itself shut down drops out of the PMF, and
+    # c3's only target is c1, so c3 abandons while c1 is off
+    "chain": (_oscillating(3, 1),
+              {"c1": {"c2": 1.0}, "c2": {"c3": 0.5, "b1": 0.5},
+               "c3": {"c1": 1.0}},
+              {"c1": (4, 14, 5), "c2": (5, 16, 6), "c3": (3, 9, 4),
+               "b1": (7, 22, 6)}),
+}
+
+
+class TestIncrementalStepperMatchesReference:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_bit_identical_for_seeds_0_to_49(self, case):
+        cfg, pmfs, values = REFERENCE_CASES[case]
+        tm = make_traffic(cfg, values, std=2.0)
+        handover = make_handover(pmfs)
+        abm_cfg = AbmConfig(runs=1, max_steps=60)
+        seen = {"ac": 0, "foreign": 0, "cap_target": 0, "multi_target": 0,
+                "abandoned": 0, "one_candidate": 0, "many_candidates": 0}
+        for seed in range(50):
+            n_cap = len(cfg.capacity_cells)
+            start = np.random.default_rng(1000 + seed).random(n_cap) < 0.4
+            got = run_monte_carlo(tm, cfg, handover, abm_cfg, start, 1,
+                                  np.random.default_rng(seed))
+            state, steps, stable, n_cand = reference_run(
+                tm, cfg, handover, abm_cfg, start, 1,
+                np.random.default_rng(seed))
+            assert got.state.fingerprint() == state.fingerprint()
+            assert got.state.replay.events == state.replay.events
+            assert (got.steps, got.stable) == (steps, stable)
+            net = state.net
+            acted = [e for e in state.replay.events if e[1] > 0]
+            seen["ac"] += sum(e[0] == "ac" for e in acted)
+            seen["abandoned"] += len(n_cand) - len(acted)
+            seen["one_candidate"] += n_cand.count(1)
+            seen["many_candidates"] += sum(n > 1 for n in n_cand)
+            for e in state.replay.events:
+                if e[0] != "sd":
+                    continue
+                seen["foreign"] += any(m[0] != e[2] for m in e[3])
+                seen["cap_target"] += any(net.is_capacity[m[1]] for m in e[3])
+                seen["multi_target"] += len({m[1] for m in e[3]}) > 1
+        wanted = {"mixed": set(seen) - {"one_candidate"},
+                  "single": {"ac", "one_candidate"},
+                  "chain": {"ac", "foreign", "cap_target", "multi_target",
+                            "abandoned", "many_candidates"}}[case]
+        assert {k for k in wanted if seen[k] == 0} == set()
+
+    def test_pick_with_one_candidate_draws_once(self):
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        assert _pick([-3.0], rng) == 0
+        twin.random()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestSimulateDay:

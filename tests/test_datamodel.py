@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carriersim.abm import AbmConfig, simulate_day
 from carriersim.datamodel import (
     TRAFFIC_KPIS,
     DatasetPaths,
@@ -30,7 +31,7 @@ from carriersim.errors import (
     NoSamplesError,
 )
 
-from conftest import make_kpi, make_network
+from conftest import make_handover, make_kpi, make_network, make_traffic
 
 
 def full_day_kpis(cell_ids, days=3):
@@ -372,6 +373,16 @@ class TestDrawInputsArrays:
         with pytest.raises(NoSamplesError) as err:
             tm.rows(["b1", "zz9"])
         assert (err.value.cell, err.value.hour) == ("zz9", 1)
+
+    def test_traffic_cell_missing_from_network_is_bad_reference(self):
+        big = make_network(n_capacity=2)
+        tm = make_traffic(big, {c.id: (3, 12, 5) for c in big.cells})
+        cfg = make_network()
+        with pytest.raises(BadReferenceError, match="'c2'"):
+            draw_inputs(tm, 1, np.random.default_rng(0), cfg)
+        with pytest.raises(BadReferenceError, match="'c2'"):
+            simulate_day(tm, cfg, make_handover({"c1": {"b1": 1.0}}),
+                         AbmConfig(runs=1))
 
 
 class TestTrafficModelChecks:
