@@ -8,6 +8,9 @@ capacity cell's candidacy and margin; a step re-checks only the acting cell
 and the capacity cells paired with a cell whose counters it changed. Every
 movement is logged so a run can be replayed from its initial draw, and
 per-hour runs roll forward into the next hour.
+A step works on Python scalars (list counters, uniforms read in blocks,
+list transfer tables) that repeat numpy's float operations in numpy's order;
+numpy draws the traffic, scans the candidates and weighs 8 or more of them.
 
 State bookkeeping uses a per-host contribution ledger: a host cell's counters
 are always rederived as its own drawn base plus the logged contributions it
@@ -21,7 +24,11 @@ pool and use per-(seed, hour, run) RNG streams; a RunState is owned by its run.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, field, fields
+from functools import reduce
+from itertools import accumulate
+from operator import add
 from types import SimpleNamespace
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -35,6 +42,7 @@ from .rules import (PROBABILITY_SUM_TOL, HandoverModel, check_shutdown_entry,
 
 HOURS = tuple(range(1, 25))
 SHUTDOWN_MINUTES = 60.0
+UNIFORM_BLOCK = 256  # uniforms a run draws from its generator at a time
 
 
 @dataclass(frozen=True)
@@ -84,17 +92,21 @@ class SimNetwork:
                             for g in range(self.n_cells)]
 
 
-def _entry(targets: np.ndarray, probs: np.ndarray):
-    cum = np.cumsum(probs)
+def _entry(net: SimNetwork, targets: list[int], probs: list[float]):
+    """(targets, probs, cumulative PMF ending in 1.0, (slot, capacity index)
+    of every capacity target)."""
+    cum = list(accumulate(probs))
     cum[-1] = 1.0
-    return targets, probs, cum
+    slots = tuple((s, int(net.cap_of_global[t]))
+                  for s, t in enumerate(targets) if net.is_capacity[t])
+    return targets, probs, cum, slots
 
 
 def _handover_targets(net: SimNetwork, handover: HandoverModel, cid: str,
                       hour: int):
-    """(target indices, probabilities, cumulative PMF) over the positive
-    entries of `cid`'s handover PMF in cell-id order, or None if no feasible
-    A4 target was observed for the hour."""
+    """The transfer-table entry (see _entry) over the positive entries of
+    `cid`'s handover PMF in cell-id order, or None if no feasible A4 target
+    was observed for the hour."""
     items = sorted((j, p) for j, p in handover.targets(cid, hour).items()
                    if p > 0)
     if not items:
@@ -103,26 +115,26 @@ def _handover_targets(net: SimNetwork, handover: HandoverModel, cid: str,
     if abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise ValueError(f"handover PMF for {cid!r} at hour {hour} "
                          f"sums to {total!r}")
-    return _entry(np.array([net.index[j] for j, _ in items], dtype=np.intp),
-                  np.array([p for _, p in items]))
+    return _entry(net, [net.index[j] for j, _ in items],
+                  [float(p) for _, p in items])
 
 
-def _live_targets(net: SimNetwork, x: np.ndarray, entry):
+def _live_targets(net: SimNetwork, x, entry):
     """`entry` without the capacity targets that configuration `x` has shut
     down (targets sharing the coverage frequency), renormalised; None when
     no target is left."""
-    if entry is None:
-        return None
-    targets, probs, _ = entry
-    is_cap = net.is_capacity[targets]
-    if not np.count_nonzero(is_cap):
+    if entry is None or not entry[3]:
         return entry
-    alive = ~is_cap | x[net.cap_of_global[targets]]
-    if alive.all():
+    targets, probs, _, slots = entry
+    dead = {s for s, k in slots if not x[k]}
+    if not dead:
         return entry
-    if not alive.any():
+    if len(dead) == len(targets):
         return None
-    return _entry(targets[alive], probs[alive] / probs[alive].sum())
+    alive = [s for s in range(len(targets)) if s not in dead]
+    total = float(np.sum([probs[s] for s in alive]))
+    return _entry(net, [targets[s] for s in alive],
+                  [probs[s] / total for s in alive])
 
 
 def build_transfer_table(net: SimNetwork, handover: HandoverModel, hour: int):
@@ -149,7 +161,8 @@ class ReplayLog:
 
 class RunState:
     """Mutable per-run state: configuration vector, predicted counters,
-    contribution ledger and replay log."""
+    contribution ledger and replay log. Configuration and counters are
+    lists; the frozen entry checks and margins are arrays."""
 
     __slots__ = ("net", "hour", "x", "ue", "dl", "ul", "t_cs",
                  "base_ue", "base_dl", "base_ul", "sd_frozen", "sd_margin",
@@ -158,14 +171,14 @@ class RunState:
     def __init__(self, net: SimNetwork, hour: int, base_ue, base_dl, base_ul):
         self.net = net
         self.hour = hour
-        self.x = np.ones(net.n_cap, dtype=bool)
-        self.base_ue = base_ue
-        self.base_dl = base_dl
-        self.base_ul = base_ul
-        self.ue = base_ue.copy()
-        self.dl = base_dl.copy()
-        self.ul = base_ul.copy()
-        self.t_cs = np.zeros(net.n_cells)
+        self.x = [True] * net.n_cap
+        self.base_ue = base_ue.tolist()
+        self.base_dl = base_dl.tolist()
+        self.base_ul = base_ul.tolist()
+        self.ue = list(self.base_ue)
+        self.dl = list(self.base_dl)
+        self.ul = list(self.base_ul)
+        self.t_cs = [0.0] * net.n_cells
         cap, paired = net.cap_global, net.paired_global
         self.sd_frozen = check_shutdown_entry(
             base_ue[cap], base_dl[cap], base_dl[paired], base_ul[cap],
@@ -178,16 +191,16 @@ class RunState:
 
     def fingerprint(self) -> tuple:
         """Byte-exact summary of the observable state."""
-        return (self.x.tobytes(), self.ue.tobytes(), self.dl.tobytes(),
-                self.ul.tobytes(), self.t_cs.tobytes())
+        return tuple(np.array(v).tobytes()
+                     for v in (self.x, self.ue, self.dl, self.ul, self.t_cs))
 
     def totals(self) -> tuple[float, float, float]:
-        return float(self.ue.sum()), float(self.dl.sum()), float(self.ul.sum())
+        return tuple(float(np.sum(v)) for v in (self.ue, self.dl, self.ul))
 
     def _refold(self, g: int) -> None:
-        ue = self.base_ue.item(g)
-        dl = self.base_dl.item(g)
-        ul = self.base_ul.item(g)
+        ue = self.base_ue[g]
+        dl = self.base_dl[g]
+        ul = self.base_ul[g]
         for _, n, dla, ula in self.contribs[g]:
             ue += n
             dl += dla
@@ -206,43 +219,55 @@ def _new_state(net: SimNetwork, tm: TrafficModel, hour: int,
     return RunState(net, hour, *draw.T.copy())
 
 
+class _Uniforms:
+    """A run's uniforms, read in order from lists of `rng.random(block)`:
+    PCG64 yields the same doubles for one call of n as for n calls of one,
+    so only where `rng` ends (up to a block further on) depends on `block`."""
+
+    def __init__(self, rng: np.random.Generator, block: int = UNIFORM_BLOCK):
+        self.random, self.block, self.buf, self.pos = rng.random, block, [], 0
+
+    def take(self, n: int) -> list[float]:
+        while self.pos + n > len(self.buf):
+            self.buf = self.buf[self.pos:] + self.random(self.block).tolist()
+            self.pos = 0
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+
 # ---------------------------------------------------------------------------
 # Core mutations
 
 
-def _draw_moves(state: RunState, a: int, targets: np.ndarray, cum: np.ndarray,
-                rng: np.random.Generator):
+def _draw_moves(state: RunState, a: int, targets: list[int], cum: list[float],
+                uniforms: _Uniforms):
     """Draw a transfer target per departing UE, grouped by origin."""
-    net = state.net
-    g = net.cap_global[a]
-    n_ue = round(state.ue.item(g))
+    g = state.net.cap_global.item(a)
+    n_ue = round(state.ue[g])
     if n_ue == 0:
         return []
-    m_dl = state.dl.item(g) / n_ue
-    m_ul = state.ul.item(g) / n_ue
-    groups = [(a, round(state.base_ue.item(g)))]
+    m_dl = state.dl[g] / n_ue
+    m_ul = state.ul[g] / n_ue
+    groups = [(a, round(state.base_ue[g]))]
     groups += [(origin, n) for origin, n, _, _ in state.contribs[g]]
+    last = len(targets) - 1
     moves = []
     for origin, count in groups:
-        if count == 0:
-            continue
-        u = rng.random(count)  # also for one target: the stream stays
-        if len(targets) == 1:
-            slots = ((0, count),)
+        u = uniforms.take(count)  # also for one target: the stream stays
+        if not last:
+            counts = [count]
         else:
-            picks = cum.searchsorted(u, side="right")
-            np.minimum(picks, len(targets) - 1, out=picks)
-            counts = np.bincount(picks, minlength=len(targets))
-            slots = [(s, int(counts[s])) for s in counts.nonzero()[0]]
-        for slot, n in slots:
-            moves.append((origin, int(targets[slot]), n, n * m_dl, n * m_ul))
+            counts = [0] * len(targets)
+            for v in u:  # searchsorted(side="right"), clamped to the last slot
+                counts[bisect_right(cum, v, 0, last)] += 1
+        moves += [(origin, targets[slot], n, n * m_dl, n * m_ul)
+                  for slot, n in enumerate(counts) if n]
     return moves
 
 
 def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
     """Apply drawn moves and shut `a` down; returns the target cells."""
-    net = state.net
-    g = net.cap_global[a]
+    g = state.net.cap_global.item(a)
     touched = set()
     for origin, target, n, dla, ula in moves:
         state.contribs[target].append((origin, n, dla, ula))
@@ -265,7 +290,7 @@ def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
     return touched
 
 
-def _transfer(state: RunState, a: int, entry, rng: np.random.Generator,
+def _transfer(state: RunState, a: int, entry, uniforms: _Uniforms,
               step: int) -> set[int] | None:
     """Shut down capacity cell `a`, handing its UEs to targets drawn from its
     transfer-table entry; returns the cells that received UEs.
@@ -276,15 +301,14 @@ def _transfer(state: RunState, a: int, entry, rng: np.random.Generator,
     entry = _live_targets(state.net, state.x, entry)
     if entry is None:
         return None
-    targets, _, cum = entry
-    return _apply_shutdown(state, a, _draw_moves(state, a, targets, cum, rng),
-                           step)
+    targets, _, cum, _ = entry
+    return _apply_shutdown(
+        state, a, _draw_moves(state, a, targets, cum, uniforms), step)
 
 
 def _reactivate(state: RunState, a: int, step: int) -> list[int]:
     """Bring `a` back; returns the cells that hosted its UEs."""
-    net = state.net
-    g = net.cap_global[a]
+    g = state.net.cap_global.item(a)
     hosts = sorted(state.origin_hosts.pop(a, ()))
     for h in hosts:
         state.contribs[h] = [e for e in state.contribs[h] if e[0] != a]
@@ -299,44 +323,54 @@ def _reactivate(state: RunState, a: int, step: int) -> list[int]:
 def _eligible_masks(state: RunState) -> tuple[np.ndarray, np.ndarray]:
     net = state.net
     paired = net.paired_global
-    sd = state.x & state.sd_frozen
-    ac = ~state.x & check_wakeup(state.ue[paired], state.dl[paired],
-                                 state.ul[paired], net.th)
-    return sd, ac
+    x = np.array(state.x)
+    ue, dl, ul = (np.array(v)[paired] for v in (state.ue, state.dl, state.ul))
+    return x & state.sd_frozen, ~x & check_wakeup(ue, dl, ul, net.th)
 
 
 def _refresh(state: RunState, a: int, touched, cand: np.ndarray,
              margin: np.ndarray) -> None:
-    """Re-evaluate the candidacy and margin of `a` and of every capacity cell
-    paired with `a` or a `touched` cell: no other cell's inputs changed."""
+    """Re-evaluate `a` and every shut-down capacity cell paired with a
+    `touched` cell: pairings point at coverage cells, and an active cell's
+    candidacy and margin are its frozen ones, so no other cell changed."""
     net, x = state.net, state.x
+    if x[a]:
+        cand[a], margin[a] = state.sd_frozen[a], state.sd_margin[a]
     paired_caps = net.paired_caps
-    for k in [a, *paired_caps[net.cap_global[a]],
-              *(k for h in touched for k in paired_caps[h])]:
-        if x[k]:
-            cand[k], margin[k] = state.sd_frozen[k], state.sd_margin[k]
-        else:
-            p, th = net.paired_global[k], net.cap_th[k]
-            dl = state.dl.item(p)
-            cand[k] = check_wakeup(state.ue.item(p), dl, state.ul.item(p), th)
+    for k in [a, *(k for h in touched for k in paired_caps[h])]:
+        if not x[k]:
+            p, th = net.paired_global.item(k), net.cap_th[k]
+            dl = state.dl[p]
+            cand[k] = check_wakeup(state.ue[p], dl, state.ul[p], th)
             margin[k] = dl - th.leave_dl_prb
 
 
-def _pick(margins, rng: np.random.Generator) -> int:
-    """Position drawn from the margin-weighted PMF: negative margins are
-    clamped to zero and an all-zero total falls back to a uniform choice.
-    Always consumes one rng.random()."""
-    u, n = rng.random(), len(margins)
+def _pick(margins, u: float) -> int:
+    """Position that uniform `u` draws from the margin-weighted PMF: negative
+    margins are clamped to zero and an all-zero total falls back to a uniform
+    choice. Below 8 margins a loop repeats numpy's arithmetic."""
+    n = len(margins)
     if n == 1:
         return 0
-    weights = np.maximum(margins, 0.0)
-    total = weights.sum()
+    if n >= 8:
+        weights = np.maximum(margins, 0.0)
+        total = weights.sum()
+        if total <= 0.0:
+            cum = np.arange(1, n + 1) / n
+        else:
+            cum = (weights / total).cumsum()
+        cum[-1] = 1.0
+        return min(int(cum.searchsorted(u, side="right")), n - 1)
+    weights = [m if m > 0.0 else 0.0 for m in np.asarray(margins).tolist()]
+    total = reduce(add, weights)  # numpy too adds < 8 terms left to right
     if total <= 0.0:
-        cum = np.arange(1, n + 1) / n
+        cum = [(i + 1) / n for i in range(n - 1)]
     else:
-        cum = (weights / total).cumsum()
-    cum[-1] = 1.0
-    return min(int(cum.searchsorted(u, side="right")), n - 1)
+        cum = accumulate(w / total for w in weights[:-1])
+    for i, c in enumerate(cum):
+        if u < c:
+            return i
+    return n - 1
 
 
 def replay_log(log: ReplayLog, net: SimNetwork) -> RunState:
@@ -380,7 +414,7 @@ def select_agent(to_shutdown: Iterable[str], to_wakeup: Iterable[str],
                 for c in sorted(to_wakeup)]
     if not entries:
         raise EmptyCandidateSetError("no candidate cells")
-    return entries[_pick([w for _, w in entries], rng)][0]
+    return entries[_pick([w for _, w in entries], rng.random())][0]
 
 
 def transfer_users(cell_id: str, state: RunState, handover: HandoverModel,
@@ -395,7 +429,8 @@ def transfer_users(cell_id: str, state: RunState, handover: HandoverModel,
         raise ValueError(f"{cell_id!r} is already shut down")
     return _transfer(state, a,
                      _handover_targets(state.net, handover, cell_id, hour),
-                     rng, step=len(state.replay.events) + 1) is not None
+                     _Uniforms(rng, block=1),
+                     step=len(state.replay.events) + 1) is not None
 
 
 def reactivate(cell_id: str, state: RunState) -> RunState:
@@ -437,27 +472,30 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
 
     The roll-in replays the shutdown path from all-active to `starting_x`
     (ascending cell order, UE transfers included) without rule checks or
-    agent randomness.
+    agent randomness. After the traffic draw the run reads its uniforms from
+    `rng` in blocks of UNIFORM_BLOCK, so `rng` may end up to one block further
+    on than used.
     """
     net = _net if _net is not None else SimNetwork(cfg)
     table = _table if _table is not None else build_transfer_table(
         net, handover, hour)
     start = _coerce_start(net, starting_x)
     state = _new_state(net, tm, hour, rng)
-    for a in (~start).nonzero()[0]:
-        _transfer(state, int(a), table[a], rng, step=0)
-    sd, ac = _eligible_masks(state)
-    cand = sd | ac
-    # shutdown margin on the frozen draws, wakeup margin on current counters
-    margin = np.where(state.x, state.sd_margin,
-                      state.dl[net.paired_global] - net.th.leave_dl_prb)
+    uniforms = _Uniforms(rng)
+    # all active: candidacy from the frozen draws; rolled-in cells re-checked
+    cand, margin = state.sd_frozen.copy(), state.sd_margin.copy()
+    rolled = (~start).nonzero()[0].tolist()
+    for a in rolled:
+        _transfer(state, a, table[a], uniforms, step=0)
+    for a in rolled:
+        _refresh(state, a, (), cand, margin)
     for t in range(1, abm_cfg.max_steps + 1):
         idx = cand.nonzero()[0]
         if not len(idx):
             return RunResult(state, t, True)
-        a = int(idx[_pick(margin[idx], rng)])
+        a = idx.item(_pick(margin[idx], uniforms.take(1)[0]))
         if state.x[a]:
-            touched = _transfer(state, a, table[a], rng, step=t)
+            touched = _transfer(state, a, table[a], uniforms, step=t)
         else:
             touched = _reactivate(state, a, step=t)
         if touched is not None:
@@ -508,25 +546,19 @@ def simulate_day(tm: TrafficModel, cfg: NetworkConfig,
     """
     net = SimNetwork(cfg)
     outputs = []
-    pool: list[np.ndarray] | None = None
+    pool: list[list[bool]] | None = None
     for hour in HOURS:
         table = build_transfer_table(net, handover, hour)
-        ues = np.empty((abm_cfg.runs, net.n_cells))
-        dls = np.empty((abm_cfg.runs, net.n_cells))
-        uls = np.empty((abm_cfg.runs, net.n_cells))
-        css = np.empty((abm_cfg.runs, net.n_cells))
-        next_pool = []
+        finals, next_pool = [], []
         for run in range(abm_cfg.runs):
             rng = _run_rng(abm_cfg.seed, hour, run)
             start = None if pool is None else pool[int(rng.integers(len(pool)))]
-            result = run_monte_carlo(tm, cfg, handover, abm_cfg, start, hour,
-                                     rng, on_step=on_step, _net=net,
-                                     _table=table)
-            ues[run] = result.state.ue
-            dls[run] = result.state.dl
-            uls[run] = result.state.ul
-            css[run] = result.state.t_cs
-            next_pool.append(result.state.x.copy())
+            state = run_monte_carlo(tm, cfg, handover, abm_cfg, start, hour,
+                                    rng, on_step=on_step, _net=net,
+                                    _table=table).state
+            finals.append((state.ue, state.dl, state.ul, state.t_cs))
+            next_pool.append(state.x)
+        ues, dls, uls, css = (np.array(kpi) for kpi in zip(*finals))
         outputs.append(HourlyOutputs(hour=hour, cells=net.cell_ids,
                                      ues=ues, dl_prbs=dls, cs_minutes=css,
                                      ul_prbs=uls))
@@ -579,7 +611,7 @@ def run_benchmark(tm: TrafficModel, cfg: NetworkConfig,
                                                             cid, hour))
             if entry is None:
                 continue
-            targets, q, _ = entry
+            targets, q = entry[0], np.array(entry[1])
             ue[targets] += ue[g] * q
             dl[targets] += dl[g] * q
             ul[targets] += ul[g] * q

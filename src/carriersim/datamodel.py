@@ -190,6 +190,20 @@ class NetworkConfig:
             object.__setattr__(self, "_cell_index_cache", idx)
         return idx
 
+    def _prb_capacity(self, cell_ids: tuple[str, ...]) -> np.ndarray:
+        """The cells' (DL, UL) PRB counts as a float array, built once per
+        tuple of ids; a cell the network lacks raises BadReferenceError."""
+        cache = self.__dict__.setdefault("_prb_capacity_cache", {})
+        if cell_ids not in cache:
+            idx = self._cell_index
+            try:
+                cache[cell_ids] = np.array([(idx[c].n_dl_prb, idx[c].n_ul_prb)
+                                            for c in cell_ids], dtype=float)
+            except KeyError as exc:
+                raise BadReferenceError(f"traffic model cell {exc.args[0]!r} "
+                                        "is not in the network") from None
+        return cache[cell_ids]
+
     def cells_on_frequency(self, frequency_mhz: float) -> list[str]:
         return [c.id for c in self.cells if c.frequency_mhz == frequency_mhz]
 
@@ -738,15 +752,9 @@ def draw_inputs(tm: TrafficModel, hour: int, rng: np.random.Generator,
     """
     if not 1 <= hour <= 24:
         raise ValueError(f"hour {hour} outside 1..24")
+    capacity = None if cfg is None else cfg._prb_capacity(tm.cells)
     draw = np.maximum(rng.normal(tm.mean[hour - 1], tm.std[hour - 1]), 0.0)
     draw[:, 0] = np.rint(draw[:, 0])
-    if cfg is not None:
-        cells = cfg._cell_index
-        try:
-            capacity = [(cells[c].n_dl_prb, cells[c].n_ul_prb)
-                        for c in tm.cells]
-        except KeyError as exc:
-            raise BadReferenceError(f"traffic model cell {exc.args[0]!r} "
-                                    "is not in the network") from None
+    if capacity is not None:
         np.minimum(draw[:, 1:], capacity, out=draw[:, 1:])
     return draw

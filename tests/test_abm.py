@@ -9,11 +9,14 @@ from carriersim.abm import (
     SimNetwork,
     _apply_shutdown,
     _coerce_start,
+    _draw_moves,
     _eligible_masks,
+    _entry,
     _live_targets,
     _new_state,
     _pick,
     _reactivate,
+    _Uniforms,
     build_transfer_table,
     eligible_sets,
     mean_tables,
@@ -266,7 +269,7 @@ class TestRunMonteCarlo:
                                 "b1": (30, 80, 40)}, handover)
         assert result.stable
         assert result.steps == 1
-        assert result.state.x.all()
+        assert np.asarray(result.state.x).all()
 
     def test_single_idle_cell_stable_at_step_two(self):
         cfg = make_network()
@@ -295,14 +298,14 @@ class TestRunMonteCarlo:
         values.update({"b1": (8, 20, 5), "b2": (8, 20, 5)})
         result = run_once(cfg, values, handover)
         assert result.stable
-        assert not result.state.x.any()
+        assert not np.asarray(result.state.x).any()
         assert result.steps <= n + 1
 
     def test_zero_entry_thresholds_freeze_configuration(self):
         cfg = make_network(entry_ue=0.0, entry_dl=0.0, entry_ul=0.0)
         handover = make_handover({"c1": {"b1": 1.0}})
         result = run_once(cfg, {"c1": (3, 12, 5), "b1": (8, 20, 5)}, handover)
-        assert result.stable and result.state.x.all()
+        assert result.stable and np.asarray(result.state.x).all()
 
     def test_stability_means_no_candidates_on_recheck(self):
         cfg = make_network(n_capacity=3, n_coverage=2)
@@ -373,8 +376,9 @@ def _reference_select(state, sd, ac, rng):
     d = np.zeros(net.n_cap)
     # shutdown margin on the frozen draws, wakeup margin on current counters
     d[sd] = (net.th.entry_dl_prb[sd]
-             - (state.base_dl[cap] + state.base_dl[paired])[sd])
-    d[ac] = state.dl[paired][ac] - net.th.leave_dl_prb[ac]
+             - (np.asarray(state.base_dl)[cap]
+                + np.asarray(state.base_dl)[paired])[sd])
+    d[ac] = np.asarray(state.dl)[paired][ac] - net.th.leave_dl_prb[ac]
     idx = np.flatnonzero(sd | ac)
     return int(idx[_reference_pick(d[idx], rng)])
 
@@ -406,7 +410,7 @@ def _reference_transfer(state, a, entry, rng, step):
     entry = _live_targets(state.net, state.x, entry)
     if entry is None:
         return False
-    targets, _, cum = entry
+    targets, _, cum, _ = entry
     moves = _reference_draw_moves(state, a, targets, cum, rng)
     _apply_shutdown(state, a, moves, step)
     return True
@@ -459,6 +463,15 @@ REFERENCE_CASES = {
                "c3": {"c1": 1.0}},
               {"c1": (4, 14, 5), "c2": (5, 16, 6), "c3": (3, 9, 4),
                "b1": (7, 22, 6)}),
+    # c1 carries about 150 UEs, so one group's draws span uniform-buffer
+    # refills; its shutdown pushes b1 and b2 past leave_ue = 60
+    "crowd": (make_network(n_capacity=3, n_coverage=2, entry_ue=200,
+                           entry_dl=260, entry_ul=200, leave_ue=60,
+                           leave_dl=150, leave_ul=150),
+              {"c1": {"b1": 0.5, "b2": 0.3, "c2": 0.2},
+               "c2": {"b2": 0.6, "c1": 0.4}, "c3": {"b1": 1.0}},
+              {"c1": (150, 120, 60), "c2": (8, 20, 10), "c3": (5, 15, 6),
+               "b1": (10, 30, 10), "b2": (12, 25, 8)}),
 }
 
 
@@ -470,7 +483,8 @@ class TestIncrementalStepperMatchesReference:
         handover = make_handover(pmfs)
         abm_cfg = AbmConfig(runs=1, max_steps=60)
         seen = {"ac": 0, "foreign": 0, "cap_target": 0, "multi_target": 0,
-                "abandoned": 0, "one_candidate": 0, "many_candidates": 0}
+                "abandoned": 0, "one_candidate": 0, "many_candidates": 0,
+                "crowd": 0}
         for seed in range(50):
             n_cap = len(cfg.capacity_cells)
             start = np.random.default_rng(1000 + seed).random(n_cap) < 0.4
@@ -494,17 +508,150 @@ class TestIncrementalStepperMatchesReference:
                 seen["foreign"] += any(m[0] != e[2] for m in e[3])
                 seen["cap_target"] += any(net.is_capacity[m[1]] for m in e[3])
                 seen["multi_target"] += len({m[1] for m in e[3]}) > 1
-        wanted = {"mixed": set(seen) - {"one_candidate"},
+                seen["crowd"] += sum(m[2] for m in e[3]) >= 100
+        wanted = {"mixed": set(seen) - {"one_candidate", "crowd"},
                   "single": {"ac", "one_candidate"},
                   "chain": {"ac", "foreign", "cap_target", "multi_target",
-                            "abandoned", "many_candidates"}}[case]
+                            "abandoned", "many_candidates"},
+                  "crowd": {"ac", "foreign", "cap_target", "multi_target",
+                            "many_candidates", "crowd"}}[case]
         assert {k for k in wanted if seen[k] == 0} == set()
 
     def test_pick_with_one_candidate_draws_once(self):
         rng, twin = np.random.default_rng(11), np.random.default_rng(11)
-        assert _pick([-3.0], rng) == 0
+        th = {"a": ShutdownThresholds(1, 1, 1, 0, 10, 1e9)}
+        assert select_agent({"a"}, set(), {"a": 4.0}, th, rng) == "a"
         twin.random()
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+class _Served:
+    """Serves fixed uniforms in order, as a generator (`random`) and as a
+    run's _Uniforms (`take`)."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def take(self, n):
+        out, self.values = self.values[:n], self.values[n:]
+        return out
+
+    def random(self, n):
+        return np.array(self.take(n))
+
+
+class _FixedUniform:
+    """Stands in for a generator whose next random() is `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def _margin_cases(rng):
+    """Margin vectors of every length 1..300, more of them at 7, 8 and 9
+    (where numpy's sum switches to pairwise): positive, with zeros, mixed
+    signs, and all non-positive (the uniform fallback)."""
+    for n in range(1, 301):
+        for r in range(24 if n in (7, 8, 9) else 4):
+            m = rng.normal(0.0, 10.0, n) * rng.choice([1e-3, 1.0, 1e3], n)
+            kind = r % 4
+            if kind == 0:
+                m = np.abs(m)
+            elif kind == 1:
+                m = np.abs(m)
+                m[rng.random(n) < 0.5] = 0.0
+            elif kind == 3:
+                m = -np.abs(m)
+                m[rng.random(n) < 0.3] = 0.0
+            yield m
+
+
+def _boundary_uniforms(margins, rng):
+    """Random uniforms plus each sampled cumulative-PMF entry and its two
+    neighbouring doubles, with the PMF computed as _reference_pick does."""
+    w = np.maximum(margins, 0.0)
+    total = w.sum()
+    n = len(margins)
+    cum = np.arange(1, n + 1) / n if total <= 0.0 else np.cumsum(w / total)
+    us = [0.0, np.nextafter(1.0, 0.0), *rng.random(4)]
+    for c in rng.choice(cum[:-1], min(n - 1, 12), replace=False):
+        us += [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]
+    return [float(u) for u in us if 0.0 <= u < 1.0]
+
+
+class TestExactness:
+    def test_pick_equals_reference_pick(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for margins in _margin_cases(rng):
+            for u in _boundary_uniforms(margins, rng):
+                want = _reference_pick(margins, _FixedUniform(u))
+                assert _pick(margins, u) == want, (margins.tolist(), u)
+                assert _pick(margins.tolist(), u) == want
+                checked += 1
+        assert checked > 10_000
+
+    def test_live_targets_equal_numpy_renormalisation(self):
+        cfg = make_network(n_capacity=12, n_coverage=12)
+        net = SimNetwork(cfg)
+        rng = np.random.default_rng(99)
+        seen = {"none": 0, "same": 0, "short": 0, "long": 0}
+        for _ in range(3000):
+            n = int(rng.integers(1, net.n_cells + 1))
+            targets = sorted(rng.choice(net.n_cells, n, replace=False).tolist())
+            probs = rng.random(n) * rng.choice([1e-3, 1.0, 1e3], n)
+            probs /= probs.sum()
+            entry = _entry(net, targets, probs.tolist())
+            x = (rng.random(net.n_cap) < rng.random()).tolist()
+            got = _live_targets(net, x, entry)
+            t = np.array(targets)
+            alive = ~net.is_capacity[t] | np.asarray(x)[net.cap_of_global[t]]
+            if not alive.any():
+                assert got is None
+                seen["none"] += 1
+                continue
+            if alive.all():
+                assert got is entry
+                seen["same"] += 1
+                continue
+            q = probs[alive] / probs[alive].sum()
+            cum = np.cumsum(q)
+            cum[-1] = 1.0
+            assert got[0] == t[alive].tolist()
+            assert np.array(got[1]).tobytes() == q.tobytes()
+            assert np.array(got[2]).tobytes() == cum.tobytes()
+            seen["long" if alive.sum() >= 8 else "short"] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_draw_moves_equal_searchsorted_on_boundaries(self):
+        cfg = make_network(n_capacity=1, n_coverage=3)
+        state, _ = fresh_state(cfg, {"c1": (12, 40, 12), "b1": (5, 10, 5),
+                                     "b2": (5, 10, 5), "b3": (5, 10, 5)})
+        handover = make_handover({"c1": {"b1": 0.1, "b2": 0.2, "b3": 0.7}})
+        targets, _, cum, _ = build_transfer_table(state.net, handover, 1)[0]
+        assert cum[1] == 0.30000000000000004
+        values = [0.0, float(np.nextafter(1.0, 0.0))]
+        for c in cum[:-1]:
+            values += [c, float(np.nextafter(c, 0.0)),
+                       float(np.nextafter(c, 1.0))]
+        values += [0.5] * (12 - len(values))
+        got = _draw_moves(state, 0, targets, cum, _Served(values))
+        assert got == _reference_draw_moves(state, 0, targets, cum,
+                                            _Served(values))
+        assert len(got) == 3
+
+    def test_uniforms_read_in_blocks_keep_the_stream(self):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        uniforms = _Uniforms(rng, block=4)
+        got = uniforms.take(3) + uniforms.take(1) + uniforms.take(9)
+        got += uniforms.take(1) + uniforms.take(0)
+        assert got == twin.random(14).tolist()
+        # 14 uniforms used, 16 drawn: a draw longer than a block, and the
+        # generator less than one block ahead
+        assert rng.random() == twin.random(3)[-1]
 
 
 class TestSimulateDay:

@@ -384,6 +384,15 @@ class TestDrawInputsArrays:
             simulate_day(tm, cfg, make_handover({"c1": {"b1": 1.0}}),
                          AbmConfig(runs=1))
 
+    def test_missing_cell_is_reported_before_the_draw(self):
+        big = make_network(n_capacity=2)
+        tm = make_traffic(big, {c.id: (3, 12, 5) for c in big.cells})
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(BadReferenceError):
+            draw_inputs(tm, 1, rng, make_network())
+        assert rng.bit_generator.state == state
+
 
 class TestTrafficModelChecks:
     def good(self):
