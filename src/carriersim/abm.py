@@ -138,8 +138,14 @@ def _live_targets(net: SimNetwork, x, entry):
 
 
 def build_transfer_table(net: SimNetwork, handover: HandoverModel, hour: int):
-    """Per capacity cell: its _handover_targets entry for the hour."""
-    return [_handover_targets(net, handover, cid, hour) for cid in net.cap_ids]
+    """Per capacity cell: its _handover_targets entry for the hour, cached on
+    `handover` per (cells, capacity cells, hour); shared, so read-only."""
+    cache = handover.__dict__.setdefault("_transfer_tables", {})
+    key = (net.cell_ids, net.cap_ids, hour)
+    if key not in cache:
+        cache[key] = [_handover_targets(net, handover, cid, hour)
+                      for cid in net.cap_ids]
+    return cache[key]
 
 
 @dataclass

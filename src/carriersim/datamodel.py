@@ -204,8 +204,15 @@ class NetworkConfig:
                                         "is not in the network") from None
         return cache[cell_ids]
 
-    def cells_on_frequency(self, frequency_mhz: float) -> list[str]:
-        return [c.id for c in self.cells if c.frequency_mhz == frequency_mhz]
+    def cells_on_frequency(self, frequency_mhz: float) -> tuple[str, ...]:
+        """Ids of the cells on `frequency_mhz` in cell order, indexed once."""
+        index = self.__dict__.get("_frequency_index")
+        if index is None:
+            index = {}
+            for c in self.cells:
+                index.setdefault(c.frequency_mhz, []).append(c.id)
+            object.__setattr__(self, "_frequency_index", index)
+        return tuple(index.get(frequency_mhz, ()))
 
 
 @dataclass(frozen=True)
@@ -279,13 +286,19 @@ class TrafficModel:
             raise ConfigError("traffic stds must be finite and positive")
 
     def rows(self, cell_ids: Iterable[str]) -> np.ndarray:
-        """Row of each of `cell_ids` in `mean` and `std`. A cell without
-        traffic misses every hour, so it raises NoSamplesError(cell, 1)."""
-        index = {c: k for k, c in enumerate(self.cells)}
-        try:
-            return np.array([index[c] for c in cell_ids], dtype=np.intp)
-        except KeyError as exc:
-            raise NoSamplesError(exc.args[0], 1) from None
+        """Row of each of `cell_ids` in `mean` and `std`, a read-only array
+        built once per tuple of ids. A cell without traffic misses every
+        hour, so it raises NoSamplesError(cell, 1)."""
+        key = tuple(cell_ids)
+        cache = self.__dict__.setdefault("_rows_cache", {})
+        if key not in cache:
+            index = {c: k for k, c in enumerate(self.cells)}
+            try:
+                cache[key] = np.array([index[c] for c in key], dtype=np.intp)
+            except KeyError as exc:
+                raise NoSamplesError(exc.args[0], 1) from None
+            cache[key].flags.writeable = False
+        return cache[key]
 
 
 @dataclass(frozen=True)

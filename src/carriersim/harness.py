@@ -227,17 +227,17 @@ def _generate_mrs(cfg: NetworkConfig, spec: ScenarioSpec,
                 # UEs report only a handful of neighbours
                 if others:
                     n_extra = int(rng.integers(0, min(3, len(others)) + 1))
-                    for j in rng.choice(len(others), size=n_extra,
-                                        replace=False):
-                        rsrp[others[int(j)]] = float(rng.normal(-104.0, 5.0))
+                    if n_extra:  # choosing none would draw nothing
+                        for j in rng.choice(len(others), size=n_extra,
+                                            replace=False).tolist():
+                            rsrp[others[j]] = float(rng.normal(-104.0, 5.0))
                 stamp = (f"2024-04-{1 + (k % 28):02d}T{hour - 1:02d}:"
                          f"{rng.integers(0, 60):02d}:00")
                 reports.append(MeasurementReport(
                     timestamp=stamp, ue_id=f"ue-{cap}-{hour}-{k}",
                     serving_cell=cap, neighbor_rsrp_dbm=rsrp))
-                if any(v > qualifying_floor for c, v in rsrp.items()
-                       if c != cap):
-                    got_qualifier = True
+                got_qualifier = got_qualifier or any(
+                    v > qualifying_floor for c, v in rsrp.items() if c != cap)
             if not got_qualifier:
                 # guarantee a feasible transfer target for every cell and hour
                 fixed = dict(reports[first_index].neighbor_rsrp_dbm)
@@ -247,6 +247,18 @@ def _generate_mrs(cfg: NetworkConfig, spec: ScenarioSpec,
                     ue_id=reports[first_index].ue_id,
                     serving_cell=cap, neighbor_rsrp_dbm=fixed)
     return reports
+
+
+_RATE_EDGES = np.asarray(DEFAULT_BIN_EDGES)
+
+
+def _rate_bins(per_ue: np.ndarray) -> np.ndarray:
+    """np.histogram's counts over DEFAULT_BIN_EDGES (top bin closed), plus
+    the values it drops (below the first edge, above the top) in the top bin."""
+    top = len(_RATE_EDGES) - 2
+    bins = _RATE_EDGES.searchsorted(per_ue, side="right") - 1
+    bins[(bins < 0) | (bins > top)] = top
+    return np.bincount(bins, minlength=top + 1)
 
 
 def _kpi_row(cfg: NetworkConfig, rate_law: RateLaw, spec: ScenarioSpec,
@@ -269,12 +281,11 @@ def _kpi_row(cfg: NetworkConfig, rate_law: RateLaw, spec: ScenarioSpec,
     v_minus = 0.1e6 * t_active
     v_total = rate * 1e6 * t_active + v_minus
     per_ue = np.maximum(rng.normal(rate, 0.45 * rate, size=100), 0.05)
-    counts, _ = np.histogram(per_ue, bins=np.asarray(DEFAULT_BIN_EDGES))
-    counts[-1] += len(per_ue) - counts.sum()  # rates above the top edge
     return CellKpiRecord(
         cell_id=cell_id, day=day, hour=hour, rrc_ues=ues, dl_prbs=dl,
         ul_prbs=ul, dl_bits=v_total, dl_bits_lastslot=v_minus,
-        dl_active_time_s=t_active, rate_bins=tuple(float(c) for c in counts),
+        dl_active_time_s=t_active,
+        rate_bins=tuple(map(float, _rate_bins(per_ue).tolist())),
         cs_minutes=cs_minutes, dl_total_time_s=t_active * 1.1,
         ul_bits=v_total * 0.3, ul_time_s=t_active)
 
@@ -354,6 +365,7 @@ def generate_scenario(spec: ScenarioSpec, out_dir, seed: int,
                                lambda: _drawn_day(cfg, traffic, rng))
     out = Path(out_dir)
     write_datasets(out, cfg, kpis, energies, mrs)
+    del kpis, energies  # written: free them before the second campaign
     handover = build_handover_model_for_hours(cfg, mrs)
     kpis_b, energies_b = _campaign(
         cfg, energy_law, rate_law, spec, rng,

@@ -65,8 +65,7 @@ class HandoverModel:
 
 def transfer_candidates(cfg: NetworkConfig, capacity_cell: str) -> list[str]:
     """Cells on the paired coverage cell's frequency, the A4 target layer."""
-    paired = cfg.pairing[capacity_cell]
-    freq = cfg.cell(paired).frequency_mhz
+    freq = cfg.cell(cfg.pairing[capacity_cell]).frequency_mhz
     return [c for c in cfg.cells_on_frequency(freq) if c != capacity_cell]
 
 
@@ -80,31 +79,7 @@ def build_handover_model(cfg: NetworkConfig, mrs: Iterable[MeasurementReport],
     votes are normalized per cell. Cells with no qualifying report get an
     empty map.
     """
-    candidates = {c: set(transfer_candidates(cfg, c))
-                  for c in cfg.capacity_cells}
-    counts: dict[str, dict[str, int]] = {c: {} for c in cfg.capacity_cells}
-    for report in mrs:
-        serving = report.serving_cell
-        if serving not in counts:
-            continue
-        a4 = cfg.mobility[serving]
-        eligible = candidates[serving]
-        best: str | None = None
-        best_rsrp = -float("inf")
-        for neighbor, rsrp in report.neighbor_rsrp_dbm.items():
-            if neighbor not in eligible or not a4_qualifies(rsrp, a4, neighbor):
-                continue
-            if rsrp > best_rsrp or (rsrp == best_rsrp and neighbor < best):
-                best = neighbor
-                best_rsrp = rsrp
-        if best is not None:
-            counts[serving][best] = counts[serving].get(best, 0) + 1
-    table: dict[tuple[str, int], dict[str, float]] = {}
-    for cell in sorted(cfg.capacity_cells):
-        votes = counts[cell]
-        total = sum(votes.values())
-        table[(cell, hour)] = {j: n / total for j, n in sorted(votes.items())}
-    return HandoverModel(probabilities=table)
+    return HandoverModel(probabilities=_vote(cfg, {hour: mrs}, (hour,)))
 
 
 def build_handover_model_for_hours(cfg: NetworkConfig,
@@ -115,8 +90,32 @@ def build_handover_model_for_hours(cfg: NetworkConfig,
     by_hour: dict[int, list[MeasurementReport]] = {}
     for report in mrs:
         by_hour.setdefault(report.hour, []).append(report)
-    table: dict[tuple[str, int], Mapping[str, float]] = {}
+    return HandoverModel(probabilities=_vote(cfg, by_hour, hours))
+
+
+def _vote(cfg: NetworkConfig,
+          by_hour: Mapping[int, Iterable[MeasurementReport]],
+          hours: Iterable[int]) -> dict[tuple[str, int], dict[str, float]]:
+    """build_handover_model's table for each of `hours`, from by_hour[hour]."""
+    candidates = {c: set(transfer_candidates(cfg, c))
+                  for c in cfg.capacity_cells}
+    table: dict[tuple[str, int], dict[str, float]] = {}
     for hour in hours:
-        table.update(build_handover_model(cfg, by_hour.get(hour, []),
-                                          hour).probabilities)
-    return HandoverModel(probabilities=table)
+        counts: dict[str, dict[str, int]] = {c: {} for c in candidates}
+        for report in by_hour.get(hour, ()):
+            serving = report.serving_cell
+            if serving not in counts:
+                continue
+            a4, eligible = cfg.mobility[serving], candidates[serving]
+            # strongest qualifying neighbour, the lowest id among equals
+            qualifying = [(-rsrp, j)
+                          for j, rsrp in report.neighbor_rsrp_dbm.items()
+                          if j in eligible and a4_qualifies(rsrp, a4, j)]
+            if qualifying:
+                best = min(qualifying)[1]
+                counts[serving][best] = counts[serving].get(best, 0) + 1
+        for cell, votes in sorted(counts.items()):
+            total = sum(votes.values())
+            table[(cell, hour)] = {j: n / total
+                                   for j, n in sorted(votes.items())}
+    return table

@@ -12,6 +12,7 @@ from carriersim.abm import (
     _draw_moves,
     _eligible_masks,
     _entry,
+    _handover_targets,
     _live_targets,
     _new_state,
     _pick,
@@ -789,3 +790,19 @@ class TestReports:
                                       for c in o.cells]
         assert all(type(v) is float for t in tables.values()
                    for v in t.values())
+
+
+def test_transfer_tables_are_cached_per_network_and_hour():
+    cfg = make_network(n_capacity=2, n_coverage=2)
+    handover = make_handover({"c1": {"b1": 0.25, "b2": 0.5, "c2": 0.25},
+                              "c2": {"b2": 1.0}})
+    net = SimNetwork(cfg)
+    table = build_transfer_table(net, handover, 3)
+    assert build_transfer_table(net, handover, 3) is table
+    assert build_transfer_table(SimNetwork(cfg), handover, 3) is table
+    # the same handover model on a reordered network gets its own entries
+    other = SimNetwork(dataclasses.replace(
+        cfg, cells=tuple(reversed(cfg.cells))))
+    assert other.index != net.index
+    assert build_transfer_table(other, handover, 3) == [
+        _handover_targets(other, handover, cid, 3) for cid in other.cap_ids]

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 
 import numpy as np
@@ -370,9 +372,17 @@ class TestDrawInputsArrays:
     def test_rows_follow_cell_ids(self):
         _, tm = self.traffic()
         assert tm.rows(["c2", "b1"]).tolist() == [3, 0]
-        with pytest.raises(NoSamplesError) as err:
-            tm.rows(["b1", "zz9"])
-        assert (err.value.cell, err.value.hour) == ("zz9", 1)
+        for _ in range(2):  # a failed lookup caches nothing
+            with pytest.raises(NoSamplesError) as err:
+                tm.rows(["b1", "zz9"])
+            assert (err.value.cell, err.value.hour) == ("zz9", 1)
+
+    def test_rows_are_built_once_and_read_only(self):
+        _, tm = self.traffic()
+        rows = tm.rows(("c2", "b1"))
+        assert tm.rows(["c2", "b1"]) is rows
+        with pytest.raises(ValueError):
+            rows[0] = 1
 
     def test_traffic_cell_missing_from_network_is_bad_reference(self):
         big = make_network(n_capacity=2)
@@ -425,3 +435,21 @@ class TestTrafficModelChecks:
         kpis = [make_kpi(day=1, hour=h) for h in range(1, 25)]
         with pytest.raises(ConfigError):
             fit_traffic_model(kpis, sigma_floor=0.0)
+
+
+class TestCellsOnFrequency:
+    def test_ids_in_cell_order(self):
+        cfg = make_network(n_capacity=2, n_coverage=3)
+        cfg = dataclasses.replace(cfg, cells=tuple(reversed(cfg.cells)))
+        assert list(cfg.cells_on_frequency(800.0)) == ["b3", "b2", "b1"]
+        assert list(cfg.cells_on_frequency(3500.0)) == ["c2", "c1"]
+        assert list(cfg.cells_on_frequency(1800.0)) == []
+
+    def test_changing_the_result_does_not_change_the_next_call(self):
+        cfg = make_network(n_capacity=1, n_coverage=2)
+        ids = cfg.cells_on_frequency(800.0)
+        with contextlib.suppress(AttributeError, TypeError):
+            ids.append("zz9")  # a tuple refuses; a copied list may change
+        with contextlib.suppress(AttributeError, TypeError):
+            ids[0] = "zz9"
+        assert list(cfg.cells_on_frequency(800.0)) == ["b1", "b2"]

@@ -1,10 +1,13 @@
-"""Pinned sha256 of the ABM and baseline arrays on the what-if network.
+"""Pinned sha256 of the ABM and baseline arrays on the what-if network, and
+of the scenario generator's files.
 
 The network is the one perfbench's whatif workload queries: 2 capacity cells,
 1 coverage cell, 3 days, scenario seed 7, traffic fitted from its KPI file.
-A change to the ABM or the baseline that is meant to keep the outputs must
-keep these digests; a change that is meant to move them updates them and
-says why.
+It has one coverage cell, so its reports never draw extra neighbours; the
+generator is pinned on a 6 + 3-cell, 2-day spec (seed 11) that does.
+A change to the ABM, the baseline or the generator that is meant to keep the
+outputs must keep these digests; a change that is meant to move them updates
+them and says why.
 """
 
 import hashlib
@@ -19,6 +22,26 @@ SIMULATE_DAY_SHA256 = (
     "b0f7a6bdf54016584514b275600c707fdec6c896610bab9cfd7a4435849d7c12")
 RUN_BENCHMARK_SHA256 = (
     "8abcf5150ba2c789fcbfdf87c6e2960acb11a8a7fce09c40024a2e8c80e7b83d")
+# generate_scenario(ScenarioSpec(6, 3, 2), seed=11): each file it writes, and
+# the handover table built from its reports (sorted items, repr'd)
+GENERATOR_SHA256 = {
+    "energy.csv":
+        "8bf37b488839773fbbf05864f0dee79259503b5ae94bddf6bea0be844dc4fbcb",
+    "energy_biased.csv":
+        "a840c76e21cc71ea602f4142cc0bc587d2ad8867784f8bb5c243aa01609952e5",
+    "engineering.csv":
+        "3a42a7e83cd882a749781ceadf8856ac732821a5657262ed00ca8aaf431cf5eb",
+    "kpi.csv":
+        "17f10bb14a34ac28a2e80ede5f3ea6e64398047ce54e3d0d6d0eb058d632ddf8",
+    "kpi_biased.csv":
+        "86a3c48e58f70d08460be6b27bf2bf80ec4968a36e39e308cd1352de4b390828",
+    "mr.csv":
+        "b5b308d1f98a3397be2c353c9e8a5d3e51de43c82795eac0b813c5efc89a200d",
+    "scenario.json":
+        "06f4461d137d77ce0191923c52914b2db312ed03857469c3f60298a733e2b213",
+}
+HANDOVER_TABLE_SHA256 = (
+    "4192adceedc9ee9cd4f6862acfcc694ff3b925c8de3fe04b2c88b7b63e6634c3")
 
 
 def _digest(outputs, names):
@@ -50,3 +73,15 @@ def test_run_benchmark_arrays_are_pinned(whatif_network):
     outputs = run_benchmark(*whatif_network)
     assert _digest(outputs, ("ues", "dl_prbs", "cs_minutes")) \
         == RUN_BENCHMARK_SHA256
+
+
+def test_generator_files_and_handover_table_are_pinned(tmp_path):
+    scenario = generate_scenario(ScenarioSpec(6, 3, 2), tmp_path, seed=11)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == GENERATOR_SHA256
+    table = build_handover_model_for_hours(scenario.cfg, scenario.mrs)
+    items = sorted((key, sorted(pmf.items()))
+                   for key, pmf in table.probabilities.items())
+    assert hashlib.sha256(repr(items).encode()).hexdigest() \
+        == HANDOVER_TABLE_SHA256

@@ -21,6 +21,8 @@ from carriersim.harness import (
     write_eval_report,
     write_truth,
 )
+from carriersim.harness import _rate_bins
+from carriersim.ratemodel import DEFAULT_BIN_EDGES
 
 
 class TestMaeMape:
@@ -235,3 +237,39 @@ class TestGroundTruthReplay:
         for (radio, hour), value in tables["energy_wh"].items():
             if radio.startswith("ru-cap"):
                 assert value == pytest.approx(scenario.energy_law.sleep_wh)
+
+
+def _histogram_bins(values):
+    """The generator's rate binning before searchsorted: np.histogram, with
+    the values it drops added to the top bin."""
+    counts, _ = np.histogram(values, bins=np.asarray(DEFAULT_BIN_EDGES))
+    counts[-1] += len(values) - counts.sum()
+    return counts
+
+
+class TestRateBins:
+    @staticmethod
+    def crafted():
+        values = [0.0, -0.0, -1e-300, -0.05, -7.5, 300.0, 300.0000000001,
+                  1e9, float(np.nextafter(300.0, np.inf))]
+        for edge in DEFAULT_BIN_EDGES:
+            values += [edge, float(np.nextafter(edge, -np.inf)),
+                       float(np.nextafter(edge, np.inf))]
+        return np.array(values)
+
+    def test_each_value_lands_where_histogram_puts_it(self):
+        for v in self.crafted():
+            values = np.array([v])
+            assert _rate_bins(values).tolist() == \
+                _histogram_bins(values).tolist(), v
+
+    def test_crafted_and_drawn_counts_equal_histogram(self):
+        values = self.crafted()
+        got = _rate_bins(values)
+        assert got.tolist() == _histogram_bins(values).tolist()
+        assert got.sum() == len(values)
+        rng = np.random.default_rng(3)
+        for rate in (0.3, 4.0, 60.0, 250.0, 900.0):
+            per_ue = np.maximum(rng.normal(rate, 0.45 * rate, size=100), 0.05)
+            assert _rate_bins(per_ue).tolist() == \
+                _histogram_bins(per_ue).tolist(), rate

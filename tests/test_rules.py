@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +10,7 @@ from carriersim.datamodel import A4Params, MeasurementReport, ShutdownThresholds
 from carriersim.rules import (
     a4_qualifies,
     build_handover_model,
+    build_handover_model_for_hours,
     check_shutdown_entry,
     check_wakeup,
     transfer_candidates,
@@ -209,3 +210,37 @@ class TestHandoverModel:
             total = sum(probs.values())
             assert total == 0.0 or abs(total - 1.0) < 1e-9
             assert all(p >= 0 for p in probs.values())
+
+
+def two_frequency_network():
+    """c1 and c3 paired with b1 at 800 MHz, c2 and c4 with b2 at 1800 MHz,
+    so capacity cells differ in their candidate layer."""
+    cfg = make_network(n_capacity=4, n_coverage=2, a4_threshold=-105.0)
+    cells = tuple(replace(c, frequency_mhz=1800.0) if c.id == "b2" else c
+                  for c in cfg.cells)
+    return replace(cfg, cells=cells)
+
+
+def test_hourly_build_equals_merged_per_hour_builds():
+    cfg = two_frequency_network()
+    assert transfer_candidates(cfg, "c1") == ["b1"]
+    assert transfer_candidates(cfg, "c2") == ["b2"]
+    rng = np.random.default_rng(5)
+    mrs = []
+    for _ in range(600):
+        serving = f"c{rng.integers(1, 5)}"
+        rsrp = {serving: -70.0}
+        for cell in ("b1", "b2", "c1", "c2", "c3", "c4"):
+            if cell != serving and rng.random() < 0.7:
+                rsrp[cell] = float(np.round(rng.normal(-100.0, 6.0)))
+        mrs.append(report(serving, rsrp, hour=int(rng.integers(1, 25))))
+    merged = {}
+    for hour in range(1, 25):
+        merged.update(build_handover_model(
+            cfg, [m for m in mrs if m.hour == hour], hour).probabilities)
+    built = build_handover_model_for_hours(cfg, mrs).probabilities
+    assert list(built.items()) == list(merged.items())
+    voted = {j for pmf in built.values() for j in pmf}
+    assert voted == {"b1", "b2"}
+    assert all(set(built[(c, h)]) <= {"b2"}
+               for c in ("c2", "c4") for h in range(1, 25))
