@@ -352,7 +352,7 @@ def _parse_pairs(text: str, path, row_index: int) -> dict[str, float]:
 
 
 def _format_pairs(pairs: Mapping[str, float]) -> str:
-    return "|".join(f"{cell}:{value!r}" for cell, value in sorted(pairs.items()))
+    return "|".join(f"{cell}:{_fmt(value)}" for cell, value in sorted(pairs.items()))
 
 
 def _rows(path) -> tuple[list[str], list[dict[str, str]]]:
@@ -574,8 +574,12 @@ def parse_datasets(paths) -> tuple[NetworkConfig, list[CellKpiRecord],
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
+    """A real float as the repr of the equal Python float, so that numpy
+    scalars (whose repr is `np.float64(5.0)` under numpy 2) parse back."""
+    if type(value) is float:
         return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

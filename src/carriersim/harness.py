@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -80,7 +81,8 @@ class EnergyLaw:
 
 @dataclass(frozen=True)
 class RateLaw:
-    """Mean UE DL rate in Mbps, monotone decreasing in load."""
+    """Mean UE DL rate in Mbps, monotone decreasing in load (elementwise
+    over arrays)."""
 
     max_mbps: float = 80.0
     load_slope: float = 0.7
@@ -88,7 +90,7 @@ class RateLaw:
 
     def mean_rate(self, dl_load: float, ues: float) -> float:
         return self.max_mbps * (1.0 - self.load_slope * dl_load) \
-            / (1.0 + self.ue_drag * max(ues, 0.0))
+            / (1.0 + self.ue_drag * np.maximum(ues, 0.0))
 
 
 def diurnal_profile(hour: int, trough: float = 0.18) -> float:
@@ -250,97 +252,184 @@ def _generate_mrs(cfg: NetworkConfig, spec: ScenarioSpec,
 
 
 _RATE_EDGES = np.asarray(DEFAULT_BIN_EDGES)
+_NO_RATES = (0.0,) * (len(DEFAULT_BIN_EDGES) - 1)
+_UE_RATES = 100          # per-UE rate samples behind a row's rate bins
+_RATE_DRAWS = 1 + _UE_RATES   # an active row's rate noise, then those
+_TRAFFIC_DRAWS = 3       # an unbiased row's UEs, DL and UL PRBs
+_BLOCK_CELLS = 64        # cells whose rows are built from one set of arrays
+_HOURS = list(range(1, 25))
 
 
 def _rate_bins(per_ue: np.ndarray) -> np.ndarray:
-    """np.histogram's counts over DEFAULT_BIN_EDGES (top bin closed), plus
-    the values it drops (below the first edge, above the top) in the top bin."""
-    top = len(_RATE_EDGES) - 2
+    """Per row of `per_ue` (its last axis), np.histogram's counts over
+    DEFAULT_BIN_EDGES (top bin closed), plus the values it drops (below the
+    first edge, above the top) in the top bin."""
+    n_bins = len(_RATE_EDGES) - 1
     bins = _RATE_EDGES.searchsorted(per_ue, side="right") - 1
-    bins[(bins < 0) | (bins > top)] = top
-    return np.bincount(bins, minlength=top + 1)
+    bins[(bins < 0) | (bins >= n_bins)] = n_bins - 1
+    lead = bins.shape[:-1]
+    rows = math.prod(lead)
+    offsets = n_bins * np.arange(rows).reshape(lead + (1,))
+    return np.bincount((bins + offsets).ravel(),
+                       minlength=rows * n_bins).reshape(lead + (n_bins,))
 
 
-def _kpi_row(cfg: NetworkConfig, rate_law: RateLaw, spec: ScenarioSpec,
-             rng: np.random.Generator, cell_id: str, day: int, hour: int,
-             ues: float, dl: float, ul: float, cs_minutes: float,
-             ) -> CellKpiRecord:
-    cell = cfg.cell(cell_id)
-    load = min(dl / cell.n_dl_prb, 1.0)
-    shut = cs_minutes >= 60.0
-    if shut or ues <= 0:
-        return CellKpiRecord(
-            cell_id=cell_id, day=day, hour=hour, rrc_ues=0.0 if shut else ues,
-            dl_prbs=0.0 if shut else dl, ul_prbs=0.0 if shut else ul,
-            dl_bits=0.0, dl_bits_lastslot=0.0, dl_active_time_s=0.0,
-            rate_bins=tuple([0.0] * 15), cs_minutes=cs_minutes)
-    true_rate = rate_law.mean_rate(load, ues)
-    rate = max(true_rate * (1.0 + rng.normal(0.0, spec.rate_noise_fraction)),
-               0.1)
-    t_active = 1800.0 * load + 30.0
-    v_minus = 0.1e6 * t_active
-    v_total = rate * 1e6 * t_active + v_minus
-    per_ue = np.maximum(rng.normal(rate, 0.45 * rate, size=100), 0.05)
-    return CellKpiRecord(
-        cell_id=cell_id, day=day, hour=hour, rrc_ues=ues, dl_prbs=dl,
-        ul_prbs=ul, dl_bits=v_total, dl_bits_lastslot=v_minus,
-        dl_active_time_s=t_active,
-        rate_bins=tuple(map(float, _rate_bins(per_ue).tolist())),
-        cs_minutes=cs_minutes, dl_total_time_s=t_active * 1.1,
-        ul_bits=v_total * 0.3, ul_time_s=t_active)
+def _at_least(x: np.ndarray, floor: float) -> np.ndarray:
+    """Python's `max(x, floor)` elementwise: `floor` only where it is larger."""
+    return np.where(x < floor, floor, x)
 
 
-def _campaign(cfg, energy_law, rate_law, spec, rng, draw_day):
-    """KPI and energy records of one measurement campaign. `draw_day()`
-    iterates over one day's (ues, dl, ul, cs_minutes) per cell and hour, cells
-    in configuration order; each KPI row is made right after its values."""
+def _idle(ues: np.ndarray, cs_minutes: np.ndarray) -> np.ndarray:
+    """Rows that draw no rates: shut down, or without UEs."""
+    return (cs_minutes >= 60.0) | (ues <= 0.0)
+
+
+def _campaign(cfg, energy_law, rate_law, spec, rng, traffic, handover=None):
+    """KPI and energy records of one measurement campaign: the unbiased one,
+    or with `handover` the shutdown-active one. Rows are built from arrays,
+    _BLOCK_CELLS cells at a time, and take every random value from one normal
+    stream of `rng` (`normal(loc, scale)` is `loc + scale * z` for the next
+    standard normal z), in this order:
+
+    - unbiased: each cell-hour, cells in configuration order and hours 1-24
+      within a cell, draws its UEs, DL and UL PRBs (3 normals); if its UEs
+      are above 0, it then draws its rate noise and its 100 per-UE rates;
+    - shutdown-active: each day first draws the seed of its simulated day
+      (`_simulated_day`); then each active cell-hour (not shut down, UEs
+      above 0), in the same order, draws its rate noise and per-UE rates;
+    - after a day's KPI rows, each (radio, hour) draws one energy noise.
+    """
     kpis, energies = [], []
-    keys = [(cell.id, hour) for cell in cfg.cells for hour in range(1, 25)]
+    n_cells = len(cfg.cells)
+    prbs = np.array([(c.n_dl_prb, c.n_ul_prb) for c in cfg.cells])
     for day in range(1, spec.n_days + 1):
-        values = {}
-        for (cell_id, hour), v in zip(keys, draw_day()):
-            values[(cell_id, hour)] = v
-            kpis.append(_kpi_row(cfg, rate_law, spec, rng, cell_id, day,
-                                 hour, *v))
-        for radio in cfg.radio_units:
-            cells = [cfg.cell(cid) for cid in radio.cell_ids]
-            for hour in range(1, 25):
-                loads = {c.id: values[(c.id, hour)][1] / c.n_dl_prb
-                         for c in cells}
-                fractions = {c.id: values[(c.id, hour)][3] / 60.0
-                             for c in cells}
-                true_e = energy_law.radio_energy(radio.radio_type, cells,
-                                                 loads, fractions)
-                energies.append(RadioEnergyRecord(
-                    radio_unit=radio.id, day=day, hour=hour,
-                    energy_wh=max(true_e + rng.normal(0, spec.energy_noise_wh),
-                                  0.0)))
+        if handover is not None:
+            simulated = _simulated_day(cfg, traffic, handover, rng)
+        values = np.empty((4, n_cells, 24))
+        for lo in range(0, n_cells, _BLOCK_CELLS):
+            cells = slice(lo, lo + _BLOCK_CELLS)
+            if handover is None:
+                block, clamped, z, first = _drawn_block(traffic, prbs, rng,
+                                                        cells)
+            else:
+                block, clamped = simulated[:, cells].reshape(4, -1), None
+                n_active = np.count_nonzero(~_idle(block[0], block[3]))
+                z = rng.standard_normal(n_active * _RATE_DRAWS)
+                first = _RATE_DRAWS * np.arange(n_active)
+            kpis += _kpi_rows(cfg.cells[cells], prbs[cells], rate_law, spec,
+                              day, block, clamped, z, first)
+            values[:, cells] = block.reshape(4, -1, 24)
+        energies += _energy_rows(cfg, energy_law, spec, rng, day, values)
     return kpis, energies
 
 
-def _drawn_day(cfg, traffic, rng):
-    """Unbiased campaign: every cell-hour drawn from the true Gaussians,
-    truncated at 0 and clamped to the PRB capacity, with no shutdown."""
-    for k, cell in enumerate(cfg.cells):
-        for hour in range(1, 25):
-            (mu_u, mu_dl, mu_ul), (sd_u, sd_dl, sd_ul) = (
-                traffic.mean[hour - 1, k], traffic.std[hour - 1, k])
-            ues = max(rng.normal(mu_u, sd_u), 0.0)
-            dl = min(max(rng.normal(mu_dl, sd_dl), 0.0), cell.n_dl_prb)
-            ul = min(max(rng.normal(mu_ul, sd_ul), 0.0), cell.n_ul_prb)
-            yield ues, dl, ul, 0.0
+def _drawn_block(traffic, prbs, rng, cells):
+    """Unbiased campaign, the cells of slice `cells`: every cell-hour drawn
+    from the true Gaussians, truncated at 0 and clamped to the PRB capacity,
+    with no shutdown. Returns the (ues, dl, ul, cs_minutes) rows, where DL and
+    UL were clamped, the block's normals and each active row's first rate
+    normal in them.
+
+    Where a row's draws start depends on the UEs of the rows before it, so
+    the block draws as if every row were active, moves the rows after each
+    row without UEs back by its rate draws (rare), and if that overdrew,
+    restores the generator and draws the exact count."""
+    mean = traffic.mean[:, cells].transpose(1, 0, 2).reshape(-1, 3)
+    std = traffic.std[:, cells].transpose(1, 0, 2).reshape(-1, 3)
+    per_row = _TRAFFIC_DRAWS + _RATE_DRAWS
+    state = rng.bit_generator.state
+    z = rng.standard_normal(len(mean) * per_row)
+    start = per_row * np.arange(len(mean))
+    ues = _at_least(mean[:, 0] + std[:, 0] * z[start], 0.0)
+    k = 0
+    while (idle := np.flatnonzero(ues[k:] <= 0.0)).size:
+        k += int(idle[0]) + 1
+        start[k:] -= _RATE_DRAWS
+        ues[k:] = _at_least(mean[k:, 0] + std[k:, 0] * z[start[k:]], 0.0)
+    used = int(start[-1]) + (_TRAFFIC_DRAWS if ues[-1] <= 0.0 else per_row)
+    if used < len(z):
+        rng.bit_generator.state = state
+        z = rng.standard_normal(used)
+    limits = np.repeat(prbs[cells], 24, axis=0)
+    prb = _at_least(mean[:, 1:] + std[:, 1:] * z[start[:, None] + [1, 2]],
+                    0.0)
+    clamped = prb > limits
+    dl, ul = np.where(clamped, limits, prb).T
+    first = start[~(ues <= 0.0)] + _TRAFFIC_DRAWS
+    return np.array([ues, dl, ul, np.zeros_like(ues)]), clamped.T, z, first
+
+
+def _kpi_rows(cells, prbs, rate_law, spec, day, block, clamped, z, first):
+    """KPI records of `cells` (hours 1-24 within a cell) from their
+    (ues, dl, ul, cs_minutes) rows; `first` holds each active row's rate
+    noise in `z`, followed by its per-UE rates. Shut-down rows report no
+    traffic; rows without UEs keep their PRBs. Where the unbiased draw was
+    clamped, the row keeps the int capacity that `min` returned (written
+    as "270")."""
+    ues, dl, ul, cs = block
+    shut = cs >= 60.0
+    active = ~_idle(ues, cs)
+    load = dl[active] / np.repeat(prbs[:, 0], 24)[active]
+    load = np.where(load > 1.0, 1.0, load)
+    noise = 0.0 + spec.rate_noise_fraction * z[first]
+    rate = _at_least(rate_law.mean_rate(load, ues[active]) * (1.0 + noise),
+                     0.1)
+    t_active = 1800.0 * load + 30.0
+    v_minus = 0.1e6 * t_active
+    v_total = rate * 1e6 * t_active + v_minus
+    per_ue = np.maximum(
+        rate[:, None] + (0.45 * rate)[:, None]
+        * z[first[:, None] + np.arange(1, _RATE_DRAWS)], 0.05)
+
+    def spread(active_values):
+        column = np.zeros(len(ues))
+        column[active] = active_values
+        return column.tolist()
+
+    rate_bins = [_NO_RATES] * len(ues)
+    for i, counts in zip(np.flatnonzero(active).tolist(),
+                         _rate_bins(per_ue).astype(float).tolist()):
+        rate_bins[i] = tuple(counts)
+    prb_columns = [np.where(shut, 0.0, v).tolist() for v in (dl, ul)]
+    if clamped is not None:
+        for column, limit, hit in zip(prb_columns, prbs.T, clamped):
+            for i in np.flatnonzero(hit).tolist():
+                column[i] = int(limit[i // 24])
+    t_column = spread(t_active)
+    return list(map(  # CellKpiRecord's fields, in order
+        CellKpiRecord, [c.id for c in cells for _ in range(24)], repeat(day),
+        _HOURS * len(cells), np.where(shut, 0.0, ues).tolist(), *prb_columns,
+        spread(v_total), spread(v_minus), t_column, rate_bins, cs.tolist(),
+        spread(v_total * 0.3), spread(t_active * 1.1), t_column))
+
+
+def _energy_rows(cfg, energy_law, spec, rng, day, values):
+    """Each radio's hourly energy through the true law from its carriers'
+    DL load and shutdown fraction in `values` (ues, dl, ul, cs_minutes by
+    cell and hour), plus one noise normal per (radio, hour)."""
+    row = {c.id: k for k, c in enumerate(cfg.cells)}
+    true_e = np.zeros((len(cfg.radio_units), 24))
+    for r, radio in enumerate(cfg.radio_units):
+        cells = [cfg.cell(cid) for cid in radio.cell_ids]
+        true_e[r] = energy_law.radio_energy(
+            radio.radio_type, cells,
+            {c.id: values[1, row[c.id]] / c.n_dl_prb for c in cells},
+            {c.id: values[3, row[c.id]] / 60.0 for c in cells})
+    noise = 0.0 + spec.energy_noise_wh * rng.standard_normal(true_e.shape)
+    return list(map(
+        RadioEnergyRecord, [r.id for r in cfg.radio_units for _ in range(24)],
+        repeat(day), _HOURS * len(cfg.radio_units),
+        _at_least(true_e + noise, 0.0).ravel().tolist()))
 
 
 def _simulated_day(cfg, traffic, handover, rng):
     """Shutdown-active campaign: one simulated realization of the day
-    against the true laws."""
+    against the true laws, as (ues, dl, ul, cs_minutes) by cell and hour."""
     day_seed = int(rng.integers(0, 2 ** 31 - 1))
     outputs = simulate_day(traffic, cfg, handover,
                            AbmConfig(runs=1, max_steps=400, seed=day_seed))
-    for i in range(len(cfg.cells)):
-        for out in outputs:
-            yield (float(out.ues[0, i]), float(out.dl_prbs[0, i]),
-                   float(out.ul_prbs[0, i]), float(out.cs_minutes[0, i]))
+    return np.array([(out.ues[0], out.dl_prbs[0], out.ul_prbs[0],
+                      out.cs_minutes[0]) for out in outputs]).transpose(1, 2, 0)
 
 
 def generate_scenario(spec: ScenarioSpec, out_dir, seed: int,
@@ -361,15 +450,13 @@ def generate_scenario(spec: ScenarioSpec, out_dir, seed: int,
     energy_law = _default_energy_law()
     rate_law = RateLaw()
     mrs = _generate_mrs(cfg, spec, rng)
-    kpis, energies = _campaign(cfg, energy_law, rate_law, spec, rng,
-                               lambda: _drawn_day(cfg, traffic, rng))
+    kpis, energies = _campaign(cfg, energy_law, rate_law, spec, rng, traffic)
     out = Path(out_dir)
     write_datasets(out, cfg, kpis, energies, mrs)
     del kpis, energies  # written: free them before the second campaign
     handover = build_handover_model_for_hours(cfg, mrs)
-    kpis_b, energies_b = _campaign(
-        cfg, energy_law, rate_law, spec, rng,
-        lambda: _simulated_day(cfg, traffic, handover, rng))
+    kpis_b, energies_b = _campaign(cfg, energy_law, rate_law, spec, rng,
+                                   traffic, handover)
     write_kpis(out / "kpi_biased.csv", kpis_b)
     write_energy(out / "energy_biased.csv", energies_b)
     (out / "scenario.json").write_text(json.dumps({

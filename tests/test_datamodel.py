@@ -23,7 +23,9 @@ from carriersim.datamodel import (
     parse_kpis,
     parse_mrs,
     write_datasets,
+    write_energy,
     write_kpis,
+    write_mrs,
 )
 from carriersim.errors import (
     BadReferenceError,
@@ -90,6 +92,28 @@ class TestParsing:
         paths.engineering.write_text(text.replace(",b1,", ",zz,"))
         with pytest.raises(BadReferenceError):
             parse_datasets(tmp_path)
+
+    def test_numpy_float_fields_round_trip(self, tmp_path):
+        f = np.float64
+        kpis = [make_kpi(rrc_ues=f(5.0), dl_prbs=f(20.5), ul_prbs=f(0.1),
+                         dl_bits=f(1e8), dl_bits_lastslot=f(2e7),
+                         dl_active_time_s=f(2.0),
+                         rate_bins=[f(10.0)] * 15, cs_minutes=f(0.0))]
+        energies = [RadioEnergyRecord(radio_unit="ru1", day=1, hour=1,
+                                      energy_wh=f(512.25))]
+        mrs = [MeasurementReport(timestamp="2024-03-04T13:00:05", ue_id="u1",
+                                 serving_cell="c1",
+                                 neighbor_rsrp_dbm={"c1": f(-90.1),
+                                                    "b1": np.float32(-95.5)})]
+        write_kpis(tmp_path / "kpi.csv", kpis)
+        write_energy(tmp_path / "energy.csv", energies)
+        write_mrs(tmp_path / "mr.csv", mrs)
+        assert parse_kpis(tmp_path / "kpi.csv") == kpis
+        assert parse_energy(tmp_path / "energy.csv") == energies
+        assert parse_mrs(tmp_path / "mr.csv") == mrs
+        # written as the repr of the equal Python float
+        assert ",20.5,0.1," in (tmp_path / "kpi.csv").read_text()
+        assert "b1:-95.5|c1:-90.1" in (tmp_path / "mr.csv").read_text()
 
     def test_kpi_bits_invariant_violation_is_malformed_row(self, tmp_path):
         bad = make_kpi(dl_bits=1.0, dl_bits_lastslot=5.0)

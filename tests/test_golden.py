@@ -4,7 +4,9 @@ of the scenario generator's files.
 The network is the one perfbench's whatif workload queries: 2 capacity cells,
 1 coverage cell, 3 days, scenario seed 7, traffic fitted from its KPI file.
 It has one coverage cell, so its reports never draw extra neighbours; the
-generator is pinned on a 6 + 3-cell, 2-day spec (seed 11) that does.
+generator is pinned on a 6 + 3-cell, 2-day spec (seed 11) that does, and on
+a sparse, noisy 3 + 2-cell spec whose cell-hours reach the zero-UE branch of
+both KPI campaigns.
 A change to the ABM, the baseline or the generator that is meant to keep the
 outputs must keep these digests; a change that is meant to move them updates
 them and says why.
@@ -17,6 +19,7 @@ import pytest
 from carriersim import (AbmConfig, ScenarioSpec, build_handover_model_for_hours,
                         fit_traffic_model, generate_scenario, parse_datasets,
                         run_benchmark, simulate_day)
+from carriersim.datamodel import parse_kpis
 
 SIMULATE_DAY_SHA256 = (
     "b0f7a6bdf54016584514b275600c707fdec6c896610bab9cfd7a4435849d7c12")
@@ -39,6 +42,24 @@ GENERATOR_SHA256 = {
         "b5b308d1f98a3397be2c353c9e8a5d3e51de43c82795eac0b813c5efc89a200d",
     "scenario.json":
         "06f4461d137d77ce0191923c52914b2db312ed03857469c3f60298a733e2b213",
+}
+# generate_scenario(ScenarioSpec(3, 2, 2, peak_capacity_ues=1.0,
+# traffic_noise=1.5), seed=11): each file it writes
+SPARSE_GENERATOR_SHA256 = {
+    "energy.csv":
+        "65e52387e1a650d7a55cadd3bb349a02fac6359c3094f92a89ebc7c8ba7f6b7c",
+    "energy_biased.csv":
+        "cf0566180958d32de15a36155fb163313343f456e774bfe05e900940d5a782ef",
+    "engineering.csv":
+        "a1a1dee4e99c8fa2cfc67ced7316f1f3cc285317f9783ab6c7241c31c794d4c8",
+    "kpi.csv":
+        "f51ad78e72e11a7c32b02e94a762c0c75a5877b8df58169b448fc2289764ec3f",
+    "kpi_biased.csv":
+        "27e7a08a0cbbaaf2e9bda3b799bccedc4fc25b96446997300817495b77fad2f2",
+    "mr.csv":
+        "232cfb463794691f227682248fc955d5e49266f24651d8ce7bb4f821a094026d",
+    "scenario.json":
+        "c1c3b804eb4c9506a13dab8ed5421aded255c4705aa3c93eb8226cf9562dab6b",
 }
 HANDOVER_TABLE_SHA256 = (
     "4192adceedc9ee9cd4f6862acfcc694ff3b925c8de3fe04b2c88b7b63e6634c3")
@@ -85,3 +106,17 @@ def test_generator_files_and_handover_table_are_pinned(tmp_path):
                    for key, pmf in table.probabilities.items())
     assert hashlib.sha256(repr(items).encode()).hexdigest() \
         == HANDOVER_TABLE_SHA256
+
+
+def test_sparse_generator_files_are_pinned(tmp_path):
+    generate_scenario(ScenarioSpec(3, 2, 2, peak_capacity_ues=1.0,
+                                   traffic_noise=1.5), tmp_path, seed=11)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == SPARSE_GENERATOR_SHA256
+    # the pin covers the zero-UE rows: an unbiased cell-hour with no UEs
+    # (which draws no rates) and a shut-down one in the biased campaign
+    kpis = parse_kpis(tmp_path / "kpi.csv")
+    assert any(r.rrc_ues == 0.0 and r.cs_minutes == 0.0 for r in kpis)
+    biased = parse_kpis(tmp_path / "kpi_biased.csv")
+    assert any(r.cs_minutes == 60.0 for r in biased)

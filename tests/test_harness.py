@@ -273,3 +273,53 @@ class TestRateBins:
             per_ue = np.maximum(rng.normal(rate, 0.45 * rate, size=100), 0.05)
             assert _rate_bins(per_ue).tolist() == \
                 _histogram_bins(per_ue).tolist(), rate
+
+    def test_rows_of_a_block_are_binned_one_by_one(self):
+        rng = np.random.default_rng(4)
+        rates = np.array([0.3, 4.0, 60.0, 250.0, 900.0])[:, None]
+        block = np.maximum(rates + 0.45 * rates
+                           * rng.standard_normal((5, 100)), 0.05)
+        block[0, :len(self.crafted())] = self.crafted()
+        assert _rate_bins(block).tolist() == \
+            [_histogram_bins(row).tolist() for row in block]
+        assert _rate_bins(np.empty((0, 100))).shape == (0, 15)
+
+
+class TestNormalStream:
+    """The generator's campaigns draw their normals in blocks of
+    `standard_normal` and scale them, in place of one `normal` call per value;
+    this is the identity that keeps their files byte-identical."""
+
+    CALLS = [(3.0, 2.0, None), (-1.5, 0.45, 100), (0.0, 0.03, None),
+             (0, 3.0, None), (250.0, 112.5, 7), (1e-3, 1e6, None)] * 400
+
+    def test_scalar_and_sized_normals_are_loc_plus_scale_z(self):
+        per_call = np.random.default_rng(5)
+        got = []
+        for loc, scale, size in self.CALLS:
+            if size is None:
+                got.append(per_call.normal(loc, scale))
+            else:
+                got.extend(per_call.normal(loc, scale, size=size).tolist())
+        block = np.random.default_rng(5)
+        z = block.standard_normal(len(got))
+        expected, i = [], 0
+        for loc, scale, size in self.CALLS:
+            k = 1 if size is None else size
+            expected.extend((loc + scale * z[i:i + k]).tolist())
+            i += k
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert per_call.bit_generator.state == block.bit_generator.state
+
+    def test_overdraw_then_restore_ends_where_per_call_code_does(self):
+        per_call = np.random.default_rng(8)
+        for _ in range(1000):
+            per_call.normal(1.0, 2.0)
+        block = np.random.default_rng(8)
+        state = block.bit_generator.state
+        too_many = block.standard_normal(5000)
+        block.bit_generator.state = state
+        exact = block.standard_normal(1000)
+        assert exact.tobytes() == too_many[:1000].tobytes()
+        assert per_call.bit_generator.state == block.bit_generator.state
+        assert per_call.random() == block.random()
