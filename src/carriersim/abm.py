@@ -520,7 +520,7 @@ class HourlyOutputs:
     ues: np.ndarray          # shape (runs, n_cells)
     dl_prbs: np.ndarray
     cs_minutes: np.ndarray
-    ul_prbs: np.ndarray | None = None
+    ul_prbs: np.ndarray
 
     @property
     def runs(self) -> int:
@@ -576,20 +576,9 @@ def simulate_day(tm: TrafficModel, cfg: NetworkConfig,
 # Deterministic expert baseline
 
 
-@dataclass(frozen=True)
-class PointOutputs:
-    """Single per-cell estimate for one hour (no distribution)."""
-
-    hour: int
-    cells: tuple[str, ...]
-    ues: np.ndarray
-    dl_prbs: np.ndarray
-    cs_minutes: np.ndarray
-
-
 def run_benchmark(tm: TrafficModel, cfg: NetworkConfig,
-                  handover: HandoverModel) -> list[PointOutputs]:
-    """One-pass deterministic estimate per hour.
+                  handover: HandoverModel) -> list[HourlyOutputs]:
+    """One-pass deterministic estimate per hour, as one-run HourlyOutputs.
 
     Every hour starts all-active from the Gaussian means. Capacity cells are
     visited in descending entry-margin order; each cell that satisfies the
@@ -624,8 +613,9 @@ def run_benchmark(tm: TrafficModel, cfg: NetworkConfig,
             ue[g] = dl[g] = ul[g] = 0.0
             cs[g] = SHUTDOWN_MINUTES
             x[a] = False
-        outputs.append(PointOutputs(hour=hour, cells=net.cell_ids,
-                                    ues=ue, dl_prbs=dl, cs_minutes=cs))
+        outputs.append(HourlyOutputs(hour=hour, cells=net.cell_ids,
+                                     ues=ue[None], dl_prbs=dl[None],
+                                     cs_minutes=cs[None], ul_prbs=ul[None]))
     return outputs
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from . import __version__
 from .abm import (
     AbmConfig,
-    HourlyOutputs,
     mean_tables,
     read_mean_report,
     run_benchmark,
@@ -295,12 +294,9 @@ def benchmark(settings, data, models, out, overrides):
         _fail(exc)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # point estimates as one-run distributions: mean = value, std = 0.0
-    hourly = [HourlyOutputs(hour=o.hour, cells=o.cells, ues=o.ues[None],
-                            dl_prbs=o.dl_prbs[None],
-                            cs_minutes=o.cs_minutes[None]) for o in outputs]
-    write_hourly_report(out_dir / "benchmark_outputs.csv", hourly, cfg)
-    tables = mean_tables(hourly, cfg)
+    # one run per hour: mean = value, std = 0.0
+    write_hourly_report(out_dir / "benchmark_outputs.csv", outputs, cfg)
+    tables = mean_tables(outputs, cfg)
     write_truth(out_dir / "predictions.csv",
                 {"energy_wh": _energy_predictions(cfg, tables, energy_model),
                  "rate_mbps": {(cell, hour): mean_rates[cell]

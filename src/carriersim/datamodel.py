@@ -54,7 +54,7 @@ from .errors import (
 )
 
 N_RATE_BINS = 15
-DEFAULT_MAX_CARRIERS = 6
+MAX_CARRIERS = 6
 DEFAULT_SIGMA_FLOOR = 1e-6
 
 
@@ -134,7 +134,6 @@ class NetworkConfig:
     pairing: Mapping[str, str]
     mobility: Mapping[str, A4Params]
     energy_saving: Mapping[str, ShutdownThresholds]
-    max_carriers: int = DEFAULT_MAX_CARRIERS
 
     def __post_init__(self):
         ids = [c.id for c in self.cells]
@@ -172,10 +171,10 @@ class NetworkConfig:
         if set(by_radio) != set(declared):
             raise BadReferenceError("cells and radio units are inconsistent")
         for rid, members in by_radio.items():
-            if not 1 <= len(members) <= self.max_carriers:
+            if not 1 <= len(members) <= MAX_CARRIERS:
                 raise ConfigError(
                     f"radio unit {rid!r} carries {len(members)} cells, "
-                    f"allowed 1..{self.max_carriers}")
+                    f"allowed 1..{MAX_CARRIERS}")
             if set(declared[rid].cell_ids) != set(members):
                 raise BadReferenceError(f"radio unit {rid!r} cell list is stale")
 
@@ -383,7 +382,7 @@ _ENERGY_COLUMNS = ["radio_unit", "day", "hour", "energy_wh"]
 _MR_COLUMNS = ["timestamp", "ue_id", "serving_cell", "rsrp_dbm"]
 
 
-def parse_engineering(path, max_carriers: int = DEFAULT_MAX_CARRIERS) -> NetworkConfig:
+def parse_engineering(path) -> NetworkConfig:
     header, rows = _rows(path)
     _require(header, _ENGINEERING_COLUMNS, path)
     cells = []
@@ -458,7 +457,6 @@ def parse_engineering(path, max_carriers: int = DEFAULT_MAX_CARRIERS) -> Network
         pairing=pairing,
         mobility=mobility,
         energy_saving=thresholds,
-        max_carriers=max_carriers,
     )
 
 

@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .datamodel import (
+    MAX_CARRIERS,
     Cell,
     CellKpiRecord,
     NetworkConfig,
@@ -132,7 +133,7 @@ def _raw_block(radio: RadioUnit, cells: Sequence[Cell],
 
 
 def fit_feature_schema(samples: Sequence[RadioHourSample],
-                       max_carriers: int = 6) -> EnergyFeatureSchema:
+                       max_carriers: int = MAX_CARRIERS) -> EnergyFeatureSchema:
     """Record categorical vocabularies and min/max statistics from training rows."""
     if not samples:
         raise EmptyTrainingSetError("no samples to fit a feature schema")
@@ -208,10 +209,6 @@ class EnergyModel:
     sigma_floor_fraction: float = SIGMA_FLOOR_FRACTION
     schema: EnergyFeatureSchema | None = None
     history: list[tuple[int, float]] = field(default_factory=list)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.weights[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -370,7 +367,7 @@ def fit_radio_energy_model(cfg: NetworkConfig, kpis: Sequence[CellKpiRecord],
     rows = build_energy_samples(cfg, kpis, energies)
     if not rows:
         raise EmptyTrainingSetError("no joinable radio energy rows")
-    schema = fit_feature_schema(rows, max_carriers=cfg.max_carriers)
+    schema = fit_feature_schema(rows)
     pairs = [(encode_features(schema, r.radio, r.cells, r.dl_loads,
                               r.cs_fractions), r.energy_wh) for r in rows]
     return train_energy_model(pairs, hyper, schema=schema)

@@ -15,6 +15,7 @@ Traffic follows a diurnal profile (single evening peak) with Gaussian noise.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ from .errors import (
     LengthMismatchError,
 )
 from .ratemodel import DEFAULT_BIN_EDGES
+from .rules import build_handover_model_for_hours
 
 REFERENCE_RUNS_FACTOR = 10
 REFERENCE_SEED_OFFSET = 1_000_003
@@ -59,7 +61,8 @@ KpiTable = dict[tuple[str, int], float]
 
 @dataclass(frozen=True)
 class EnergyLaw:
-    """Radio energy in Wh for one hour, summed over its carriers."""
+    """Radio energy in Wh for one hour, summed over its carriers
+    (elementwise over arrays of loads and fractions)."""
 
     idle_wh: Mapping[str, float]      # per radio type
     sleep_wh: float
@@ -442,8 +445,6 @@ def generate_scenario(spec: ScenarioSpec, out_dir, seed: int,
         raise InvalidSpecError("need at least one capacity and one coverage cell")
     if spec.n_days < 1:
         raise InvalidSpecError("need at least one day")
-    from .rules import build_handover_model_for_hours
-
     rng = np.random.default_rng(seed)
     cfg = _build_network(spec)
     traffic = _build_true_traffic(cfg, spec, rng)
@@ -477,8 +478,6 @@ def ground_truth_replay(scenario: SyntheticScenario, abm_cfg: AbmConfig,
     """Reference post-activation KPIs: a simulation pass at ten times the
     configured run budget (decorrelated seed) with energies and rates
     evaluated through the true laws."""
-    from .rules import build_handover_model_for_hours
-
     cfg = scenario.cfg
     if handover is None:
         handover = build_handover_model_for_hours(cfg, scenario.mrs)
@@ -492,39 +491,35 @@ def ground_truth_replay(scenario: SyntheticScenario, abm_cfg: AbmConfig,
 def truth_tables_from_outputs(scenario: SyntheticScenario,
                               outputs: Sequence[HourlyOutputs],
                               ) -> dict[str, KpiTable]:
+    """Per (cell, hour) run means of the KPIs, and per (radio, hour) and
+    (cell, hour) run means of the true laws' energy and rate. Each law is
+    evaluated once on the runs' columns; rate only over the runs where the
+    cell is active, and not at all where it is shut down in every run."""
     cfg = scenario.cfg
-    radios = {r.id: r for r in cfg.radio_units}
     caps = {c.id: float(c.n_dl_prb) for c in cfg.cells}
     tables: dict[str, KpiTable] = {"cs_minutes": {}, "dl_load": {}, "ue": {},
                                    "energy_wh": {}, "rate_mbps": {}}
     for out in outputs:
         index = {cell: i for i, cell in enumerate(out.cells)}
         for cell, i in index.items():
-            tables["cs_minutes"][(cell, out.hour)] = float(
-                out.cs_minutes[:, i].mean())
-            tables["dl_load"][(cell, out.hour)] = float(
-                out.dl_prbs[:, i].mean() / caps[cell])
-            tables["ue"][(cell, out.hour)] = float(out.ues[:, i].mean())
-        for radio in radios.values():
-            cells = [cfg.cell(cid) for cid in radio.cell_ids]
-            per_run = []
-            for r in range(out.runs):
-                loads = {c.id: out.dl_prbs[r, index[c.id]] / caps[c.id]
-                         for c in cells}
-                fractions = {c.id: out.cs_minutes[r, index[c.id]] / 60.0
-                             for c in cells}
-                per_run.append(scenario.energy_law.radio_energy(
-                    radio.radio_type, cells, loads, fractions))
-            tables["energy_wh"][(radio.id, out.hour)] = float(
-                np.mean(per_run))
-        for cell, i in index.items():
+            key = (cell, out.hour)
+            tables["cs_minutes"][key] = float(out.cs_minutes[:, i].mean())
+            tables["dl_load"][key] = float(out.dl_prbs[:, i].mean()
+                                           / caps[cell])
+            tables["ue"][key] = float(out.ues[:, i].mean())
             active = out.cs_minutes[:, i] < 60.0
-            if not active.any():
-                continue
-            rates = [scenario.rate_law.mean_rate(
-                out.dl_prbs[r, i] / caps[cell], out.ues[r, i])
-                for r in np.flatnonzero(active)]
-            tables["rate_mbps"][(cell, out.hour)] = float(np.mean(rates))
+            if active.any():
+                tables["rate_mbps"][key] = float(np.mean(
+                    scenario.rate_law.mean_rate(
+                        out.dl_prbs[active, i] / caps[cell],
+                        out.ues[active, i])))
+        for radio in cfg.radio_units:
+            cells = [cfg.cell(cid) for cid in radio.cell_ids]
+            energy = scenario.energy_law.radio_energy(
+                radio.radio_type, cells,
+                {c.id: out.dl_prbs[:, index[c.id]] / caps[c.id] for c in cells},
+                {c.id: out.cs_minutes[:, index[c.id]] / 60.0 for c in cells})
+            tables["energy_wh"][(radio.id, out.hour)] = float(np.mean(energy))
     return tables
 
 
@@ -532,8 +527,6 @@ _TRUTH_COLUMNS = ["kpi", "entity", "hour", "value"]
 
 
 def write_truth(path, tables: Mapping[str, KpiTable]) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_TRUTH_COLUMNS)
@@ -543,8 +536,6 @@ def write_truth(path, tables: Mapping[str, KpiTable]) -> None:
 
 
 def read_truth(path) -> dict[str, KpiTable]:
-    import csv
-
     tables: dict[str, KpiTable] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
@@ -645,8 +636,6 @@ def compare(abm_tables: Mapping[str, KpiTable],
 
 def write_eval_report(directory, report: EvalReport) -> None:
     """report.json with the per-KPI scores and profiles.csv for plotting."""
-    import csv
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     payload = {}

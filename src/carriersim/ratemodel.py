@@ -1,7 +1,7 @@
 """Per-cell UE downlink rate models: mean and 5%-tile rate as functions of
 DL PRB load and RRC-connected UE count.
 
-High-load behaviour (load >= 0.1 by default) is captured by gradient-boosted
+High-load behaviour (load >= 0.1) is captured by gradient-boosted
 regression trees (squared-error loss, stage-wise fit on residuals, 500 trees
 of depth 4 with shrinkage 0.01). Low-load rates are too traffic-dependent to
 regress, so they are modelled as a random variable with an empirical PMF
@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import CellKpiRecord, NetworkConfig
+from .datamodel import N_RATE_BINS, CellKpiRecord, NetworkConfig
 from .errors import (
     EmptyCountersError,
     UnknownCellError,
@@ -37,14 +37,9 @@ _LOCKSTEP_ENSEMBLES = 256     # ensembles grown together; bounds the arrays
 _BUNDLE_VERSION = 2
 
 
-def default_bin_edges(n_bins: int = 15, first_edge: float = 0.5,
-                      top_mbps: float = 300.0) -> tuple[float, ...]:
-    """0 followed by geometrically spaced edges up to the top rate."""
-    edges = [0.0] + list(np.geomspace(first_edge, top_mbps, n_bins))
-    return tuple(float(e) for e in edges)
-
-
-DEFAULT_BIN_EDGES = default_bin_edges()
+# 0, then geometrically spaced edges from 0.5 to 300 Mbps: one bin per
+# rate-bin counter of a KPI row
+DEFAULT_BIN_EDGES = (0.0, *np.geomspace(0.5, 300.0, N_RATE_BINS).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +277,6 @@ class RateHyper:
     n_estimators: int = 500
     max_depth: int = 4
     learning_rate: float = 0.01
-    low_load_cutoff: float = LOW_LOAD_CUTOFF
-    pmf_bin_mbps: float = PMF_BIN_MBPS
 
 
 def fit_boosted(X: np.ndarray, y: np.ndarray,
@@ -344,13 +337,12 @@ class RatePmf:
     counts: np.ndarray
 
     @classmethod
-    def from_values(cls, values: Sequence[float],
-                    bin_mbps: float = PMF_BIN_MBPS) -> "RatePmf":
+    def from_values(cls, values: Sequence[float]) -> "RatePmf":
         values = np.asarray(values, dtype=float)
-        bins = np.floor(values / bin_mbps).astype(int)
+        bins = np.floor(values / PMF_BIN_MBPS).astype(int)
         first = int(bins.min())
         counts = np.bincount(bins - first)
-        return cls(bin_mbps=bin_mbps, first_bin=first,
+        return cls(bin_mbps=PMF_BIN_MBPS, first_bin=first,
                    counts=counts.astype(float))
 
     def sample(self, rng: np.random.Generator) -> float:
@@ -410,7 +402,7 @@ def train_rate_model(avg_samples: Mapping[str, Sequence[RateSample]],
     an ensemble of the rest, all ensembles in one `fit_boosted_many` call.
     Cells whose rows all sit below the cutoff end up PMF-only (no ensemble);
     that is a degraded mode, not an error."""
-    model = RateModel(avg={}, ce={}, cutoff=hyper.low_load_cutoff)
+    model = RateModel(avg={}, ce={})
     fits = []
     for cell in sorted(set(avg_samples) | set(ce_samples)):
         for table, samples in ((model.avg, avg_samples),
@@ -419,10 +411,10 @@ def train_rate_model(avg_samples: Mapping[str, Sequence[RateSample]],
             if not rows:
                 continue
             low = [s.rate_mbps for s in rows
-                   if s.dl_prb_load < hyper.low_load_cutoff]
-            high = [s for s in rows if s.dl_prb_load >= hyper.low_load_cutoff]
-            table[cell] = CellRateModel(None, RatePmf.from_values(
-                low, hyper.pmf_bin_mbps) if low else None)
+                   if s.dl_prb_load < LOW_LOAD_CUTOFF]
+            high = [s for s in rows if s.dl_prb_load >= LOW_LOAD_CUTOFF]
+            table[cell] = CellRateModel(
+                None, RatePmf.from_values(low) if low else None)
             if high:
                 fits.append((table[cell], high))
     ensembles = fit_boosted_many(

@@ -5,7 +5,6 @@ import pytest
 
 from carriersim.abm import (
     AbmConfig,
-    HourlyOutputs,
     SimNetwork,
     _apply_shutdown,
     _coerce_start,
@@ -710,7 +709,7 @@ class TestBenchmark:
         mc = simulate_day(tm, cfg, handover, AbmConfig(runs=3, seed=0))
         i_c1 = bench[0].cells.index("c1")
         for b, m in zip(bench, mc):
-            assert b.cs_minutes[i_c1] == 60.0
+            assert b.cs_minutes[0, i_c1] == 60.0
             assert m.mean_cs_minutes[i_c1] == 60.0
 
     def test_repeated_execution_bit_identical(self):
@@ -743,11 +742,13 @@ class TestBenchmark:
         handover = make_handover({"c1": {"b1": 1.0}, "c2": pmf})
         for out in run_benchmark(tm, cfg, handover):
             i = {c: out.cells.index(c) for c in ("c1", "c2", "b1")}
-            assert out.cs_minutes[i["c1"]] == 60.0
-            assert out.ues[i["c1"]] == 0.0 and out.dl_prbs[i["c1"]] == 0.0
-            assert out.cs_minutes[i["c2"]] == (60.0 if c2_off else 0.0)
-            assert out.ues[i["b1"]] == pytest.approx(12.0 if c2_off else 9.0)
+            assert out.cs_minutes[0, i["c1"]] == 60.0
+            assert out.ues[0, i["c1"]] == 0.0 and out.dl_prbs[0, i["c1"]] == 0.0
+            assert out.cs_minutes[0, i["c2"]] == (60.0 if c2_off else 0.0)
+            assert out.ues[0, i["b1"]] == pytest.approx(12.0 if c2_off else 9.0)
             assert out.ues.sum() == pytest.approx(12.0)
+            assert out.dl_prbs.sum() == pytest.approx(37.0)
+            assert out.ul_prbs.sum() == pytest.approx(12.0)
 
 
 class TestReports:
@@ -765,10 +766,7 @@ class TestReports:
 
         bench = run_benchmark(tm, cfg, handover)
         bpath = tmp_path / "bench.csv"
-        write_hourly_report(bpath, [
-            HourlyOutputs(hour=b.hour, cells=b.cells, ues=b.ues[None],
-                          dl_prbs=b.dl_prbs[None], cs_minutes=b.cs_minutes[None])
-            for b in bench], cfg)
+        write_hourly_report(bpath, bench, cfg)
         btables = read_mean_report(bpath)
         assert btables["cs_minutes"][("c1", 1)] == 60.0
 

@@ -453,9 +453,9 @@ class TestCriterion10:
             for out_h in bench:
                 for i, cell in enumerate(out_h.cells):
                     bench_tables["cs_minutes"][(cell, out_h.hour)] = float(
-                        out_h.cs_minutes[i])
+                        out_h.cs_minutes[0, i])
                     bench_tables["dl_load"][(cell, out_h.hour)] = float(
-                        out_h.dl_prbs[i] / caps[cell])
+                        out_h.dl_prbs[0, i] / caps[cell])
             kpis = ("cs_minutes", "dl_load")
             rep = compare({k: abm_tables[k] for k in kpis},
                           {k: bench_tables[k] for k in kpis},

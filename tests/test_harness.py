@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carriersim.abm import AbmConfig
+from carriersim.abm import AbmConfig, simulate_day
 from carriersim.datamodel import parse_datasets, parse_kpis
 from carriersim.errors import (
     EmptySeriesError,
@@ -18,11 +18,13 @@ from carriersim.harness import (
     ground_truth_replay,
     mae_mape,
     read_truth,
+    truth_tables_from_outputs,
     write_eval_report,
     write_truth,
 )
 from carriersim.harness import _rate_bins
 from carriersim.ratemodel import DEFAULT_BIN_EDGES
+from carriersim.rules import build_handover_model_for_hours
 
 
 class TestMaeMape:
@@ -237,6 +239,64 @@ class TestGroundTruthReplay:
         for (radio, hour), value in tables["energy_wh"].items():
             if radio.startswith("ru-cap"):
                 assert value == pytest.approx(scenario.energy_law.sleep_wh)
+
+
+def _truth_tables_run_by_run(scenario, outputs):
+    """Reference: the true laws called once per run, as in the per-run
+    loop that truth_tables_from_outputs replaced."""
+    cfg = scenario.cfg
+    caps = {c.id: float(c.n_dl_prb) for c in cfg.cells}
+    tables = {"cs_minutes": {}, "dl_load": {}, "ue": {}, "energy_wh": {},
+              "rate_mbps": {}}
+    for out in outputs:
+        index = {cell: i for i, cell in enumerate(out.cells)}
+        for cell, i in index.items():
+            tables["cs_minutes"][(cell, out.hour)] = float(
+                out.cs_minutes[:, i].mean())
+            tables["dl_load"][(cell, out.hour)] = float(
+                out.dl_prbs[:, i].mean() / caps[cell])
+            tables["ue"][(cell, out.hour)] = float(out.ues[:, i].mean())
+        for radio in cfg.radio_units:
+            cells = [cfg.cell(cid) for cid in radio.cell_ids]
+            per_run = []
+            for r in range(out.runs):
+                loads = {c.id: out.dl_prbs[r, index[c.id]] / caps[c.id]
+                         for c in cells}
+                fractions = {c.id: out.cs_minutes[r, index[c.id]] / 60.0
+                             for c in cells}
+                per_run.append(scenario.energy_law.radio_energy(
+                    radio.radio_type, cells, loads, fractions))
+            tables["energy_wh"][(radio.id, out.hour)] = float(
+                np.mean(per_run))
+        for cell, i in index.items():
+            active = out.cs_minutes[:, i] < 60.0
+            if not active.any():
+                continue
+            rates = [scenario.rate_law.mean_rate(
+                out.dl_prbs[r, i] / caps[cell], out.ues[r, i])
+                for r in np.flatnonzero(active)]
+            tables["rate_mbps"][(cell, out.hour)] = float(np.mean(rates))
+    return tables
+
+
+def test_truth_tables_equal_run_by_run_laws(tmp_path):
+    # whatif's network at R=20: above the 8 terms where numpy's pairwise
+    # sum starts to differ from a sequential one
+    scenario = generate_scenario(ScenarioSpec(2, 1, 3), tmp_path, seed=7)
+    handover = build_handover_model_for_hours(scenario.cfg, scenario.mrs)
+    outputs = simulate_day(scenario.traffic, scenario.cfg, handover,
+                           AbmConfig(runs=20, max_steps=400, seed=7))
+    got = truth_tables_from_outputs(scenario, outputs)
+    want = _truth_tables_run_by_run(scenario, outputs)
+    def hexed(tables):
+        return {k: [(key, v.hex()) for key, v in t.items()]
+                for k, t in tables.items()}
+
+    assert hexed(got) == hexed(want)
+    # some cell-hours are shut down in every run, so they have no rate
+    always_off = [key for key, v in got["cs_minutes"].items() if v == 60.0]
+    assert always_off
+    assert not set(always_off) & set(got["rate_mbps"])
 
 
 def _histogram_bins(values):

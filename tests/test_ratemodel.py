@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from carriersim.ratemodel import (
+    DEFAULT_BIN_EDGES,
     BoostedEnsemble,
     RateHyper,
     RateSample,
     RegressionTree,
     avg_rate_from_kpis,
     build_rate_samples,
-    default_bin_edges,
     fit_boosted,
     fit_boosted_many,
     load_rate_model,
@@ -63,14 +63,14 @@ class TestP5Rate:
             p5_rate_from_bins([0.0] * 15)
 
     def test_mass_shift_upward_is_monotone(self):
-        edges = default_bin_edges()
+        edges = DEFAULT_BIN_EDGES
         low = [10.0] * 15
         # move mass from the lowest to the highest bin
         high = [0.0] + [10.0] * 13 + [20.0]
         assert p5_rate_from_bins(high, edges) >= p5_rate_from_bins(low, edges)
 
     def test_default_edges_shape(self):
-        edges = default_bin_edges()
+        edges = DEFAULT_BIN_EDGES
         assert len(edges) == 16
         assert edges[0] == 0.0
         assert edges[-1] == 300.0
