@@ -459,8 +459,6 @@ class RunResult:
 def _coerce_start(net: SimNetwork, starting_x) -> np.ndarray:
     if starting_x is None:
         return np.ones(net.n_cap, dtype=bool)
-    if isinstance(starting_x, Mapping):
-        return np.array([bool(starting_x.get(c, True)) for c in net.cap_ids])
     arr = np.asarray(starting_x, dtype=bool)
     if arr.shape != (net.n_cap,):
         raise ValueError("starting configuration has wrong length")

@@ -96,10 +96,10 @@ class RateLaw:
             / (1.0 + self.ue_drag * np.maximum(ues, 0.0))
 
 
-def diurnal_profile(hour: int, trough: float = 0.18) -> float:
-    """Single-peak daily shape in (0, 1]: minimum around 04:00, peak at 16:00."""
+def diurnal_profile(hour: int) -> float:
+    """Single-peak daily shape in (0, 1]: 0.18 at 04:00, peak at 16:00."""
     swing = 0.5 - 0.5 * math.cos(2.0 * math.pi * (hour - 4) / 24.0)
-    return trough + (1.0 - trough) * swing ** 1.3
+    return 0.18 + (1.0 - 0.18) * swing ** 1.3
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +291,11 @@ def _campaign(cfg, energy_law, rate_law, spec, rng, traffic, handover=None):
     """KPI and energy records of one measurement campaign: the unbiased one,
     or with `handover` the shutdown-active one. Rows are built from arrays,
     _BLOCK_CELLS cells at a time, and take every random value from one normal
-    stream of `rng` (`normal(loc, scale)` is `loc + scale * z` for the next
-    standard normal z), in this order:
+    stream of `rng`, in this order:
 
     - unbiased: each cell-hour, cells in configuration order and hours 1-24
-      within a cell, draws its UEs, DL and UL PRBs (3 normals); if its UEs
-      are above 0, it then draws its rate noise and its 100 per-UE rates;
+      within a cell, draws 104 normals: its UEs, DL and UL PRBs, then its rate
+      noise and 100 per-UE rates, which a row without UEs leaves unused;
     - shutdown-active: each day first draws the seed of its simulated day
       (`_simulated_day`); then each active cell-hour (not shut down, UEs
       above 0), in the same order, draws its rate noise and per-UE rates;
@@ -312,15 +311,13 @@ def _campaign(cfg, energy_law, rate_law, spec, rng, traffic, handover=None):
         for lo in range(0, n_cells, _BLOCK_CELLS):
             cells = slice(lo, lo + _BLOCK_CELLS)
             if handover is None:
-                block, clamped, z, first = _drawn_block(traffic, prbs, rng,
-                                                        cells)
+                block, rate_z = _drawn_block(traffic, prbs, rng, cells)
             else:
-                block, clamped = simulated[:, cells].reshape(4, -1), None
+                block = simulated[:, cells].reshape(4, -1)
                 n_active = np.count_nonzero(~_idle(block[0], block[3]))
-                z = rng.standard_normal(n_active * _RATE_DRAWS)
-                first = _RATE_DRAWS * np.arange(n_active)
+                rate_z = rng.standard_normal((n_active, _RATE_DRAWS))
             kpis += _kpi_rows(cfg.cells[cells], prbs[cells], rate_law, spec,
-                              day, block, clamped, z, first)
+                              day, block, rate_z)
             values[:, cells] = block.reshape(4, -1, 24)
         energies += _energy_rows(cfg, energy_law, spec, rng, day, values)
     return kpis, energies
@@ -329,60 +326,35 @@ def _campaign(cfg, energy_law, rate_law, spec, rng, traffic, handover=None):
 def _drawn_block(traffic, prbs, rng, cells):
     """Unbiased campaign, the cells of slice `cells`: every cell-hour drawn
     from the true Gaussians, truncated at 0 and clamped to the PRB capacity,
-    with no shutdown. Returns the (ues, dl, ul, cs_minutes) rows, where DL and
-    UL were clamped, the block's normals and each active row's first rate
-    normal in them.
-
-    Where a row's draws start depends on the UEs of the rows before it, so
-    the block draws as if every row were active, moves the rows after each
-    row without UEs back by its rate draws (rare), and if that overdrew,
-    restores the generator and draws the exact count."""
+    with no shutdown. Returns the (ues, dl, ul, cs_minutes) rows and each
+    active row's rate normals."""
     mean = traffic.mean[:, cells].transpose(1, 0, 2).reshape(-1, 3)
     std = traffic.std[:, cells].transpose(1, 0, 2).reshape(-1, 3)
-    per_row = _TRAFFIC_DRAWS + _RATE_DRAWS
-    state = rng.bit_generator.state
-    z = rng.standard_normal(len(mean) * per_row)
-    start = per_row * np.arange(len(mean))
-    ues = _at_least(mean[:, 0] + std[:, 0] * z[start], 0.0)
-    k = 0
-    while (idle := np.flatnonzero(ues[k:] <= 0.0)).size:
-        k += int(idle[0]) + 1
-        start[k:] -= _RATE_DRAWS
-        ues[k:] = _at_least(mean[k:, 0] + std[k:, 0] * z[start[k:]], 0.0)
-    used = int(start[-1]) + (_TRAFFIC_DRAWS if ues[-1] <= 0.0 else per_row)
-    if used < len(z):
-        rng.bit_generator.state = state
-        z = rng.standard_normal(used)
-    limits = np.repeat(prbs[cells], 24, axis=0)
-    prb = _at_least(mean[:, 1:] + std[:, 1:] * z[start[:, None] + [1, 2]],
-                    0.0)
-    clamped = prb > limits
-    dl, ul = np.where(clamped, limits, prb).T
-    first = start[~(ues <= 0.0)] + _TRAFFIC_DRAWS
-    return np.array([ues, dl, ul, np.zeros_like(ues)]), clamped.T, z, first
+    z = rng.standard_normal((len(mean), _TRAFFIC_DRAWS + _RATE_DRAWS))
+    ues, dl, ul = _at_least(mean + std * z[:, :_TRAFFIC_DRAWS], 0.0).T
+    dl, ul = np.minimum([dl, ul], np.repeat(prbs[cells], 24, axis=0).T)
+    block = np.array([ues, dl, ul, np.zeros_like(ues)])
+    return block, z[ues > 0.0, _TRAFFIC_DRAWS:]
 
 
-def _kpi_rows(cells, prbs, rate_law, spec, day, block, clamped, z, first):
+def _kpi_rows(cells, prbs, rate_law, spec, day, block, rate_z):
     """KPI records of `cells` (hours 1-24 within a cell) from their
-    (ues, dl, ul, cs_minutes) rows; `first` holds each active row's rate
-    noise in `z`, followed by its per-UE rates. Shut-down rows report no
-    traffic; rows without UEs keep their PRBs. Where the unbiased draw was
-    clamped, the row keeps the int capacity that `min` returned (written
-    as "270")."""
+    (ues, dl, ul, cs_minutes) rows; `rate_z` holds each active row's rate
+    noise normal, followed by its per-UE rate normals. Shut-down rows report
+    no traffic; rows without UEs keep their PRBs."""
     ues, dl, ul, cs = block
     shut = cs >= 60.0
     active = ~_idle(ues, cs)
     load = dl[active] / np.repeat(prbs[:, 0], 24)[active]
     load = np.where(load > 1.0, 1.0, load)
-    noise = 0.0 + spec.rate_noise_fraction * z[first]
+    noise = 0.0 + spec.rate_noise_fraction * rate_z[:, 0]
     rate = _at_least(rate_law.mean_rate(load, ues[active]) * (1.0 + noise),
                      0.1)
     t_active = 1800.0 * load + 30.0
     v_minus = 0.1e6 * t_active
     v_total = rate * 1e6 * t_active + v_minus
     per_ue = np.maximum(
-        rate[:, None] + (0.45 * rate)[:, None]
-        * z[first[:, None] + np.arange(1, _RATE_DRAWS)], 0.05)
+        rate[:, None] + (0.45 * rate)[:, None] * rate_z[:, 1:], 0.05)
 
     def spread(active_values):
         column = np.zeros(len(ues))
@@ -393,15 +365,11 @@ def _kpi_rows(cells, prbs, rate_law, spec, day, block, clamped, z, first):
     for i, counts in zip(np.flatnonzero(active).tolist(),
                          _rate_bins(per_ue).astype(float).tolist()):
         rate_bins[i] = tuple(counts)
-    prb_columns = [np.where(shut, 0.0, v).tolist() for v in (dl, ul)]
-    if clamped is not None:
-        for column, limit, hit in zip(prb_columns, prbs.T, clamped):
-            for i in np.flatnonzero(hit).tolist():
-                column[i] = int(limit[i // 24])
     t_column = spread(t_active)
     return list(map(  # CellKpiRecord's fields, in order
         CellKpiRecord, [c.id for c in cells for _ in range(24)], repeat(day),
-        _HOURS * len(cells), np.where(shut, 0.0, ues).tolist(), *prb_columns,
+        _HOURS * len(cells), np.where(shut, 0.0, ues).tolist(),
+        *(np.where(shut, 0.0, v).tolist() for v in (dl, ul)),
         spread(v_total), spread(v_minus), t_column, rate_bins, cs.tolist(),
         spread(v_total * 0.3), spread(t_active * 1.1), t_column))
 

@@ -467,7 +467,6 @@ def predict_rate(model: RateModel, cell: str, dl_prb_load: float,
 
 
 def build_rate_samples(cfg: NetworkConfig, kpis: Sequence[CellKpiRecord],
-                       edges: Sequence[float] = DEFAULT_BIN_EDGES,
                        ) -> tuple[dict[str, list[RateSample]],
                                   dict[str, list[RateSample]]]:
     """Extract per-cell training rows from KPI records.
@@ -486,8 +485,7 @@ def build_rate_samples(cfg: NetworkConfig, kpis: Sequence[CellKpiRecord],
         if math.fsum(k.rate_bins) > 0:
             ce.setdefault(k.cell_id, []).append(RateSample(
                 cell_id=k.cell_id, hour=k.hour, dl_prb_load=load,
-                rrc_ues=k.rrc_ues, rate_mbps=p5_rate_from_bins(k.rate_bins,
-                                                               edges)))
+                rrc_ues=k.rrc_ues, rate_mbps=p5_rate_from_bins(k.rate_bins)))
     return avg, ce
 
 

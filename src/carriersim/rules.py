@@ -84,13 +84,12 @@ def build_handover_model(cfg: NetworkConfig, mrs: Iterable[MeasurementReport],
 
 def build_handover_model_for_hours(cfg: NetworkConfig,
                                    mrs: Iterable[MeasurementReport],
-                                   hours: Iterable[int] = range(1, 25),
                                    ) -> HandoverModel:
     """Group reports by hour-of-day and build the per-hour models in one pass."""
     by_hour: dict[int, list[MeasurementReport]] = {}
     for report in mrs:
         by_hour.setdefault(report.hour, []).append(report)
-    return HandoverModel(probabilities=_vote(cfg, by_hour, hours))
+    return HandoverModel(probabilities=_vote(cfg, by_hour, range(1, 25)))
 
 
 def _vote(cfg: NetworkConfig,

@@ -19,7 +19,7 @@ import pytest
 from carriersim import (AbmConfig, ScenarioSpec, build_handover_model_for_hours,
                         fit_traffic_model, generate_scenario, parse_datasets,
                         run_benchmark, simulate_day)
-from carriersim.datamodel import parse_kpis
+from carriersim.datamodel import parse_kpis, write_kpis
 
 SIMULATE_DAY_SHA256 = (
     "b0f7a6bdf54016584514b275600c707fdec6c896610bab9cfd7a4435849d7c12")
@@ -47,15 +47,15 @@ GENERATOR_SHA256 = {
 # traffic_noise=1.5), seed=11): each file it writes
 SPARSE_GENERATOR_SHA256 = {
     "energy.csv":
-        "65e52387e1a650d7a55cadd3bb349a02fac6359c3094f92a89ebc7c8ba7f6b7c",
+        "558bc5145138c626bf9f775b0f2b2051d65e23a6293bd1de4899cc3902ade3e9",
     "energy_biased.csv":
-        "cf0566180958d32de15a36155fb163313343f456e774bfe05e900940d5a782ef",
+        "0a8fd583a3a994bbf42c9a587c8005961538df5624e31a8a862eca39fc58a8df",
     "engineering.csv":
         "a1a1dee4e99c8fa2cfc67ced7316f1f3cc285317f9783ab6c7241c31c794d4c8",
     "kpi.csv":
-        "f51ad78e72e11a7c32b02e94a762c0c75a5877b8df58169b448fc2289764ec3f",
+        "76b95c0974a54b10870e00889939289d6b23c8e7d27dee30fed5fc18e00daf93",
     "kpi_biased.csv":
-        "27e7a08a0cbbaaf2e9bda3b799bccedc4fc25b96446997300817495b77fad2f2",
+        "a3df098e08eb94729de8b0570295086c14a2fe5e1911138f8b7266f59a61a8a5",
     "mr.csv":
         "232cfb463794691f227682248fc955d5e49266f24651d8ce7bb4f821a094026d",
     "scenario.json":
@@ -120,3 +120,9 @@ def test_sparse_generator_files_are_pinned(tmp_path):
     assert any(r.rrc_ues == 0.0 and r.cs_minutes == 0.0 for r in kpis)
     biased = parse_kpis(tmp_path / "kpi_biased.csv")
     assert any(r.cs_minutes == 60.0 for r in biased)
+    # every PRB count is written as a float, those clamped to the capacity
+    # too, so the file survives a parse and write unchanged
+    assert any(r.dl_prbs == 270.0 for r in kpis)
+    write_kpis(tmp_path / "rewritten.csv", kpis)
+    assert (tmp_path / "rewritten.csv").read_bytes() \
+        == (tmp_path / "kpi.csv").read_bytes()

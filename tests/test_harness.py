@@ -22,7 +22,9 @@ from carriersim.harness import (
     write_eval_report,
     write_truth,
 )
-from carriersim.harness import _rate_bins
+from carriersim.harness import (_RATE_DRAWS, _TRAFFIC_DRAWS, _at_least,
+                                _build_network, _build_true_traffic,
+                                _drawn_block, _rate_bins)
 from carriersim.ratemodel import DEFAULT_BIN_EDGES
 from carriersim.rules import build_handover_model_for_hours
 
@@ -347,8 +349,9 @@ class TestRateBins:
 
 class TestNormalStream:
     """The generator's campaigns draw their normals in blocks of
-    `standard_normal` and scale them, in place of one `normal` call per value;
-    this is the identity that keeps their files byte-identical."""
+    `standard_normal` and scale them, in place of one `normal` call per value:
+    fixed rows of 104 normals per unbiased cell-hour, with no generator state
+    restored."""
 
     CALLS = [(3.0, 2.0, None), (-1.5, 0.45, 100), (0.0, 0.03, None),
              (0, 3.0, None), (250.0, 112.5, 7), (1e-3, 1e6, None)] * 400
@@ -371,15 +374,19 @@ class TestNormalStream:
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert per_call.bit_generator.state == block.bit_generator.state
 
-    def test_overdraw_then_restore_ends_where_per_call_code_does(self):
-        per_call = np.random.default_rng(8)
-        for _ in range(1000):
-            per_call.normal(1.0, 2.0)
-        block = np.random.default_rng(8)
-        state = block.bit_generator.state
-        too_many = block.standard_normal(5000)
-        block.bit_generator.state = state
-        exact = block.standard_normal(1000)
-        assert exact.tobytes() == too_many[:1000].tobytes()
-        assert per_call.bit_generator.state == block.bit_generator.state
-        assert per_call.random() == block.random()
+    def test_unbiased_rows_draw_fixed_blocks_with_or_without_ues(self):
+        spec = ScenarioSpec(3, 2, 2, peak_capacity_ues=1.0, traffic_noise=1.5)
+        cfg = _build_network(spec)
+        traffic = _build_true_traffic(cfg, spec, np.random.default_rng(11))
+        prbs = np.array([(c.n_dl_prb, c.n_ul_prb) for c in cfg.cells])
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        block, rate_z = _drawn_block(traffic, prbs, rng, slice(0, 5))
+        ues = block[0]
+        assert 0 < np.count_nonzero(ues <= 0.0) < len(ues)
+        z = twin.standard_normal((len(ues), _TRAFFIC_DRAWS + _RATE_DRAWS))
+        mean = traffic.mean.transpose(1, 0, 2).reshape(-1, 3)
+        std = traffic.std.transpose(1, 0, 2).reshape(-1, 3)
+        expected = _at_least(mean[:, 0] + std[:, 0] * z[:, 0], 0.0)
+        assert ues.tobytes() == expected.tobytes()
+        assert rate_z.tobytes() == z[ues > 0.0, _TRAFFIC_DRAWS:].tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
