@@ -24,6 +24,10 @@ class MalformedRowError(SimulatorError):
         super().__init__(f"{path}, row {row_index}: {message}")
         self.path = str(path)
         self.row_index = row_index
+        self.message = message
+
+    def __reduce__(self):  # pickle rebuilds through __init__'s arguments
+        return type(self), (self.path, self.row_index, self.message)
 
 
 class NoSamplesError(SimulatorError):
@@ -33,6 +37,9 @@ class NoSamplesError(SimulatorError):
         super().__init__(f"no samples for cell {cell!r} at hour {hour}")
         self.cell = cell
         self.hour = hour
+
+    def __reduce__(self):
+        return type(self), (self.cell, self.hour)
 
 
 class EmptyCandidateSetError(SimulatorError):

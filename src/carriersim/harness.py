@@ -217,41 +217,73 @@ def _default_energy_law() -> EnergyLaw:
 
 def _generate_mrs(cfg: NetworkConfig, spec: ScenarioSpec,
                   rng: np.random.Generator) -> list[MeasurementReport]:
+    """`spec.reports_per_cell_hour` measurement reports per capacity cell and
+    hour. Each capacity cell, in sorted-id order, draws all its reports as one
+    block of n = 24 * reports_per_cell_hour rows, hour-major (row i is report
+    i % reports_per_cell_hour of hour i // reports_per_cell_hour + 1). With L
+    the coverage cells other than its paired one (sorted) and m = min(3, L),
+    the block draws, in this order:
+
+    - `standard_normal((n, 2 + m))`: the serving RSRP -85 + 3 z[:, 0], the
+      paired RSRP -95 + 4 z[:, 1] and extra neighbour e's -104 + 5 z[:, 2 + e];
+      a row draws every column, also those it does not use;
+    - `integers(0, m + 1, size=n)`: each row's number of extra neighbours;
+    - `_floyd`'s picks of those neighbours among the L other coverage cells;
+    - `integers(0, 60, size=n)`: the timestamp minutes.
+
+    If no report of a (cell, hour) has a non-serving RSRP above the A4
+    threshold plus hysteresis, the first one's paired RSRP becomes that floor
+    + 10, so every cell has a feasible transfer target every hour.
+    """
     coverage = sorted(cfg.coverage_cells)
+    floor = spec.a4_threshold_dbm + spec.a4_hysteresis_db
+    per_hour = spec.reports_per_cell_hour
+    slots = [(hour, k) for hour in _HOURS for k in range(per_hour)]
+    n = len(slots)
+    prefixes = [f"2024-04-{1 + k % 28:02d}T{hour - 1:02d}:"
+                for hour, k in slots]
     reports: list[MeasurementReport] = []
-    qualifying_floor = spec.a4_threshold_dbm + spec.a4_hysteresis_db
     for cap in sorted(cfg.capacity_cells):
         paired = cfg.pairing[cap]
         others = [c for c in coverage if c != paired]
-        for hour in range(1, 25):
-            got_qualifier = False
-            first_index = len(reports)
-            for k in range(spec.reports_per_cell_hour):
-                rsrp = {cap: float(rng.normal(-85.0, 3.0)),
-                        paired: float(rng.normal(-95.0, 4.0))}
-                # UEs report only a handful of neighbours
-                if others:
-                    n_extra = int(rng.integers(0, min(3, len(others)) + 1))
-                    if n_extra:  # choosing none would draw nothing
-                        for j in rng.choice(len(others), size=n_extra,
-                                            replace=False).tolist():
-                            rsrp[others[j]] = float(rng.normal(-104.0, 5.0))
-                stamp = (f"2024-04-{1 + (k % 28):02d}T{hour - 1:02d}:"
-                         f"{rng.integers(0, 60):02d}:00")
-                reports.append(MeasurementReport(
-                    timestamp=stamp, ue_id=f"ue-{cap}-{hour}-{k}",
-                    serving_cell=cap, neighbor_rsrp_dbm=rsrp))
-                got_qualifier = got_qualifier or any(
-                    v > qualifying_floor for c, v in rsrp.items() if c != cap)
-            if not got_qualifier:
-                # guarantee a feasible transfer target for every cell and hour
-                fixed = dict(reports[first_index].neighbor_rsrp_dbm)
-                fixed[paired] = qualifying_floor + 10.0
-                reports[first_index] = MeasurementReport(
-                    timestamp=reports[first_index].timestamp,
-                    ue_id=reports[first_index].ue_id,
-                    serving_cell=cap, neighbor_rsrp_dbm=fixed)
+        m = min(3, len(others))  # UEs report only a handful of neighbours
+        z = rng.standard_normal((n, 2 + m))
+        n_extra = rng.integers(0, m + 1, size=n)
+        picks = _floyd(rng, len(others), n_extra, m)
+        minutes = rng.integers(0, 60, size=n)
+        rsrp = (np.array([-85.0, -95.0] + [-104.0] * m)
+                + np.array([3.0, 4.0] + [5.0] * m) * z)
+        extra_above = (rsrp[:, 2:] > floor) & (np.arange(m) < n_extra[:, None])
+        qualified = (rsrp[:, 1] > floor) | extra_above.any(axis=1)
+        unqualified = ~qualified.reshape(24, per_hour).any(axis=1)
+        rsrp[np.flatnonzero(unqualified) * per_hour, 1] = floor + 10.0
+        # a row's keys stop after its extras, so zip drops unused columns
+        names = np.array(others, dtype=object)[picks].tolist()
+        keys = [[cap, paired, *row[:e]]
+                for row, e in zip(names, n_extra.tolist())]
+        reports += map(
+            MeasurementReport,  # MeasurementReport's fields, in order
+            [f"{p}{mm:02d}:00" for p, mm in zip(prefixes, minutes.tolist())],
+            [f"ue-{cap}-{hour}-{k}" for hour, k in slots], repeat(cap),
+            map(dict, map(zip, keys, rsrp.tolist())))
     return reports
+
+
+def _floyd(rng: np.random.Generator, n_others: int, n_extra: np.ndarray,
+           m: int) -> np.ndarray:
+    """Floyd's sampling without replacement of n_extra[i] of range(n_others)
+    for every row i at once: round s < m draws `integers(0, j + 1)` over the
+    rows with more than s picks, j = n_others - n_extra + s, and a row takes
+    the draw, or j when it already holds the draw. Returns the (rows, m)
+    picks, in round order; a row's entries after its n_extra are 0."""
+    picks = np.zeros((len(n_extra), m), dtype=np.int64)
+    for s in range(m):
+        rows = np.flatnonzero(n_extra > s)
+        j = n_others - n_extra[rows] + s
+        drawn = rng.integers(0, j + 1)
+        taken = (picks[rows, :s] == drawn[:, None]).any(axis=1)
+        picks[rows, s] = np.where(taken, j, drawn)
+    return picks
 
 
 _RATE_EDGES = np.asarray(DEFAULT_BIN_EDGES)

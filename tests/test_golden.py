@@ -29,17 +29,17 @@ RUN_BENCHMARK_SHA256 = (
 # the handover table built from its reports (sorted items, repr'd)
 GENERATOR_SHA256 = {
     "energy.csv":
-        "8bf37b488839773fbbf05864f0dee79259503b5ae94bddf6bea0be844dc4fbcb",
+        "583679bc64294a817334f81815dbdc9e978116d386dd4751a533c61e5829c219",
     "energy_biased.csv":
-        "a840c76e21cc71ea602f4142cc0bc587d2ad8867784f8bb5c243aa01609952e5",
+        "ab96c2714b7653b50d44fbfbe19560c635a9f2a07d297a8f87b041c7c92e0cbe",
     "engineering.csv":
         "3a42a7e83cd882a749781ceadf8856ac732821a5657262ed00ca8aaf431cf5eb",
     "kpi.csv":
-        "17f10bb14a34ac28a2e80ede5f3ea6e64398047ce54e3d0d6d0eb058d632ddf8",
+        "bf1c796568b385514d5ac00f4fd324e0c52204104b945b9373462c9b51d218f6",
     "kpi_biased.csv":
-        "86a3c48e58f70d08460be6b27bf2bf80ec4968a36e39e308cd1352de4b390828",
+        "e32abc18eb64cf923450e1da61da427a8c76480704c5d57933ec68ab7de686d0",
     "mr.csv":
-        "b5b308d1f98a3397be2c353c9e8a5d3e51de43c82795eac0b813c5efc89a200d",
+        "3c44406dc03696028bebb086a26c1169ca4c73ef1b329234d688d6698f79bf6e",
     "scenario.json":
         "06f4461d137d77ce0191923c52914b2db312ed03857469c3f60298a733e2b213",
 }
@@ -47,22 +47,22 @@ GENERATOR_SHA256 = {
 # traffic_noise=1.5), seed=11): each file it writes
 SPARSE_GENERATOR_SHA256 = {
     "energy.csv":
-        "558bc5145138c626bf9f775b0f2b2051d65e23a6293bd1de4899cc3902ade3e9",
+        "d6b8e47b3af2ef1c545b3957f5b812bda56078e02885422d1b3a7a27897e0763",
     "energy_biased.csv":
-        "0a8fd583a3a994bbf42c9a587c8005961538df5624e31a8a862eca39fc58a8df",
+        "29d58ec40ac31bb2306ce5345654f9455c6fb9ce64a7abba72daaa393cc005c9",
     "engineering.csv":
         "a1a1dee4e99c8fa2cfc67ced7316f1f3cc285317f9783ab6c7241c31c794d4c8",
     "kpi.csv":
-        "76b95c0974a54b10870e00889939289d6b23c8e7d27dee30fed5fc18e00daf93",
+        "d835e9df6bb3e588c635cf8db9038e1cbe9d33fa0da615fbab9e94ff579154d8",
     "kpi_biased.csv":
-        "a3df098e08eb94729de8b0570295086c14a2fe5e1911138f8b7266f59a61a8a5",
+        "5c9aa4b43f17b3b867e0a085fb76ff1641caff31105b9175a368a51a1e9cf223",
     "mr.csv":
-        "232cfb463794691f227682248fc955d5e49266f24651d8ce7bb4f821a094026d",
+        "719e4ec2e98e57273741578f9e79a196f6b9fc34917f9457ac49781c75f02500",
     "scenario.json":
         "c1c3b804eb4c9506a13dab8ed5421aded255c4705aa3c93eb8226cf9562dab6b",
 }
 HANDOVER_TABLE_SHA256 = (
-    "4192adceedc9ee9cd4f6862acfcc694ff3b925c8de3fe04b2c88b7b63e6634c3")
+    "a234385b6acc15018706c9895f496d4cc9ab7a8cabfb3320fd16705f731fd588")
 
 
 def _digest(outputs, names):

@@ -24,7 +24,7 @@ from carriersim.harness import (
 )
 from carriersim.harness import (_RATE_DRAWS, _TRAFFIC_DRAWS, _at_least,
                                 _build_network, _build_true_traffic,
-                                _drawn_block, _rate_bins)
+                                _drawn_block, _generate_mrs, _rate_bins)
 from carriersim.ratemodel import DEFAULT_BIN_EDGES
 from carriersim.rules import build_handover_model_for_hours
 
@@ -390,3 +390,126 @@ class TestNormalStream:
         assert ues.tobytes() == expected.tobytes()
         assert rate_z.tobytes() == z[ues > 0.0, _TRAFFIC_DRAWS:].tobytes()
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _extras(cfg, report):
+    """A report's extra neighbours: its cells other than the serving and
+    the paired one."""
+    cap = report.serving_cell
+    return [c for c in report.neighbor_rsrp_dbm
+            if c not in (cap, cfg.pairing[cap])]
+
+
+class TestMeasurementReports:
+    """Each capacity cell draws its reports as one block of array draws."""
+
+    @staticmethod
+    def twin_reports(cfg, spec, rng):
+        """The block layout drawn again from `rng`, with Floyd's picks and
+        the qualifier rule done report by report: {ue_id: (timestamp,
+        rsrp)}."""
+        coverage = sorted(cfg.coverage_cells)
+        floor = spec.a4_threshold_dbm + spec.a4_hysteresis_db
+        per_hour = spec.reports_per_cell_hour
+        n = 24 * per_hour
+        expected = {}
+        for cap in sorted(cfg.capacity_cells):
+            paired = cfg.pairing[cap]
+            others = [c for c in coverage if c != paired]
+            m = min(3, len(others))
+            z = rng.standard_normal((n, 2 + m))
+            n_extra = rng.integers(0, m + 1, size=n)
+            picked = [[] for _ in range(n)]
+            for s in range(m):
+                rows = np.flatnonzero(n_extra > s)
+                drawn = rng.integers(0, len(others) - n_extra[rows] + s + 1)
+                for i, t in zip(rows.tolist(), drawn.tolist()):
+                    j = len(others) - int(n_extra[i]) + s
+                    picked[i].append(j if t in picked[i] else t)
+            minutes = rng.integers(0, 60, size=n)
+            for hour in range(1, 25):
+                rows = range((hour - 1) * per_hour, hour * per_hour)
+                hour_reports = []
+                for k, i in enumerate(rows):
+                    rsrp = {cap: -85.0 + 3.0 * z[i, 0],
+                            paired: -95.0 + 4.0 * z[i, 1]}
+                    for e, j in enumerate(picked[i]):
+                        rsrp[others[j]] = -104.0 + 5.0 * z[i, 2 + e]
+                    stamp = (f"2024-04-{1 + k % 28:02d}T{hour - 1:02d}:"
+                             f"{minutes[i]:02d}:00")
+                    hour_reports.append((f"ue-{cap}-{hour}-{k}", stamp, rsrp))
+                if not any(v > floor for _, _, rsrp in hour_reports
+                           for c, v in rsrp.items() if c != cap):
+                    hour_reports[0][2][paired] = floor + 10.0
+                expected.update((ue, (stamp, rsrp))
+                                for ue, stamp, rsrp in hour_reports)
+        return expected
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(6, 3, 2),
+        # a floor that few paired RSRPs clear, so the qualifier rule acts
+        ScenarioSpec(5, 6, 1, reports_per_cell_hour=3, a4_threshold_dbm=-90.0),
+    ])
+    def test_block_layout_of_every_cell(self, spec):
+        cfg = _build_network(spec)
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        reports = _generate_mrs(cfg, spec, rng)
+        expected = self.twin_reports(cfg, spec, twin)
+        got = {r.ue_id: (r.timestamp, r.neighbor_rsrp_dbm) for r in reports}
+        assert list(got) == list(expected)
+        for ue, (stamp, rsrp) in expected.items():
+            assert got[ue][0] == stamp, ue
+            assert list(got[ue][1]) == list(rsrp), ue
+            assert np.array(list(got[ue][1].values())).tobytes() \
+                == np.array(list(rsrp.values())).tobytes(), ue
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_invariants(self):
+        spec = ScenarioSpec(5, 6, 1, reports_per_cell_hour=3,
+                            a4_threshold_dbm=-90.0)
+        cfg = _build_network(spec)
+        floor = spec.a4_threshold_dbm + spec.a4_hysteresis_db
+        per_cell_hour, qualified, lifted = {}, set(), 0
+        for r in _generate_mrs(cfg, spec, np.random.default_rng(5)):
+            cap, paired = r.serving_cell, cfg.pairing[r.serving_cell]
+            key = (cap, r.hour)
+            per_cell_hour[key] = per_cell_hour.get(key, 0) + 1
+            rsrp = r.neighbor_rsrp_dbm
+            assert cap in rsrp and paired in rsrp
+            extras = _extras(cfg, r)
+            assert len(extras) <= 3
+            assert set(extras) <= cfg.coverage_cells
+            if any(v > floor for c, v in rsrp.items() if c != cap):
+                qualified.add(key)
+            lifted += rsrp[paired] == floor + 10.0
+        assert set(per_cell_hour) == {(c, h) for c in cfg.capacity_cells
+                                      for h in range(1, 25)}
+        assert set(per_cell_hour.values()) == {3}
+        assert qualified == set(per_cell_hour)
+        assert lifted > 0
+
+    def test_extra_neighbours_follow_the_analytic_law(self):
+        # 5 coverage cells besides the paired one, so m = 3: n_extra is
+        # uniform on 0..3 and each other cell is picked with probability
+        # E[n_extra] / 5 = 0.3 per report
+        spec = ScenarioSpec(4, 6, 1, reports_per_cell_hour=50)
+        cfg = _build_network(spec)
+        n_extra, picks, per_cell = np.zeros(4), {}, {}
+        for seed in (1, 2, 3):
+            for r in _generate_mrs(cfg, spec, np.random.default_rng(seed)):
+                extras = _extras(cfg, r)
+                n_extra[len(extras)] += 1
+                per_cell[r.serving_cell] = per_cell.get(r.serving_cell, 0) + 1
+                for c in extras:
+                    key = (r.serving_cell, c)
+                    picks[key] = picks.get(key, 0) + 1
+
+        def within_5_sigma(count, trials, p):
+            return abs(count - trials * p) <= 5 * np.sqrt(trials * p * (1 - p))
+
+        total = n_extra.sum()
+        assert all(within_5_sigma(c, total, 0.25) for c in n_extra), n_extra
+        assert len(picks) == 4 * 5
+        for (cap, c), count in picks.items():
+            assert c != cfg.pairing[cap]
+            assert within_5_sigma(count, per_cell[cap], 0.3), (cap, c, count)
