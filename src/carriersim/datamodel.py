@@ -37,6 +37,7 @@ and row, like any other malformed value.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ from .errors import (
 N_RATE_BINS = 15
 MAX_CARRIERS = 6
 DEFAULT_SIGMA_FLOOR = 1e-6
+_WRITE_CHUNK = 1536   # rows the KPI and MR writers format at a time
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +245,29 @@ class RadioEnergyRecord:
 
 
 @dataclass(frozen=True)
+class KpiRows:
+    """KPI rows as columns: each row's cell id, day and hour, and its
+    counters as one (rows, 25) float64 array in kpi.csv column order."""
+
+    cell_ids: list[str]
+    day: np.ndarray
+    hour: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[CellKpiRecord]) -> "KpiRows":
+        records = list(records)
+        return cls(
+            [r.cell_id for r in records], np.array([r.day for r in records]),
+            np.array([r.hour for r in records]),
+            np.array([(r.rrc_ues, r.dl_prbs, r.ul_prbs, r.dl_bits,
+                       r.dl_bits_lastslot, r.dl_active_time_s, r.ul_bits,
+                       r.dl_total_time_s, r.ul_time_s, *r.rate_bins,
+                       r.cs_minutes) for r in records],
+                     dtype=float).reshape(len(records), len(_KPI_COLUMNS) - 3))
+
+
+@dataclass(frozen=True)
 class MeasurementReport:
     timestamp: str
     ue_id: str
@@ -253,6 +278,60 @@ class MeasurementReport:
     def hour(self) -> int:
         """Hour-of-day index in 1..24 derived from the ISO timestamp."""
         return int(self.timestamp[11:13]) + 1
+
+
+@dataclass(frozen=True, eq=False)
+class MeasurementReports:
+    """Measurement reports as columns. Report i was sent at timestamps[i] by
+    UE ue_ids[i] and served by cells[serving[i]]; its RSRP pairs are
+    (cells[neighbours[k]], rsrp_dbm[k]) for k in offsets[i]:offsets[i + 1]
+    (compressed sparse rows), in the order they were given. `cells` is
+    sorted, so code order is cell-id order. len(), iteration and indexing
+    give MeasurementReport rows, built on demand (iteration stops at the
+    IndexError past the last one)."""
+
+    cells: tuple[str, ...]
+    timestamps: list[str]
+    ue_ids: list[str]
+    serving: np.ndarray
+    offsets: np.ndarray
+    neighbours: np.ndarray
+    rsrp_dbm: np.ndarray
+
+    @classmethod
+    def from_rows(cls, reports: Iterable[MeasurementReport],
+                  ) -> "MeasurementReports":
+        """The columns of `reports`, read once and not kept."""
+        stamps, ue_ids, serving, counts, cells, rsrp = [], [], [], [0], [], []
+        for r in reports:
+            stamps.append(r.timestamp)
+            ue_ids.append(r.ue_id)
+            serving.append(r.serving_cell)
+            counts.append(len(r.neighbor_rsrp_dbm))
+            cells += r.neighbor_rsrp_dbm
+            rsrp += r.neighbor_rsrp_dbm.values()
+        names = tuple(sorted(set(serving).union(cells)))
+        code = {c: k for k, c in enumerate(names)}.__getitem__
+        serving, cells = (np.array(list(map(code, ids)), dtype=int)
+                          for ids in (serving, cells))
+        return cls(names, stamps, ue_ids, serving, np.cumsum(counts), cells,
+                   np.array(rsrp, dtype=float))
+
+    @functools.cached_property
+    def hour(self) -> np.ndarray:
+        """Each report's MeasurementReport.hour."""
+        return np.array([int(t[11:13]) + 1 for t in self.timestamps], dtype=int)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, i: int) -> MeasurementReport:
+        i = range(len(self))[i]
+        pairs = slice(self.offsets[i], self.offsets[i + 1])
+        return MeasurementReport(
+            self.timestamps[i], self.ue_ids[i], self.cells[self.serving[i]],
+            dict(zip([self.cells[k] for k in self.neighbours[pairs].tolist()],
+                     self.rsrp_dbm[pairs].tolist())))
 
 
 TRAFFIC_KPIS = ("ues", "dl_prbs", "ul_prbs")
@@ -524,30 +603,26 @@ def parse_energy(path) -> list[RadioEnergyRecord]:
     return records
 
 
-def parse_mrs(path) -> list[MeasurementReport]:
+def parse_mrs(path) -> MeasurementReports:
     header, rows = _rows(path)
     _require(header, _MR_COLUMNS, path)
-    reports = []
-    for i, row in enumerate(rows, start=1):
-        if not _TIMESTAMP.fullmatch(row["timestamp"]):
-            raise MalformedRowError(
-                path, i, f"timestamp {row['timestamp']!r} is not "
-                "YYYY-MM-DDTHH:MM:SS with hour 00-23")
-        rsrp = _parse_pairs(row["rsrp_dbm"], path, i)
-        rec = MeasurementReport(
-            timestamp=row["timestamp"],
-            ue_id=row["ue_id"],
-            serving_cell=row["serving_cell"],
-            neighbor_rsrp_dbm=rsrp,
-        )
-        if rec.serving_cell not in rsrp:
-            raise MalformedRowError(path, i, "serving cell has no RSRP entry")
-        reports.append(rec)
-    return reports
+
+    def reports():
+        for i, row in enumerate(rows, start=1):
+            if not _TIMESTAMP.fullmatch(row["timestamp"]):
+                raise MalformedRowError(
+                    path, i, f"timestamp {row['timestamp']!r} is not "
+                    "YYYY-MM-DDTHH:MM:SS with hour 00-23")
+            rsrp = _parse_pairs(row["rsrp_dbm"], path, i)
+            if row["serving_cell"] not in rsrp:
+                raise MalformedRowError(path, i, "serving cell has no RSRP entry")
+            yield MeasurementReport(row["timestamp"], row["ue_id"],
+                                    row["serving_cell"], rsrp)
+    return MeasurementReports.from_rows(reports())
 
 
 def parse_datasets(paths) -> tuple[NetworkConfig, list[CellKpiRecord],
-                                   list[RadioEnergyRecord], list[MeasurementReport]]:
+                                   list[RadioEnergyRecord], MeasurementReports]:
     """Parse the four dataset files; `paths` is a directory or DatasetPaths."""
     if not isinstance(paths, DatasetPaths):
         paths = DatasetPaths.in_dir(paths)
@@ -607,18 +682,19 @@ def write_engineering(path, cfg: NetworkConfig) -> None:
             ])
 
 
-def write_kpis(path, records: Iterable[CellKpiRecord]) -> None:
+def write_kpis(path, rows: KpiRows | Iterable[CellKpiRecord]) -> None:
+    """Write a KpiRows, or records through KpiRows.from_records, formatting
+    _WRITE_CHUNK rows at a time (csv.writer writes a float as its repr)."""
+    if not isinstance(rows, KpiRows):
+        rows = KpiRows.from_records(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_KPI_COLUMNS)
-        for rec in records:
-            writer.writerow([
-                rec.cell_id, rec.day, rec.hour, _fmt(rec.rrc_ues),
-                _fmt(rec.dl_prbs), _fmt(rec.ul_prbs), _fmt(rec.dl_bits),
-                _fmt(rec.dl_bits_lastslot), _fmt(rec.dl_active_time_s),
-                _fmt(rec.ul_bits), _fmt(rec.dl_total_time_s), _fmt(rec.ul_time_s),
-                *[_fmt(v) for v in rec.rate_bins], _fmt(rec.cs_minutes),
-            ])
+        for lo in range(0, len(rows.cell_ids), _WRITE_CHUNK):
+            chunk = slice(lo, lo + _WRITE_CHUNK)
+            writer.writerows(zip(rows.cell_ids[chunk], rows.day[chunk].tolist(),
+                                 rows.hour[chunk].tolist(),
+                                 *rows.values[chunk].T.tolist()))
 
 
 def write_energy(path, records: Iterable[RadioEnergyRecord]) -> None:
@@ -629,15 +705,29 @@ def write_energy(path, records: Iterable[RadioEnergyRecord]) -> None:
             writer.writerow([rec.radio_unit, rec.day, rec.hour, _fmt(rec.energy_wh)])
 
 
-def write_mrs(path, reports: Iterable[MeasurementReport]) -> None:
+def write_mrs(path, reports: MeasurementReports | Iterable[MeasurementReport],
+              ) -> None:
+    """Write a MeasurementReports, or rows through its from_rows, with each
+    report's pairs in cell-id order, _WRITE_CHUNK reports at a time."""
+    if not isinstance(reports, MeasurementReports):
+        reports = MeasurementReports.from_rows(reports)
+    ends = reports.offsets.tolist()
+    by_id = np.lexsort((reports.neighbours, np.repeat(
+        np.arange(len(reports)), np.diff(reports.offsets))))
+    cells, rsrp = reports.neighbours[by_id], reports.rsrp_dbm[by_id]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_MR_COLUMNS)
-        for rec in reports:
-            writer.writerow([
-                rec.timestamp, rec.ue_id, rec.serving_cell,
-                _format_pairs(rec.neighbor_rsrp_dbm),
-            ])
+        for lo in range(0, len(reports), _WRITE_CHUNK):
+            hi = min(lo + _WRITE_CHUNK, len(reports))
+            pairs = [f"{reports.cells[c]}:{v!r}" for c, v in zip(
+                cells[ends[lo]:ends[hi]].tolist(),
+                rsrp[ends[lo]:ends[hi]].tolist())]
+            writer.writerows(zip(
+                reports.timestamps[lo:hi], reports.ue_ids[lo:hi],
+                [reports.cells[k] for k in reports.serving[lo:hi].tolist()],
+                ["|".join(pairs[a - ends[lo]:b - ends[lo]])
+                 for a, b in zip(ends[lo:hi], ends[lo + 1:hi + 1])]))
 
 
 def write_datasets(directory, cfg, kpis, energies, mrs) -> DatasetPaths:

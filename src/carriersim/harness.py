@@ -29,8 +29,9 @@ from .abm import AbmConfig, HourlyOutputs, simulate_day
 from .datamodel import (
     A4Params,
     Cell,
-    CellKpiRecord,
-    MeasurementReport,
+    N_RATE_BINS,
+    KpiRows,
+    MeasurementReports,
     NetworkConfig,
     RadioEnergyRecord,
     RadioUnit,
@@ -134,7 +135,7 @@ class SyntheticScenario:
     traffic: TrafficModel           # the true generating distributions
     energy_law: EnergyLaw
     rate_law: RateLaw
-    mrs: tuple[MeasurementReport, ...]
+    mrs: MeasurementReports
     seed: int
     spec: ScenarioSpec
 
@@ -216,7 +217,7 @@ def _default_energy_law() -> EnergyLaw:
 
 
 def _generate_mrs(cfg: NetworkConfig, spec: ScenarioSpec,
-                  rng: np.random.Generator) -> list[MeasurementReport]:
+                  rng: np.random.Generator) -> MeasurementReports:
     """`spec.reports_per_cell_hour` measurement reports per capacity cell and
     hour. Each capacity cell, in sorted-id order, draws all its reports as one
     block of n = 24 * reports_per_cell_hour rows, hour-major (row i is report
@@ -233,8 +234,11 @@ def _generate_mrs(cfg: NetworkConfig, spec: ScenarioSpec,
 
     If no report of a (cell, hour) has a non-serving RSRP above the A4
     threshold plus hysteresis, the first one's paired RSRP becomes that floor
-    + 10, so every cell has a feasible transfer target every hour.
+    + 10, so every cell has a feasible transfer target every hour. A report's
+    pairs are its serving, paired and extra cells, in that order.
     """
+    names = tuple(sorted(c.id for c in cfg.cells))
+    code = {c: k for k, c in enumerate(names)}
     coverage = sorted(cfg.coverage_cells)
     floor = spec.a4_threshold_dbm + spec.a4_hysteresis_db
     per_hour = spec.reports_per_cell_hour
@@ -242,7 +246,7 @@ def _generate_mrs(cfg: NetworkConfig, spec: ScenarioSpec,
     n = len(slots)
     prefixes = [f"2024-04-{1 + k % 28:02d}T{hour - 1:02d}:"
                 for hour, k in slots]
-    reports: list[MeasurementReport] = []
+    timestamps, ue_ids, blocks = [], [], []
     for cap in sorted(cfg.capacity_cells):
         paired = cfg.pairing[cap]
         others = [c for c in coverage if c != paired]
@@ -257,16 +261,19 @@ def _generate_mrs(cfg: NetworkConfig, spec: ScenarioSpec,
         qualified = (rsrp[:, 1] > floor) | extra_above.any(axis=1)
         unqualified = ~qualified.reshape(24, per_hour).any(axis=1)
         rsrp[np.flatnonzero(unqualified) * per_hour, 1] = floor + 10.0
-        # a row's keys stop after its extras, so zip drops unused columns
-        names = np.array(others, dtype=object)[picks].tolist()
-        keys = [[cap, paired, *row[:e]]
-                for row, e in zip(names, n_extra.tolist())]
-        reports += map(
-            MeasurementReport,  # MeasurementReport's fields, in order
-            [f"{p}{mm:02d}:00" for p, mm in zip(prefixes, minutes.tolist())],
-            [f"ue-{cap}-{hour}-{k}" for hour, k in slots], repeat(cap),
-            map(dict, map(zip, keys, rsrp.tolist())))
-    return reports
+        timestamps += [f"{p}{mm:02d}:00"
+                       for p, mm in zip(prefixes, minutes.tolist())]
+        ue_ids += [f"ue-{cap}-{hour}-{k}" for hour, k in slots]
+        cells = np.column_stack((
+            np.full((n, 2), (code[cap], code[paired])),
+            np.array([code[c] for c in others], dtype=np.intp)[picks]))
+        used = np.arange(2 + m) < 2 + n_extra[:, None]  # row-major: in order
+        blocks.append((np.full(n, code[cap]), 2 + n_extra, cells[used],
+                       rsrp[used]))
+    serving, counts, neighbours, rsrp = map(np.concatenate, zip(*blocks))
+    return MeasurementReports(names, timestamps, ue_ids, serving,
+                              np.concatenate(([0], np.cumsum(counts))),
+                              neighbours, rsrp)
 
 
 def _floyd(rng: np.random.Generator, n_others: int, n_extra: np.ndarray,
@@ -287,7 +294,6 @@ def _floyd(rng: np.random.Generator, n_others: int, n_extra: np.ndarray,
 
 
 _RATE_EDGES = np.asarray(DEFAULT_BIN_EDGES)
-_NO_RATES = (0.0,) * (len(DEFAULT_BIN_EDGES) - 1)
 _UE_RATES = 100          # per-UE rate samples behind a row's rate bins
 _RATE_DRAWS = 1 + _UE_RATES   # an active row's rate noise, then those
 _TRAFFIC_DRAWS = 3       # an unbiased row's UEs, DL and UL PRBs
@@ -320,10 +326,10 @@ def _idle(ues: np.ndarray, cs_minutes: np.ndarray) -> np.ndarray:
 
 
 def _campaign(cfg, energy_law, rate_law, spec, rng, traffic, handover=None):
-    """KPI and energy records of one measurement campaign: the unbiased one,
-    or with `handover` the shutdown-active one. Rows are built from arrays,
-    _BLOCK_CELLS cells at a time, and take every random value from one normal
-    stream of `rng`, in this order:
+    """KpiRows and energy records of one measurement campaign: the unbiased
+    one, or with `handover` the shutdown-active one. Rows are built from
+    arrays, _BLOCK_CELLS cells at a time, and take every random value from
+    one normal stream of `rng`, in this order:
 
     - unbiased: each cell-hour, cells in configuration order and hours 1-24
       within a cell, draws 104 normals: its UEs, DL and UL PRBs, then its rate
@@ -348,11 +354,13 @@ def _campaign(cfg, energy_law, rate_law, spec, rng, traffic, handover=None):
                 block = simulated[:, cells].reshape(4, -1)
                 n_active = np.count_nonzero(~_idle(block[0], block[3]))
                 rate_z = rng.standard_normal((n_active, _RATE_DRAWS))
-            kpis += _kpi_rows(cfg.cells[cells], prbs[cells], rate_law, spec,
-                              day, block, rate_z)
+            kpis.append(_kpi_values(prbs[cells], rate_law, spec, block, rate_z))
             values[:, cells] = block.reshape(4, -1, 24)
         energies += _energy_rows(cfg, energy_law, spec, rng, day, values)
-    return kpis, energies
+    return KpiRows([c.id for c in cfg.cells for _ in _HOURS] * spec.n_days,
+                   np.repeat(np.arange(1, spec.n_days + 1), n_cells * 24),
+                   np.tile(_HOURS, n_cells * spec.n_days),
+                   np.concatenate(kpis)), energies
 
 
 def _drawn_block(traffic, prbs, rng, cells):
@@ -369,11 +377,12 @@ def _drawn_block(traffic, prbs, rng, cells):
     return block, z[ues > 0.0, _TRAFFIC_DRAWS:]
 
 
-def _kpi_rows(cells, prbs, rate_law, spec, day, block, rate_z):
-    """KPI records of `cells` (hours 1-24 within a cell) from their
-    (ues, dl, ul, cs_minutes) rows; `rate_z` holds each active row's rate
-    noise normal, followed by its per-UE rate normals. Shut-down rows report
-    no traffic; rows without UEs keep their PRBs."""
+def _kpi_values(prbs, rate_law, spec, block, rate_z):
+    """kpi.csv's counters, one row per cell-hour (hours 1-24 within a cell),
+    from the (ues, dl, ul, cs_minutes) rows of cells with PRB counts `prbs`;
+    `rate_z` holds each active row's rate noise normal, followed by its
+    per-UE rate normals. Shut-down rows report no traffic; rows without UEs
+    keep their PRBs; inactive rows have no volumes, times or rates."""
     ues, dl, ul, cs = block
     shut = cs >= 60.0
     active = ~_idle(ues, cs)
@@ -387,23 +396,14 @@ def _kpi_rows(cells, prbs, rate_law, spec, day, block, rate_z):
     v_total = rate * 1e6 * t_active + v_minus
     per_ue = np.maximum(
         rate[:, None] + (0.45 * rate)[:, None] * rate_z[:, 1:], 0.05)
-
-    def spread(active_values):
-        column = np.zeros(len(ues))
-        column[active] = active_values
-        return column.tolist()
-
-    rate_bins = [_NO_RATES] * len(ues)
-    for i, counts in zip(np.flatnonzero(active).tolist(),
-                         _rate_bins(per_ue).astype(float).tolist()):
-        rate_bins[i] = tuple(counts)
-    t_column = spread(t_active)
-    return list(map(  # CellKpiRecord's fields, in order
-        CellKpiRecord, [c.id for c in cells for _ in range(24)], repeat(day),
-        _HOURS * len(cells), np.where(shut, 0.0, ues).tolist(),
-        *(np.where(shut, 0.0, v).tolist() for v in (dl, ul)),
-        spread(v_total), spread(v_minus), t_column, rate_bins, cs.tolist(),
-        spread(v_total * 0.3), spread(t_active * 1.1), t_column))
+    values = np.zeros((len(ues), 10 + N_RATE_BINS))
+    values[:, :3] = np.where(shut, 0.0, [ues, dl, ul]).T
+    values[active, 3:9] = np.transpose([v_total, v_minus, t_active,
+                                        v_total * 0.3, t_active * 1.1,
+                                        t_active])
+    values[active, 9:-1] = _rate_bins(per_ue)
+    values[:, -1] = cs
+    return values
 
 
 def _energy_rows(cfg, energy_law, spec, rng, day, values):
@@ -445,6 +445,9 @@ def generate_scenario(spec: ScenarioSpec, out_dir, seed: int,
         raise InvalidSpecError("need at least one capacity and one coverage cell")
     if spec.n_days < 1:
         raise InvalidSpecError("need at least one day")
+    if spec.reports_per_cell_hour < 1:
+        raise InvalidSpecError("need at least one measurement report per "
+                               "capacity cell and hour")
     rng = np.random.default_rng(seed)
     cfg = _build_network(spec)
     traffic = _build_true_traffic(cfg, spec, rng)
@@ -465,7 +468,7 @@ def generate_scenario(spec: ScenarioSpec, out_dir, seed: int,
         "n_coverage": spec.n_coverage, "n_days": spec.n_days,
     }, sort_keys=True), encoding="utf-8")
     return SyntheticScenario(cfg=cfg, traffic=traffic, energy_law=energy_law,
-                             rate_law=rate_law, mrs=tuple(mrs), seed=seed,
+                             rate_law=rate_law, mrs=mrs, seed=seed,
                              spec=spec)
 
 

@@ -9,7 +9,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .datamodel import A4Params, MeasurementReport, NetworkConfig, ShutdownThresholds
+import numpy as np
+
+from .datamodel import (A4Params, MeasurementReport, MeasurementReports,
+                        NetworkConfig, ShutdownThresholds)
 
 PROBABILITY_SUM_TOL = 1e-9
 
@@ -41,11 +44,16 @@ def check_wakeup(paired_ues: float, paired_dl_prbs: float, paired_ul_prbs: float
 def a4_qualifies(rsrp_dbm: float, a4: A4Params, neighbor: str) -> bool:
     """Biased-RSRP trigger: rsrp + freq offset + cell offset - hysteresis
     must exceed the serving cell's threshold (strictly)."""
-    biased = (rsrp_dbm
-              + a4.freq_offset_db.get(neighbor, 0.0)
-              + a4.cell_offset_db.get(neighbor, 0.0)
-              - a4.hysteresis_db)
-    return biased > a4.threshold_dbm
+    return _a4_trigger(rsrp_dbm, a4.freq_offset_db.get(neighbor, 0.0),
+                       a4.cell_offset_db.get(neighbor, 0.0), a4.hysteresis_db,
+                       a4.threshold_dbm)
+
+
+def _a4_trigger(rsrp_dbm, freq_offset_db, cell_offset_db, hysteresis_db,
+                threshold_dbm):
+    """a4_qualifies on the offsets already looked up; elementwise on arrays."""
+    return (rsrp_dbm + freq_offset_db + cell_offset_db
+            - hysteresis_db) > threshold_dbm
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,8 @@ def transfer_candidates(cfg: NetworkConfig, capacity_cell: str) -> list[str]:
     return [c for c in cfg.cells_on_frequency(freq) if c != capacity_cell]
 
 
-def build_handover_model(cfg: NetworkConfig, mrs: Iterable[MeasurementReport],
+def build_handover_model(cfg: NetworkConfig,
+                         mrs: MeasurementReports | Iterable[MeasurementReport],
                          hour: int) -> HandoverModel:
     """Estimate transfer probabilities for one hour from measurement reports.
 
@@ -77,44 +86,59 @@ def build_handover_model(cfg: NetworkConfig, mrs: Iterable[MeasurementReport],
     served by a capacity cell votes for its strongest A4-qualifying neighbour
     on the paired coverage frequency (ties broken towards the lowest cell id);
     votes are normalized per cell. Cells with no qualifying report get an
-    empty map.
+    empty map. A list of reports is voted as MeasurementReports.from_rows.
     """
-    return HandoverModel(probabilities=_vote(cfg, {hour: mrs}, (hour,)))
+    return HandoverModel(probabilities=_vote(cfg, mrs, hour))
 
 
-def build_handover_model_for_hours(cfg: NetworkConfig,
-                                   mrs: Iterable[MeasurementReport],
-                                   ) -> HandoverModel:
+def build_handover_model_for_hours(
+        cfg: NetworkConfig, mrs: MeasurementReports | Iterable[MeasurementReport],
+        ) -> HandoverModel:
     """Group reports by hour-of-day and build the per-hour models in one pass."""
-    by_hour: dict[int, list[MeasurementReport]] = {}
-    for report in mrs:
-        by_hour.setdefault(report.hour, []).append(report)
-    return HandoverModel(probabilities=_vote(cfg, by_hour, range(1, 25)))
+    return HandoverModel(probabilities=_vote(cfg, mrs))
 
 
-def _vote(cfg: NetworkConfig,
-          by_hour: Mapping[int, Iterable[MeasurementReport]],
-          hours: Iterable[int]) -> dict[tuple[str, int], dict[str, float]]:
-    """build_handover_model's table for each of `hours`, from by_hour[hour]."""
-    candidates = {c: set(transfer_candidates(cfg, c))
-                  for c in cfg.capacity_cells}
-    table: dict[tuple[str, int], dict[str, float]] = {}
-    for hour in hours:
-        counts: dict[str, dict[str, int]] = {c: {} for c in candidates}
-        for report in by_hour.get(hour, ()):
-            serving = report.serving_cell
-            if serving not in counts:
-                continue
-            a4, eligible = cfg.mobility[serving], candidates[serving]
-            # strongest qualifying neighbour, the lowest id among equals
-            qualifying = [(-rsrp, j)
-                          for j, rsrp in report.neighbor_rsrp_dbm.items()
-                          if j in eligible and a4_qualifies(rsrp, a4, j)]
-            if qualifying:
-                best = min(qualifying)[1]
-                counts[serving][best] = counts[serving].get(best, 0) + 1
-        for cell, votes in sorted(counts.items()):
-            total = sum(votes.values())
-            table[(cell, hour)] = {j: n / total
-                                   for j, n in sorted(votes.items())}
-    return table
+def _vote(cfg: NetworkConfig, mrs, hour: int | None = None) -> dict:
+    """build_handover_model's table for `hour` from all of `mrs`, or without
+    `hour` the table of every hour 1-24 from the reports of that hour, voted
+    on the report arrays."""
+    if not isinstance(mrs, MeasurementReports):
+        mrs = MeasurementReports.from_rows(mrs)
+    hours = list(range(1, 25)) if hour is None else [hour]
+    report_hour = mrs.hour if hour is None else np.full(len(mrs), hour)
+    names, n = mrs.cells, len(mrs.cells)
+    frequency = {c.id: c.frequency_mhz for c in cfg.cells}
+    a4 = {k: cfg.mobility[names[k]] for k in np.flatnonzero(np.bincount(
+        mrs.serving, minlength=n)).tolist() if names[k] in cfg.capacity_cells}
+    # by cell code: the frequency and, for a capacity cell serving a report,
+    # its candidates' frequency (its paired cell's)
+    freq = np.array([frequency.get(c, np.nan) for c in names])
+    layer = np.array([frequency[cfg.pairing[c]] if k in a4 else np.nan
+                      for k, c in enumerate(names)])
+    report = np.repeat(np.arange(len(mrs)), np.diff(mrs.offsets))
+    serving = mrs.serving[report]
+    # transfer_candidates: on the candidates' frequency, not the serving cell
+    pairs = np.flatnonzero((freq[mrs.neighbours] == layer[serving])
+                           & (mrs.neighbours != serving)
+                           & np.isin(report_hour, hours)[report])
+    report, serving = report[pairs], serving[pairs]
+    neighbour, rsrp = mrs.neighbours[pairs], mrs.rsrp_dbm[pairs]
+    params = np.array([(a4[k].freq_offset_db.get(names[j], 0.0),
+                        a4[k].cell_offset_db.get(names[j], 0.0),
+                        a4[k].hysteresis_db, a4[k].threshold_dbm)
+                       for k, j in zip(serving.tolist(), neighbour.tolist())])
+    qualifying = np.flatnonzero(_a4_trigger(rsrp, *params.reshape(-1, 4).T))
+    # each report's strongest qualifying neighbour, the lowest id among equals
+    ranked = qualifying[np.lexsort((neighbour[qualifying], -rsrp[qualifying],
+                                    report[qualifying]))]
+    best = ranked[np.unique(report[ranked], return_index=True)[1]]
+    cell_hour = report_hour[report[best]] * n + serving[best]
+    votes, count = np.unique(cell_hour * n + neighbour[best], return_counts=True)
+    voted, total = np.unique(cell_hour, return_counts=True)
+    pmfs: dict[tuple[str, int], dict[str, float]] = {}
+    for key, p in zip(votes.tolist(), (count / total[np.searchsorted(
+            voted, votes // n)]).tolist()):
+        (h, k), j = divmod(key // n, n), key % n
+        pmfs.setdefault((names[k], h), {})[names[j]] = p
+    return {(cell, h): pmfs.pop((cell, h), {})
+            for h in hours for cell in sorted(cfg.capacity_cells)}

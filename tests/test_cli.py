@@ -56,6 +56,14 @@ class TestGenerate:
         assert r.exit_code == 1
         assert "error" in r.output
 
+    def test_zero_reports_per_cell_hour_fails_with_a_message(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_capacity": 2, "n_coverage": 1,
+                                    "n_days": 1, "reports_per_cell_hour": 0}))
+        r = run_cli("generate", "--spec", spec, "--out", tmp_path / "o")
+        assert r.exit_code == 1
+        assert "error: need at least one measurement report" in r.output
+
     def test_unknown_spec_field_fails(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"bogus": 1}))

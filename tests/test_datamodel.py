@@ -11,7 +11,9 @@ from carriersim.abm import AbmConfig, simulate_day
 from carriersim.datamodel import (
     TRAFFIC_KPIS,
     DatasetPaths,
+    KpiRows,
     MeasurementReport,
+    MeasurementReports,
     RadioEnergyRecord,
     TrafficModel,
     apply_overrides,
@@ -34,6 +36,8 @@ from carriersim.errors import (
     MissingColumnError,
     NoSamplesError,
 )
+
+from carriersim.harness import ScenarioSpec, generate_scenario
 
 from conftest import make_handover, make_kpi, make_network, make_traffic
 
@@ -73,14 +77,15 @@ class TestParsing:
         assert parsed_cfg == cfg
         assert parsed_kpis == kpis
         assert parsed_energy == energies
-        assert parsed_mrs == mrs
+        assert list(parsed_mrs) == mrs
 
     def test_parse_serialize_parse_identity(self, tmp_path):
         write_fixture(tmp_path / "a")
         first = parse_datasets(tmp_path / "a")
         write_datasets(tmp_path / "b", *first)
         second = parse_datasets(tmp_path / "b")
-        assert first == second
+        assert first[:3] == second[:3]
+        assert list(first[3]) == list(second[3])
         for name in ("engineering.csv", "kpi.csv", "energy.csv", "mr.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
@@ -110,7 +115,7 @@ class TestParsing:
         write_mrs(tmp_path / "mr.csv", mrs)
         assert parse_kpis(tmp_path / "kpi.csv") == kpis
         assert parse_energy(tmp_path / "energy.csv") == energies
-        assert parse_mrs(tmp_path / "mr.csv") == mrs
+        assert list(parse_mrs(tmp_path / "mr.csv")) == mrs
         # written as the repr of the equal Python float
         assert ",20.5,0.1," in (tmp_path / "kpi.csv").read_text()
         assert "b1:-95.5|c1:-90.1" in (tmp_path / "mr.csv").read_text()
@@ -204,6 +209,89 @@ class TestParsing:
     def test_dataset_paths_in_dir(self, tmp_path):
         paths = DatasetPaths.in_dir(tmp_path)
         assert paths.kpi.name == "kpi.csv"
+
+
+MR_HEADER = "timestamp,ue_id,serving_cell,rsrp_dbm\n"
+MR_GOOD = ("2024-03-04T13:00:05,u0,c1,c1:-90.0|b1:-95.0\n"
+           "2024-03-04T13:00:05,u1,c1,c1:-91.0\n")
+
+
+class TestColumns:
+    """The KPI rows and reports as arrays, written and read back."""
+
+    @pytest.mark.parametrize("spec, seed", [
+        (ScenarioSpec(6, 3, 2), 11),
+        (ScenarioSpec(3, 2, 2, peak_capacity_ues=1.0, traffic_noise=1.5), 11),
+        (ScenarioSpec(375, 282, 1, reports_per_cell_hour=4), 404),
+    ], ids=["golden", "sparse", "criterion-11"])
+    def test_parse_then_write_reproduces_the_files(self, tmp_path, spec, seed):
+        data = tmp_path / "data"
+        generate_scenario(spec, data, seed)
+        write_mrs(tmp_path / "mr.csv", parse_mrs(data / "mr.csv"))
+        assert (tmp_path / "mr.csv").read_bytes() \
+            == (data / "mr.csv").read_bytes()
+        for name in ("kpi.csv", "kpi_biased.csv"):
+            write_kpis(tmp_path / name, parse_kpis(data / name))
+            assert (tmp_path / name).read_bytes() == (data / name).read_bytes()
+
+    def test_reports_keep_their_pair_order_and_write_it_by_cell_id(
+            self, tmp_path):
+        rows = [MeasurementReport("2024-03-04T13:00:05", "u1", "c1",
+                                  {"c1": -90.0, "b2": -95.5, "a1": -0.0}),
+                MeasurementReport("2024-03-04T00:59:59", "u2", "b2",
+                                  {"b2": -70.0}),
+                MeasurementReport("2024-03-05T23:00:00", "u3", "zz",
+                                  {"b2": -101.25, "zz": -80.0})]
+        reports = MeasurementReports.from_rows(rows)
+        assert len(reports) == 3
+        assert list(reports) == rows and reports[-1] == rows[2]
+        assert [list(r.neighbor_rsrp_dbm) for r in reports] \
+            == [list(r.neighbor_rsrp_dbm) for r in rows]
+        assert reports.hour.tolist() == [r.hour for r in rows] == [14, 1, 24]
+        with pytest.raises(IndexError):
+            reports[3]
+        write_mrs(tmp_path / "mr.csv", reports)
+        assert (tmp_path / "mr.csv").read_text().splitlines()[1:] == [
+            "2024-03-04T13:00:05,u1,c1,a1:-0.0|b2:-95.5|c1:-90.0",
+            "2024-03-04T00:59:59,u2,b2,b2:-70.0",
+            "2024-03-05T23:00:00,u3,zz,b2:-101.25|zz:-80.0"]
+        parsed = parse_mrs(tmp_path / "mr.csv")
+        assert [list(r.neighbor_rsrp_dbm) for r in parsed] \
+            == [["a1", "b2", "c1"], ["b2"], ["b2", "zz"]]
+
+    def test_kpi_rows_write_like_their_records(self, tmp_path):
+        records = [make_kpi(), make_kpi(hour=2, rrc_ues=7.25, cs_minutes=60.0)]
+        rows = KpiRows.from_records(records)
+        assert rows.values.shape == (2, 25) and rows.values.dtype == float
+        write_kpis(tmp_path / "a.csv", rows)
+        write_kpis(tmp_path / "b.csv", records)
+        assert (tmp_path / "a.csv").read_bytes() \
+            == (tmp_path / "b.csv").read_bytes()
+        assert parse_kpis(tmp_path / "a.csv") == records
+
+    # each message as the record-by-record parser gave it
+    @pytest.mark.parametrize("row, message", [
+        ("2024-03-04T24:00:05,u2,c1,c1:-90.0",
+         "timestamp '2024-03-04T24:00:05' is not YYYY-MM-DDTHH:MM:SS with "
+         "hour 00-23"),
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|b1", "bad pair field 'b1'"),
+        ("2024-03-04T13:00:05,u2,c1,c1:abc|b1:-95.0",
+         "bad pair field 'c1:abc'"),
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|b1:inf",
+         "bad pair field 'b1:inf'"),
+        ("2024-03-04T13:00:05,u2,c1,b1:-95.0",
+         "serving cell has no RSRP entry"),
+        ("2024-03-04T13:00:05,u2,c1,", "serving cell has no RSRP entry"),
+    ])
+    def test_malformed_report_errors_name_file_row_and_message(
+            self, tmp_path, row, message):
+        path = tmp_path / "mr.csv"
+        path.write_text(MR_HEADER + MR_GOOD + row + "\n")
+        with pytest.raises(MalformedRowError) as err:
+            parse_mrs(path)
+        assert (err.value.path, err.value.row_index, err.value.message) \
+            == (str(path), 3, message)
+        assert str(err.value) == f"{path}, row 3: {message}"
 
 
 class TestOverrides:

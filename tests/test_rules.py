@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carriersim.datamodel import A4Params, MeasurementReport, ShutdownThresholds
+from carriersim.datamodel import (
+    A4Params,
+    Cell,
+    MeasurementReport,
+    MeasurementReports,
+    NetworkConfig,
+    RadioUnit,
+    ShutdownThresholds,
+)
 from carriersim.rules import (
     a4_qualifies,
     build_handover_model,
@@ -244,3 +252,131 @@ def test_hourly_build_equals_merged_per_hour_builds():
     assert voted == {"b1", "b2"}
     assert all(set(built[(c, h)]) <= {"b2"}
                for c in ("c2", "c4") for h in range(1, 25))
+
+
+def loop_vote(cfg, by_hour, hours):
+    """The vote report by report, as it was written before the array vote:
+    the reference that the array vote must equal bit for bit."""
+    candidates = {c: set(transfer_candidates(cfg, c))
+                  for c in cfg.capacity_cells}
+    table = {}
+    for hour in hours:
+        counts = {c: {} for c in candidates}
+        for report in by_hour.get(hour, ()):
+            serving = report.serving_cell
+            if serving not in counts:
+                continue
+            a4, eligible = cfg.mobility[serving], candidates[serving]
+            qualifying = [(-rsrp, j)
+                          for j, rsrp in report.neighbor_rsrp_dbm.items()
+                          if j in eligible
+                          and (rsrp + a4.freq_offset_db.get(j, 0.0)
+                               + a4.cell_offset_db.get(j, 0.0)
+                               - a4.hysteresis_db) > a4.threshold_dbm]
+            if qualifying:
+                best = min(qualifying)[1]
+                counts[serving][best] = counts[serving].get(best, 0) + 1
+        for cell, votes in sorted(counts.items()):
+            total = sum(votes.values())
+            table[(cell, hour)] = {j: n / total
+                                   for j, n in sorted(votes.items())}
+    return table
+
+
+def exact(table):
+    """A handover table's keys, targets and probabilities, in order, with
+    each probability's type and float.hex."""
+    return [(key, [(j, type(p).__name__, p.hex()) for j, p in pmf.items()])
+            for key, pmf in table.items()]
+
+
+VOTE_IDS = ("a", "b", "c", "d", "e", "f")
+
+
+@st.composite
+def vote_inputs(draw):
+    """A network of 2-6 cells on up to three frequencies (capacity cells may
+    share the coverage frequency, coverage cells may not share one), and up
+    to 40 reports served by any cell, with pairs on any cell, the serving one
+    and an unknown one (which has no offsets) included. A capacity cell's threshold may sit exactly
+    on the biased RSRP of one of its reports' candidate pairs. RSRPs and
+    offsets are two-decimal values from a drawn seed, so that biased sums
+    round differently in another order of operations (Hypothesis would
+    shrink them to a few simple values); ties, 0.0 against -0.0 among them,
+    come from a short list."""
+    values = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rsrp():
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from([0.0, -0.0, -95.5]))
+        return int(values.integers(-12000, -6000)) / 100
+
+    def offset():
+        return int(values.integers(-600, 601)) / 100
+
+    ids = tuple(draw(st.permutations(VOTE_IDS)))[:draw(st.integers(2, 6))]
+    n_coverage = draw(st.integers(1, len(ids) - 1))
+    coverage, capacity = ids[:n_coverage], ids[n_coverage:]
+    freq = {c: draw(st.sampled_from([800.0, 1800.0, 3500.0])) for c in ids}
+    reports = []
+    for _ in range(draw(st.integers(0, 40))):
+        hour = draw(st.integers(1, 24))
+        cells = draw(st.lists(st.sampled_from(ids + ("zz",)), unique=True,
+                              max_size=5))
+        reports.append(MeasurementReport(
+            f"2024-03-04T{hour - 1:02d}:15:00", "u", draw(st.sampled_from(ids)),
+            {c: rsrp() for c in cells}))
+    pairing = {c: draw(st.sampled_from(coverage)) for c in capacity}
+    mobility = {}
+    for c in ids:
+        offsets = [{j: offset() for j in ids} for _ in "fc"]
+        a4 = A4Params(draw(st.sampled_from([-130.0, -100.0, -0.0, 0.0])),
+                      draw(st.sampled_from([0.0, 0.3, 2.0])), *offsets)
+        boundary = [(j, v) for r in reports if r.serving_cell == c
+                    and c in pairing for j, v in r.neighbor_rsrp_dbm.items()
+                    if j != c and freq.get(j) == freq[pairing[c]]]
+        if boundary and draw(st.booleans()):
+            j, v = draw(st.sampled_from(boundary))
+            a4 = replace(a4, threshold_dbm=v + a4.freq_offset_db.get(j, 0.0)
+                         + a4.cell_offset_db.get(j, 0.0) - a4.hysteresis_db)
+        mobility[c] = a4
+    cfg = NetworkConfig(
+        radio_units=tuple(RadioUnit(f"ru-{c}", "r", 4, "4T4R", (c,))
+                          for c in ids),
+        cells=tuple(Cell(c, f"ru-{c}", freq[c], 20.0, 43.0, 100, 100)
+                    for c in ids),
+        capacity_cells=frozenset(capacity), coverage_cells=frozenset(coverage),
+        pairing=pairing, mobility=mobility,
+        energy_saving={c: ShutdownThresholds(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+                       for c in capacity})
+    return cfg, reports
+
+
+class TestArrayVote:
+    """The vote on the report arrays equals the report-by-report loop."""
+
+    @given(vote_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_report_loop(self, inputs):
+        cfg, reports = inputs
+        by_hour = {}
+        for r in reports:
+            by_hour.setdefault(r.hour, []).append(r)
+        columns = MeasurementReports.from_rows(reports)
+        expected = exact(loop_vote(cfg, by_hour, range(1, 25)))
+        assert exact(build_handover_model_for_hours(
+            cfg, reports).probabilities) == expected
+        assert exact(build_handover_model_for_hours(
+            cfg, columns).probabilities) == expected
+        # one hour's model votes every report it is given
+        assert exact(build_handover_model(cfg, columns, 7).probabilities) \
+            == exact(loop_vote(cfg, {7: reports}, (7,)))
+
+    def test_signed_zero_rsrps_tie_to_the_lowest_id(self):
+        cfg = make_network(n_capacity=1, n_coverage=3, a4_threshold=-110.0)
+        mrs = [report("c1", {"c1": -70.0, "b3": 0.0, "b2": -0.0}),
+               report("c1", {"c1": -70.0, "b2": 0.0, "b1": -0.0, "b3": 0.0})]
+        model = build_handover_model(cfg, mrs, hour=13)
+        assert exact(model.probabilities) == [
+            (("c1", 13), [("b1", "float", (0.5).hex()),
+                          ("b2", "float", (0.5).hex())])]
