@@ -26,6 +26,7 @@ from .abm import (
 )
 from .datamodel import (
     apply_overrides,
+    check_ids,
     fit_traffic_model,
     parse_datasets,
     parse_energy,
@@ -129,19 +130,21 @@ def generate(settings, spec_path, out, truth):
     click.echo(f"scenario written to {out}")
 
 
-def _training_records(data_dir, name, parse, records):
-    """The shutdown-active campaign's `name` file when present, else the
-    `records` already parsed from the plain campaign."""
+def _training_rows(cfg, data_dir, name, parse, rows):
+    """The shutdown-active campaign's `name` file, its ids checked against
+    `cfg`, when present; else the plain campaign's `rows`."""
     path = Path(data_dir) / name
-    return parse(path) if path.exists() else records
+    if path.exists():
+        rows = parse(path)
+        check_ids(cfg, rows, path)
+    return rows
 
 
-def _chronological_split(records, fraction=0.8):
-    days = sorted({r.day for r in records})
+def _chronological_split(rows, fraction=0.8):
+    days = np.unique(rows.day)
     cut = max(1, int(round(fraction * len(days))))
-    train_days = set(days[:cut])
-    return ([r for r in records if r.day in train_days],
-            [r for r in records if r.day not in train_days])
+    train = np.isin(rows.day, days[:cut])
+    return rows.select(train), rows.select(~train)
 
 
 @main.command()
@@ -153,9 +156,10 @@ def train(settings, data, out):
     """Train the energy and rate models from a dataset directory."""
     try:
         cfg, kpis, energies, _ = parse_datasets(data)
-        train_kpis = _training_records(data, "kpi_biased.csv", parse_kpis, kpis)
-        train_energies = _training_records(data, "energy_biased.csv",
-                                           parse_energy, energies)
+        train_kpis = _training_rows(cfg, data, "kpi_biased.csv", parse_kpis,
+                                    kpis)
+        train_energies = _training_rows(cfg, data, "energy_biased.csv",
+                                        parse_energy, energies)
         kpi_train, kpi_test = _chronological_split(train_kpis)
         energy_train, energy_test = _chronological_split(train_energies)
         energy_model = fit_radio_energy_model(
@@ -182,8 +186,7 @@ def train(settings, data, out):
 def _test_metrics(cfg, energy_model, rate_model, kpi_test, energy_test):
     metrics = {"energy_test_mae_wh": None, "energy_test_mape_percent": None,
                "rate_test_mae_mbps": None}
-    rows = (build_energy_samples(cfg, kpi_test, energy_test) if energy_test
-            else [])
+    rows = build_energy_samples(cfg, kpi_test, energy_test)
     if rows:
         r = mae_mape([predict_energy(energy_model, encode_features(
             energy_model.schema, row.radio, row.cells, row.dl_loads,
@@ -287,8 +290,8 @@ def benchmark(settings, data, models, out, overrides):
         cfg, tm, handover, kpis = _prepare_network(data, overrides)
         energy_model = load_energy_model(Path(models) / "energy_model.json")
         outputs = run_benchmark(tm, cfg, handover)
-        avg_samples, _ = build_rate_samples(cfg, _training_records(
-            data, "kpi_biased.csv", parse_kpis, kpis))
+        avg_samples, _ = build_rate_samples(cfg, _training_rows(
+            cfg, data, "kpi_biased.csv", parse_kpis, kpis))
         mean_rates = mean_rate_by_cell(avg_samples)
     except SimulatorError as exc:
         _fail(exc)

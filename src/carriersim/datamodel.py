@@ -25,24 +25,32 @@ kpi.csv -- one row per cell, day and hour:
 energy.csv -- one row per radio unit, day and hour:
     radio_unit, day, hour, energy_wh
 
+  Both hourly files are HourlyRows in memory: int64 `day` and `hour` (in
+  1..24), float64 values. KPI rows need dl_bits >= dl_bits_lastslot >= 0,
+  cs_minutes in [0, 60] and no negative counter; energy is nonnegative.
+
 mr.csv -- one row per UE measurement report:
     timestamp, ue_id, serving_cell, rsrp_dbm
   `timestamp` is ISO-8601 (`YYYY-MM-DDTHH:MM:SS`); `rsrp_dbm` holds
   `cell:value` pairs joined by `|` and must include the serving cell.
 
 Numeric fields must be finite: `nan` and `inf` are rejected with the file
-and row, like any other malformed value.
+and row, like any other malformed value or a row shorter than the header.
+Blank lines are skipped and not counted as rows.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
+import operator
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -57,7 +65,7 @@ from .errors import (
 N_RATE_BINS = 15
 MAX_CARRIERS = 6
 DEFAULT_SIGMA_FLOOR = 1e-6
-_WRITE_CHUNK = 1536   # rows the KPI and MR writers format at a time
+_CHUNK = 1536   # rows a CSV parser or writer converts at a time
 
 
 # ---------------------------------------------------------------------------
@@ -216,55 +224,29 @@ class NetworkConfig:
         return tuple(index.get(frequency_mhz, ()))
 
 
-@dataclass(frozen=True)
-class CellKpiRecord:
-    """Hourly cell counters from one day of measurements."""
+@dataclass(frozen=True, eq=False)
+class HourlyRows:
+    """Rows of kpi.csv or energy.csv as columns: each row's id (a cell or a
+    radio unit), day and hour, and its values as one float64 array in file
+    column order, (rows, 25) for KPIs and (rows, 1) for energy."""
 
-    cell_id: str
-    day: int
-    hour: int
-    rrc_ues: float
-    dl_prbs: float
-    ul_prbs: float
-    dl_bits: float
-    dl_bits_lastslot: float
-    dl_active_time_s: float
-    rate_bins: tuple[float, ...]
-    cs_minutes: float
-    ul_bits: float = 0.0
-    dl_total_time_s: float = 0.0
-    ul_time_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class RadioEnergyRecord:
-    radio_unit: str
-    day: int
-    hour: int
-    energy_wh: float
-
-
-@dataclass(frozen=True)
-class KpiRows:
-    """KPI rows as columns: each row's cell id, day and hour, and its
-    counters as one (rows, 25) float64 array in kpi.csv column order."""
-
-    cell_ids: list[str]
+    ids: list[str]
     day: np.ndarray
     hour: np.ndarray
     values: np.ndarray
 
-    @classmethod
-    def from_records(cls, records: Iterable[CellKpiRecord]) -> "KpiRows":
-        records = list(records)
-        return cls(
-            [r.cell_id for r in records], np.array([r.day for r in records]),
-            np.array([r.hour for r in records]),
-            np.array([(r.rrc_ues, r.dl_prbs, r.ul_prbs, r.dl_bits,
-                       r.dl_bits_lastslot, r.dl_active_time_s, r.ul_bits,
-                       r.dl_total_time_s, r.ul_time_s, *r.rate_bins,
-                       r.cs_minutes) for r in records],
-                     dtype=float).reshape(len(records), len(_KPI_COLUMNS) - 3))
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def column(self, name: str) -> np.ndarray:
+        """The values of the kpi.csv or energy.csv column `name`."""
+        header = _KPI_COLUMNS if self.values.shape[1] > 1 else _ENERGY_COLUMNS
+        return self.values[:, header.index(name) - 3]
+
+    def select(self, mask: np.ndarray) -> "HourlyRows":
+        """The rows where the boolean array `mask` holds."""
+        return HourlyRows(list(itertools.compress(self.ids, mask.tolist())),
+                          self.day[mask], self.hour[mask], self.values[mask])
 
 
 @dataclass(frozen=True)
@@ -397,12 +379,6 @@ class DatasetPaths:
 # Parsing helpers
 
 
-def _require(header: list[str], columns: Iterable[str], path) -> None:
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise MissingColumnError(f"{path}: missing column(s) {', '.join(missing)}")
-
-
 def _float(text: str) -> float:
     """float(text), rejecting nan and inf with a ValueError."""
     value = float(text)
@@ -433,12 +409,26 @@ def _format_pairs(pairs: Mapping[str, float]) -> str:
     return "|".join(f"{cell}:{_fmt(value)}" for cell, value in sorted(pairs.items()))
 
 
-def _rows(path) -> tuple[list[str], list[dict[str, str]]]:
+def _read_rows(path, columns: list[str]) -> Iterator[tuple[str, ...]]:
+    """The fields of `columns` in each row of CSV file `path`, read as they
+    are asked for; a repeated column name reads its last column. An empty
+    file or a missing column raises MissingColumnError."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise MissingColumnError(f"{path}: empty file")
-        return list(reader.fieldnames), list(reader)
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise MissingColumnError(
+                f"{path}: missing column(s) {', '.join(missing)}")
+        index = {name: k for k, name in enumerate(header)}
+        pick = operator.itemgetter(*(index[c] for c in columns))
+        for i, row in enumerate(filter(None, reader), start=1):
+            if len(row) < len(header):
+                raise MalformedRowError(
+                    path, i, f"{len(row)} fields, the header has {len(header)}")
+            yield pick(row)
 
 
 _ENGINEERING_COLUMNS = [
@@ -462,183 +452,177 @@ _MR_COLUMNS = ["timestamp", "ue_id", "serving_cell", "rsrp_dbm"]
 
 
 def parse_engineering(path) -> NetworkConfig:
-    header, rows = _rows(path)
-    _require(header, _ENGINEERING_COLUMNS, path)
-    cells = []
-    capacity: set[str] = set()
-    coverage: set[str] = set()
-    pairing: dict[str, str] = {}
-    mobility: dict[str, A4Params] = {}
-    thresholds: dict[str, ShutdownThresholds] = {}
+    cells, capacity, coverage = [], set(), set()
+    pairing, mobility, thresholds = {}, {}, {}
     radio_info: dict[str, tuple[str, int, str]] = {}
     radio_cells: dict[str, list[str]] = {}
-    for i, row in enumerate(rows, start=1):
+    rows = enumerate(_read_rows(path, _ENGINEERING_COLUMNS), start=1)
+    for i, (cell_id, radio_unit, radio_type, n_trx, tx_mode, frequency,
+            bandwidth, power, n_dl_prb, n_ul_prb, role, paired,
+            a4_threshold, a4_hysteresis, a4_freq_offsets, a4_cell_offsets,
+            *shutdown) in rows:
         try:
-            cell = Cell(
-                id=row["cell_id"],
-                radio_unit=row["radio_unit"],
-                frequency_mhz=_float(row["frequency_mhz"]),
-                bandwidth_mhz=_float(row["bandwidth_mhz"]),
-                max_tx_power_dbm=_float(row["max_tx_power_dbm"]),
-                n_dl_prb=int(row["n_dl_prb"]),
-                n_ul_prb=int(row["n_ul_prb"]),
-            )
+            cell = Cell(cell_id, radio_unit, _float(frequency),
+                        _float(bandwidth), _float(power), int(n_dl_prb),
+                        int(n_ul_prb))
         except (ValueError, ConfigError) as exc:
             raise MalformedRowError(path, i, str(exc))
         cells.append(cell)
-        role = row["role"].strip().lower()
-        if role == "capacity":
+        kind, paired = role.strip().lower(), paired.strip()
+        if kind == "capacity":
             capacity.add(cell.id)
-            paired = row["paired_coverage_cell"].strip()
             if not paired:
                 raise MalformedRowError(path, i, "capacity cell without pairing")
             pairing[cell.id] = paired
             try:
-                thresholds[cell.id] = ShutdownThresholds(
-                    entry_ue=_float(row["entry_ue"]),
-                    entry_dl_prb=_float(row["entry_dl_prb"]),
-                    entry_ul_prb=_float(row["entry_ul_prb"]),
-                    leave_ue=_float(row["leave_ue"]),
-                    leave_dl_prb=_float(row["leave_dl_prb"]),
-                    leave_ul_prb=_float(row["leave_ul_prb"]),
-                )
+                thresholds[cell.id] = ShutdownThresholds(*map(_float, shutdown))
             except (ValueError, ConfigError) as exc:
                 raise MalformedRowError(path, i, str(exc))
-        elif role == "coverage":
+        elif kind == "coverage":
             coverage.add(cell.id)
         else:
-            raise MalformedRowError(path, i, f"unknown role {row['role']!r}")
+            raise MalformedRowError(path, i, f"unknown role {role!r}")
         try:
             mobility[cell.id] = A4Params(
-                threshold_dbm=_float(row["a4_threshold_dbm"]),
-                hysteresis_db=_float(row["a4_hysteresis_db"]),
-                freq_offset_db=_parse_pairs(row["a4_freq_offsets_db"], path, i),
-                cell_offset_db=_parse_pairs(row["a4_cell_offsets_db"], path, i),
-            )
+                _float(a4_threshold), _float(a4_hysteresis),
+                _parse_pairs(a4_freq_offsets, path, i),
+                _parse_pairs(a4_cell_offsets, path, i))
         except (ValueError, ConfigError) as exc:
             raise MalformedRowError(path, i, str(exc))
-        info = (row["radio_type"], int(row["n_trx"]), row["carrier_tx_mode"])
+        info = (radio_type, int(n_trx), tx_mode)
         prior = radio_info.setdefault(cell.radio_unit, info)
         if prior != info:
             raise MalformedRowError(
                 path, i, f"radio unit {cell.radio_unit!r} described inconsistently")
         radio_cells.setdefault(cell.radio_unit, []).append(cell.id)
-    radios = tuple(
-        RadioUnit(id=rid, radio_type=t, n_trx=n, carrier_tx_mode=m,
-                  cell_ids=tuple(radio_cells[rid]))
-        for rid, (t, n, m) in radio_info.items()
-    )
-    return NetworkConfig(
-        radio_units=radios,
-        cells=tuple(cells),
-        capacity_cells=frozenset(capacity),
-        coverage_cells=frozenset(coverage),
-        pairing=pairing,
-        mobility=mobility,
-        energy_saving=thresholds,
-    )
+    radios = tuple(RadioUnit(rid, *info, tuple(radio_cells[rid]))
+                   for rid, info in radio_info.items())
+    return NetworkConfig(radios, tuple(cells), frozenset(capacity),
+                         frozenset(coverage), pairing, mobility, thresholds)
 
 
-def parse_kpis(path) -> list[CellKpiRecord]:
-    header, rows = _rows(path)
-    _require(header, _KPI_COLUMNS, path)
-    records = []
-    for i, row in enumerate(rows, start=1):
-        try:
-            rec = CellKpiRecord(
-                cell_id=row["cell_id"],
-                day=int(row["day"]),
-                hour=int(row["hour"]),
-                rrc_ues=_float(row["rrc_ues"]),
-                dl_prbs=_float(row["dl_prbs_used"]),
-                ul_prbs=_float(row["ul_prbs_used"]),
-                dl_bits=_float(row["dl_bits"]),
-                dl_bits_lastslot=_float(row["dl_bits_lastslot"]),
-                dl_active_time_s=_float(row["dl_active_time_s"]),
-                ul_bits=_float(row["ul_bits"]),
-                dl_total_time_s=_float(row["dl_total_time_s"]),
-                ul_time_s=_float(row["ul_time_s"]),
-                rate_bins=tuple(
-                    _float(row[f"rate_bin_{g:02d}"]) for g in range(1, N_RATE_BINS + 1)),
-                cs_minutes=_float(row["cs_minutes"]),
-            )
-        except ValueError as exc:
-            raise MalformedRowError(path, i, str(exc))
-        _validate_kpi(rec, path, i)
-        records.append(rec)
-    return records
+def _convert(texts: tuple[str, ...], kind: type) -> tuple[np.ndarray, str | None]:
+    """`texts` converted by `kind` (int or float) into an int64 or float64
+    array, up to the first text that does not convert, overflows an int64
+    or is not finite, with that text's message (None if there is none)."""
+    values, message = [], None
+    try:
+        values = list(map(kind, texts))
+    except ValueError:
+        for text in texts:
+            try:
+                values.append(kind(text))
+            except ValueError as exc:
+                message = str(exc)
+                break
+    try:
+        array = np.array(values, dtype=np.int64 if kind is int else float)
+    except OverflowError:
+        k = next(k for k, v in enumerate(values) if not -2**63 <= v < 2**63)
+        return (np.array(values[:k], dtype=np.int64),
+                f"integer {texts[k]!r} outside the 64-bit range")
+    finite = np.isfinite(array)
+    if not finite.all():
+        k = int(finite.argmin())
+        return array[:k], f"non-finite value {texts[k]!r}"
+    return array, message
 
 
-def _validate_kpi(rec: CellKpiRecord, path, row_index: int) -> None:
-    if not 1 <= rec.hour <= 24:
-        raise MalformedRowError(path, row_index, f"hour {rec.hour} outside 1..24")
-    if rec.dl_bits_lastslot < 0 or rec.dl_bits < rec.dl_bits_lastslot:
-        raise MalformedRowError(
-            path, row_index, "dl_bits must be >= dl_bits_lastslot >= 0")
-    if not 0 <= rec.cs_minutes <= 60:
-        raise MalformedRowError(path, row_index, "cs_minutes outside [0, 60]")
-    counters = (rec.rrc_ues, rec.dl_prbs, rec.ul_prbs, rec.dl_active_time_s,
-                rec.ul_bits, rec.dl_total_time_s, rec.ul_time_s) + rec.rate_bins
-    if any(v < 0 for v in counters):
-        raise MalformedRowError(path, row_index, "negative counter")
+def _parse_hourly(path, columns: list[str], checks) -> HourlyRows:
+    """kpi.csv or energy.csv (header `columns`) as HourlyRows, read _CHUNK
+    rows at a time. A row's fields convert in column order, then its hour
+    must lie in 1..24 and it must pass `checks(rows)`, (message, failing
+    rows) pairs in order. The first bad row raises its first failure."""
+    rows = _read_rows(path, columns)
+    empty = np.empty(0, dtype=np.int64)
+    tables = [HourlyRows([], empty, empty, np.empty((0, len(columns) - 3)))]
+    done = 0
+    while chunk := list(itertools.islice(rows, _CHUNK)):
+        texts = list(zip(*chunk))
+        converted = ([_convert(t, int) for t in texts[1:3]]
+                     + [_convert(t, float) for t in texts[3:]])
+        n = min(len(array) for array, _ in converted)
+        # ids repeat every hour: keep one string per distinct id
+        table = HourlyRows(list(map(sys.intern, texts[0][:n])),
+                           *(array[:n] for array, _ in converted[:2]),
+                           np.column_stack([a[:n] for a, _ in converted[2:]]))
+        failures = [("", (table.hour < 1) | (table.hour > 24))] + checks(table)
+        failing = np.array([mask for _, mask in failures], dtype=bool)
+        bad = failing.any(axis=0)
+        if bad.any():
+            r = int(bad.argmax())
+            k = int(failing[:, r].argmax())
+            raise MalformedRowError(
+                path, done + r + 1, failures[k][0] if k
+                else f"hour {table.hour[r]} outside 1..24")
+        if n < len(chunk):
+            raise MalformedRowError(path, done + n + 1, next(
+                message for array, message in converted if len(array) == n))
+        tables.append(table)
+        done += n
+    return HourlyRows(
+        list(itertools.chain.from_iterable(t.ids for t in tables)),
+        *(np.concatenate([getattr(t, name) for t in tables])
+          for name in ("day", "hour", "values")))
 
 
-def parse_energy(path) -> list[RadioEnergyRecord]:
-    header, rows = _rows(path)
-    _require(header, _ENERGY_COLUMNS, path)
-    records = []
-    for i, row in enumerate(rows, start=1):
-        try:
-            rec = RadioEnergyRecord(
-                radio_unit=row["radio_unit"],
-                day=int(row["day"]),
-                hour=int(row["hour"]),
-                energy_wh=_float(row["energy_wh"]),
-            )
-        except ValueError as exc:
-            raise MalformedRowError(path, i, str(exc))
-        if rec.energy_wh < 0:
-            raise MalformedRowError(path, i, "negative energy")
-        records.append(rec)
-    return records
+def _kpi_checks(rows: HourlyRows) -> list[tuple[str, np.ndarray]]:
+    bits, lastslot = rows.column("dl_bits"), rows.column("dl_bits_lastslot")
+    cs_minutes = rows.column("cs_minutes")
+    # a negative dl_bits or cs_minutes fails an earlier check first
+    return [("dl_bits must be >= dl_bits_lastslot >= 0",
+             (lastslot < 0) | (bits < lastslot)),
+            ("cs_minutes outside [0, 60]", (cs_minutes < 0) | (cs_minutes > 60)),
+            ("negative counter", (rows.values < 0).any(axis=1))]
+
+
+def parse_kpis(path) -> HourlyRows:
+    return _parse_hourly(path, _KPI_COLUMNS, _kpi_checks)
+
+
+def parse_energy(path) -> HourlyRows:
+    return _parse_hourly(path, _ENERGY_COLUMNS, lambda rows: [
+        ("negative energy", rows.values[:, 0] < 0)])
 
 
 def parse_mrs(path) -> MeasurementReports:
-    header, rows = _rows(path)
-    _require(header, _MR_COLUMNS, path)
-
     def reports():
-        for i, row in enumerate(rows, start=1):
-            if not _TIMESTAMP.fullmatch(row["timestamp"]):
+        for i, (stamp, ue_id, serving, rsrp_text) in enumerate(
+                _read_rows(path, _MR_COLUMNS), start=1):
+            if not _TIMESTAMP.fullmatch(stamp):
                 raise MalformedRowError(
-                    path, i, f"timestamp {row['timestamp']!r} is not "
+                    path, i, f"timestamp {stamp!r} is not "
                     "YYYY-MM-DDTHH:MM:SS with hour 00-23")
-            rsrp = _parse_pairs(row["rsrp_dbm"], path, i)
-            if row["serving_cell"] not in rsrp:
+            rsrp = _parse_pairs(rsrp_text, path, i)
+            if serving not in rsrp:
                 raise MalformedRowError(path, i, "serving cell has no RSRP entry")
-            yield MeasurementReport(row["timestamp"], row["ue_id"],
-                                    row["serving_cell"], rsrp)
+            yield MeasurementReport(stamp, ue_id, serving, rsrp)
     return MeasurementReports.from_rows(reports())
 
 
-def parse_datasets(paths) -> tuple[NetworkConfig, list[CellKpiRecord],
-                                   list[RadioEnergyRecord], MeasurementReports]:
-    """Parse the four dataset files; `paths` is a directory or DatasetPaths."""
+def check_ids(cfg: NetworkConfig, rows: HourlyRows, path) -> None:
+    """Raise BadReferenceError at the first of `rows`, read from `path`,
+    whose id is not a cell (KPI rows) or radio unit (energy rows) of `cfg`."""
+    kind, known = (("cell", cfg._cell_index) if rows.values.shape[1] > 1
+                   else ("radio unit", {r.id for r in cfg.radio_units}))
+    for i, name in enumerate(rows.ids, start=1):
+        if name not in known:
+            raise BadReferenceError(
+                f"{path}, row {i}: references unknown {kind} {name!r}")
+
+
+def parse_datasets(paths) -> tuple[NetworkConfig, HourlyRows, HourlyRows,
+                                   MeasurementReports]:
+    """The network, KPI rows, energy rows and reports of the four dataset
+    files; `paths` is a directory or DatasetPaths."""
     if not isinstance(paths, DatasetPaths):
         paths = DatasetPaths.in_dir(paths)
     cfg = parse_engineering(paths.engineering)
     kpis = parse_kpis(paths.kpi)
     energies = parse_energy(paths.energy)
     mrs = parse_mrs(paths.mr)
-    known = {c.id for c in cfg.cells}
-    for rec in kpis:
-        if rec.cell_id not in known:
-            raise BadReferenceError(f"KPI row references unknown cell {rec.cell_id!r}")
-    radios = {r.id for r in cfg.radio_units}
-    for erec in energies:
-        if erec.radio_unit not in radios:
-            raise BadReferenceError(
-                f"energy row references unknown radio unit {erec.radio_unit!r}")
+    check_ids(cfg, kpis, paths.kpi)
+    check_ids(cfg, energies, paths.energy)
     return cfg, kpis, energies, mrs
 
 
@@ -682,33 +666,31 @@ def write_engineering(path, cfg: NetworkConfig) -> None:
             ])
 
 
-def write_kpis(path, rows: KpiRows | Iterable[CellKpiRecord]) -> None:
-    """Write a KpiRows, or records through KpiRows.from_records, formatting
-    _WRITE_CHUNK rows at a time (csv.writer writes a float as its repr)."""
-    if not isinstance(rows, KpiRows):
-        rows = KpiRows.from_records(rows)
+def _write_hourly(path, columns: list[str], rows: HourlyRows) -> None:
+    """Write `rows` under the header `columns`, formatting _CHUNK rows at a
+    time (csv.writer writes a float as its repr)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_KPI_COLUMNS)
-        for lo in range(0, len(rows.cell_ids), _WRITE_CHUNK):
-            chunk = slice(lo, lo + _WRITE_CHUNK)
-            writer.writerows(zip(rows.cell_ids[chunk], rows.day[chunk].tolist(),
+        writer.writerow(columns)
+        for lo in range(0, len(rows), _CHUNK):
+            chunk = slice(lo, lo + _CHUNK)
+            writer.writerows(zip(rows.ids[chunk], rows.day[chunk].tolist(),
                                  rows.hour[chunk].tolist(),
                                  *rows.values[chunk].T.tolist()))
 
 
-def write_energy(path, records: Iterable[RadioEnergyRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ENERGY_COLUMNS)
-        for rec in records:
-            writer.writerow([rec.radio_unit, rec.day, rec.hour, _fmt(rec.energy_wh)])
+def write_kpis(path, rows: HourlyRows) -> None:
+    _write_hourly(path, _KPI_COLUMNS, rows)
+
+
+def write_energy(path, rows: HourlyRows) -> None:
+    _write_hourly(path, _ENERGY_COLUMNS, rows)
 
 
 def write_mrs(path, reports: MeasurementReports | Iterable[MeasurementReport],
               ) -> None:
     """Write a MeasurementReports, or rows through its from_rows, with each
-    report's pairs in cell-id order, _WRITE_CHUNK reports at a time."""
+    report's pairs in cell-id order, _CHUNK reports at a time."""
     if not isinstance(reports, MeasurementReports):
         reports = MeasurementReports.from_rows(reports)
     ends = reports.offsets.tolist()
@@ -718,8 +700,8 @@ def write_mrs(path, reports: MeasurementReports | Iterable[MeasurementReport],
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_MR_COLUMNS)
-        for lo in range(0, len(reports), _WRITE_CHUNK):
-            hi = min(lo + _WRITE_CHUNK, len(reports))
+        for lo in range(0, len(reports), _CHUNK):
+            hi = min(lo + _CHUNK, len(reports))
             pairs = [f"{reports.cells[c]}:{v!r}" for c, v in zip(
                 cells[ends[lo]:ends[hi]].tolist(),
                 rsrp[ends[lo]:ends[hi]].tolist())]
@@ -806,34 +788,38 @@ def apply_overrides(cfg: NetworkConfig, overrides: Mapping) -> NetworkConfig:
                                mobility=tables["a4"])
 
 
-def fit_traffic_model(kpis: Iterable[CellKpiRecord],
+def fit_traffic_model(kpis: HourlyRows,
                       sigma_floor: float = DEFAULT_SIGMA_FLOOR) -> TrafficModel:
-    """Fit per (cell, hour) Gaussians from working-day KPI records.
+    """Fit per (cell, hour) Gaussians from working-day KPI rows.
 
     Means are arithmetic sample means; stds use the n-1 denominator and are
     floored at `sigma_floor` (a single sample gives std == sigma_floor).
-    Raises NoSamplesError if any observed cell misses an hour entirely.
+    Cells keep the order in which they first appear. Raises NoSamplesError
+    if any observed cell misses an hour entirely.
     """
-    grouped: dict[tuple[str, int], list[tuple[float, float, float]]] = {}
-    cells: dict[str, None] = {}
-    for rec in kpis:
-        cells.setdefault(rec.cell_id)
-        grouped.setdefault((rec.cell_id, rec.hour), []).append(
-            (rec.rrc_ues, rec.dl_prbs, rec.ul_prbs))
+    cells = tuple(dict.fromkeys(kpis.ids))
+    code = dict(zip(cells, range(len(cells))))
+    cell = np.array([code[c] for c in kpis.ids], dtype=np.int64)
+    order = np.lexsort((kpis.hour, cell))
+    cell, hour = cell[order], kpis.hour[order]
+    starts = np.flatnonzero(np.diff(cell, prepend=-1) | np.diff(hour, prepend=0))
+    samples = np.split(kpis.values[order, :len(TRAFFIC_KPIS)], starts[1:])
+    grouped = dict(zip(zip(cell[starts].tolist(), hour[starts].tolist()),
+                       samples))
     mean = np.empty((24, len(cells), len(TRAFFIC_KPIS)))
     std = np.empty_like(mean)
-    for k, cell in enumerate(cells):
-        for hour in range(1, 25):
-            samples = grouped.get((cell, hour))
-            if not samples:
-                raise NoSamplesError(cell, hour)
-            for m, values in enumerate(zip(*samples)):
-                mean[hour - 1, k, m], std[hour - 1, k, m] = _fit_gaussian(
+    for k, name in enumerate(cells):
+        for h in range(1, 25):
+            group = grouped.get((k, h))
+            if group is None:
+                raise NoSamplesError(name, h)
+            for m, values in enumerate(group.T.tolist()):
+                mean[h - 1, k, m], std[h - 1, k, m] = _fit_gaussian(
                     values, sigma_floor)
-    return TrafficModel(cells=tuple(cells), mean=mean, std=std)
+    return TrafficModel(cells=cells, mean=mean, std=std)
 
 
-def _fit_gaussian(values: tuple[float, ...],
+def _fit_gaussian(values: list[float],
                   sigma_floor: float) -> tuple[float, float]:
     n = len(values)
     mean = math.fsum(values) / n

@@ -28,9 +28,8 @@ import numpy as np
 from .datamodel import (
     MAX_CARRIERS,
     Cell,
-    CellKpiRecord,
+    HourlyRows,
     NetworkConfig,
-    RadioEnergyRecord,
     RadioUnit,
 )
 from .errors import (
@@ -165,34 +164,31 @@ def encode_features(schema: EnergyFeatureSchema, radio: RadioUnit,
     return np.concatenate([onehot, scaled])
 
 
-def build_energy_samples(cfg: NetworkConfig, kpis: Sequence[CellKpiRecord],
-                         energies: Sequence[RadioEnergyRecord],
-                         ) -> list[RadioHourSample]:
+def build_energy_samples(cfg: NetworkConfig, kpis: HourlyRows,
+                         energies: HourlyRows) -> list[RadioHourSample]:
     """Join KPI and energy rows into per-(radio, day, hour) training rows.
 
-    Rows whose radio misses a cell KPI for that hour are dropped.
+    Rows whose radio misses a cell KPI for that hour are dropped; of KPI
+    rows with the same cell, day and hour, the last is used.
     """
-    kpi_index = {(k.cell_id, k.day, k.hour): k for k in kpis}
+    kpi_row = dict(zip(zip(kpis.ids, kpis.day.tolist(), kpis.hour.tolist()),
+                       range(len(kpis))))
+    dl_prbs = kpis.column("dl_prbs_used").tolist()
+    cs_minutes = kpis.column("cs_minutes").tolist()
     radios = {r.id: r for r in cfg.radio_units}
     samples = []
-    for erec in energies:
-        radio = radios[erec.radio_unit]
+    for radio_id, day, hour, energy_wh in zip(
+            energies.ids, energies.day.tolist(), energies.hour.tolist(),
+            energies.column("energy_wh").tolist()):
+        radio = radios[radio_id]
         cells = tuple(cfg.cell(cid) for cid in radio.cell_ids)
-        loads: dict[str, float] = {}
-        fractions: dict[str, float] = {}
-        complete = True
-        for cell in cells:
-            k = kpi_index.get((cell.id, erec.day, erec.hour))
-            if k is None:
-                complete = False
-                break
-            loads[cell.id] = k.dl_prbs / cell.n_dl_prb
-            fractions[cell.id] = k.cs_minutes / 60.0
-        if complete:
-            samples.append(RadioHourSample(radio=radio, cells=cells,
-                                           dl_loads=loads,
-                                           cs_fractions=fractions,
-                                           energy_wh=erec.energy_wh))
+        rows = [kpi_row.get((cell.id, day, hour)) for cell in cells]
+        if None not in rows:
+            samples.append(RadioHourSample(
+                radio, cells,
+                {c.id: dl_prbs[k] / c.n_dl_prb for c, k in zip(cells, rows)},
+                {c.id: cs_minutes[k] / 60.0 for c, k in zip(cells, rows)},
+                energy_wh))
     return samples
 
 
@@ -360,8 +356,8 @@ def predict_energy(model: EnergyModel, features: np.ndarray,
     return float(mu[0] * model.y_max), float(sigma[0] * model.y_max)
 
 
-def fit_radio_energy_model(cfg: NetworkConfig, kpis: Sequence[CellKpiRecord],
-                           energies: Sequence[RadioEnergyRecord],
+def fit_radio_energy_model(cfg: NetworkConfig, kpis: HourlyRows,
+                           energies: HourlyRows,
                            hyper: EnergyHyper = EnergyHyper()) -> EnergyModel:
     """End-to-end fit from parsed datasets: schema, encoding, training."""
     rows = build_energy_samples(cfg, kpis, energies)

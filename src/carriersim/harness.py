@@ -19,7 +19,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -30,10 +29,9 @@ from .datamodel import (
     A4Params,
     Cell,
     N_RATE_BINS,
-    KpiRows,
+    HourlyRows,
     MeasurementReports,
     NetworkConfig,
-    RadioEnergyRecord,
     RadioUnit,
     ShutdownThresholds,
     TrafficModel,
@@ -326,7 +324,7 @@ def _idle(ues: np.ndarray, cs_minutes: np.ndarray) -> np.ndarray:
 
 
 def _campaign(cfg, energy_law, rate_law, spec, rng, traffic, handover=None):
-    """KpiRows and energy records of one measurement campaign: the unbiased
+    """The KPI and energy rows of one measurement campaign: the unbiased
     one, or with `handover` the shutdown-active one. Rows are built from
     arrays, _BLOCK_CELLS cells at a time, and take every random value from
     one normal stream of `rng`, in this order:
@@ -356,11 +354,18 @@ def _campaign(cfg, energy_law, rate_law, spec, rng, traffic, handover=None):
                 rate_z = rng.standard_normal((n_active, _RATE_DRAWS))
             kpis.append(_kpi_values(prbs[cells], rate_law, spec, block, rate_z))
             values[:, cells] = block.reshape(4, -1, 24)
-        energies += _energy_rows(cfg, energy_law, spec, rng, day, values)
-    return KpiRows([c.id for c in cfg.cells for _ in _HOURS] * spec.n_days,
-                   np.repeat(np.arange(1, spec.n_days + 1), n_cells * 24),
-                   np.tile(_HOURS, n_cells * spec.n_days),
-                   np.concatenate(kpis)), energies
+        energies.append(_energy_rows(cfg, energy_law, spec, rng, values))
+    return (_hourly_rows([c.id for c in cfg.cells], spec.n_days, kpis),
+            _hourly_rows([r.id for r in cfg.radio_units], spec.n_days,
+                         energies))
+
+
+def _hourly_rows(ids, n_days, blocks):
+    """HourlyRows of value `blocks`, rows by day, then id, then hour."""
+    return HourlyRows([i for i in ids for _ in _HOURS] * n_days,
+                      np.repeat(np.arange(1, n_days + 1), len(ids) * 24),
+                      np.tile(_HOURS, len(ids) * n_days),
+                      np.concatenate(blocks))
 
 
 def _drawn_block(traffic, prbs, rng, cells):
@@ -406,10 +411,11 @@ def _kpi_values(prbs, rate_law, spec, block, rate_z):
     return values
 
 
-def _energy_rows(cfg, energy_law, spec, rng, day, values):
+def _energy_rows(cfg, energy_law, spec, rng, values):
     """Each radio's hourly energy through the true law from its carriers'
     DL load and shutdown fraction in `values` (ues, dl, ul, cs_minutes by
-    cell and hour), plus one noise normal per (radio, hour)."""
+    cell and hour), plus one noise normal per (radio, hour): one column,
+    radio-major."""
     row = {c.id: k for k, c in enumerate(cfg.cells)}
     true_e = np.zeros((len(cfg.radio_units), 24))
     for r, radio in enumerate(cfg.radio_units):
@@ -419,10 +425,7 @@ def _energy_rows(cfg, energy_law, spec, rng, day, values):
             {c.id: values[1, row[c.id]] / c.n_dl_prb for c in cells},
             {c.id: values[3, row[c.id]] / 60.0 for c in cells})
     noise = 0.0 + spec.energy_noise_wh * rng.standard_normal(true_e.shape)
-    return list(map(
-        RadioEnergyRecord, [r.id for r in cfg.radio_units for _ in range(24)],
-        repeat(day), _HOURS * len(cfg.radio_units),
-        _at_least(true_e + noise, 0.0).ravel().tolist()))
+    return _at_least(true_e + noise, 0.0).reshape(-1, 1)
 
 
 def _simulated_day(cfg, traffic, handover, rng):

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import N_RATE_BINS, CellKpiRecord, NetworkConfig
+from .datamodel import N_RATE_BINS, HourlyRows, NetworkConfig
 from .errors import (
     EmptyCountersError,
     UnknownCellError,
@@ -46,13 +46,16 @@ DEFAULT_BIN_EDGES = (0.0, *np.geomspace(0.5, 300.0, N_RATE_BINS).tolist())
 # Ground-truth extraction from counters
 
 
-def avg_rate_from_kpis(k: CellKpiRecord) -> float:
-    """Mean UE DL rate in Mbps: bits outside buffer-emptying slots over the
-    matching transmit time."""
-    if k.dl_active_time_s <= 0:
-        raise ZeroActiveTimeError(
-            f"cell {k.cell_id} day {k.day} hour {k.hour}: zero active time")
-    return (k.dl_bits - k.dl_bits_lastslot) / k.dl_active_time_s / 1e6
+def avg_rate_from_kpis(kpis: HourlyRows) -> np.ndarray:
+    """Each row's mean UE DL rate in Mbps: bits outside buffer-emptying
+    slots over the matching transmit time."""
+    active_time = kpis.column("dl_active_time_s")
+    if (active_time <= 0).any():
+        i = int(np.argmax(active_time <= 0))
+        raise ZeroActiveTimeError(f"cell {kpis.ids[i]} day {kpis.day[i]} "
+                                  f"hour {kpis.hour[i]}: zero active time")
+    return ((kpis.column("dl_bits") - kpis.column("dl_bits_lastslot"))
+            / active_time / 1e6)
 
 
 def p5_rate_from_bins(counters: Sequence[float],
@@ -466,26 +469,34 @@ def predict_rate(model: RateModel, cell: str, dl_prb_load: float,
     return float(avg[0]), float(ce[0])
 
 
-def build_rate_samples(cfg: NetworkConfig, kpis: Sequence[CellKpiRecord],
+def build_rate_samples(cfg: NetworkConfig, kpis: HourlyRows,
                        ) -> tuple[dict[str, list[RateSample]],
                                   dict[str, list[RateSample]]]:
-    """Extract per-cell training rows from KPI records.
+    """Extract per-cell training rows from KPI rows.
 
     Rows without active transmit time (mean rate) or with empty bin counters
     (5%-tile) are skipped for the respective target.
     """
+    load = kpis.column("dl_prbs_used") / np.array(
+        [cfg.cell(c).n_dl_prb for c in kpis.ids], dtype=float)
+    active = kpis.column("dl_active_time_s") > 0
+    rate = np.zeros(len(kpis))
+    rate[active] = avg_rate_from_kpis(kpis.select(active))
+    bins = np.column_stack([kpis.column(f"rate_bin_{g:02d}")
+                            for g in range(1, N_RATE_BINS + 1)])
     avg: dict[str, list[RateSample]] = {}
     ce: dict[str, list[RateSample]] = {}
-    for k in kpis:
-        load = min(k.dl_prbs / cfg.cell(k.cell_id).n_dl_prb, 1.0)
-        if k.dl_active_time_s > 0:
-            avg.setdefault(k.cell_id, []).append(RateSample(
-                cell_id=k.cell_id, hour=k.hour, dl_prb_load=load,
-                rrc_ues=k.rrc_ues, rate_mbps=max(avg_rate_from_kpis(k), 0.0)))
-        if math.fsum(k.rate_bins) > 0:
-            ce.setdefault(k.cell_id, []).append(RateSample(
-                cell_id=k.cell_id, hour=k.hour, dl_prb_load=load,
-                rrc_ues=k.rrc_ues, rate_mbps=p5_rate_from_bins(k.rate_bins)))
+    for cell, hour, dl_load, ues, has_rate, mean_rate, counters in zip(
+            kpis.ids, kpis.hour.tolist(), load.tolist(),
+            kpis.column("rrc_ues").tolist(), active.tolist(), rate.tolist(),
+            bins.tolist()):
+        row = (cell, hour, min(dl_load, 1.0), ues)
+        if has_rate:
+            avg.setdefault(cell, []).append(
+                RateSample(*row, max(mean_rate, 0.0)))
+        if math.fsum(counters) > 0:
+            ce.setdefault(cell, []).append(RateSample(
+                *row, p5_rate_from_bins(counters)))
     return avg, ce
 
 

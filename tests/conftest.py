@@ -4,7 +4,7 @@ import pytest
 from carriersim.datamodel import (
     A4Params,
     Cell,
-    CellKpiRecord,
+    HourlyRows,
     NetworkConfig,
     RadioUnit,
     ShutdownThresholds,
@@ -61,13 +61,36 @@ def make_network(n_capacity=1, n_coverage=1, entry_ue=10.0, entry_dl=100.0,
 def make_kpi(cell_id="c1", day=1, hour=1, rrc_ues=5.0, dl_prbs=20.0,
              ul_prbs=10.0, dl_bits=1e8, dl_bits_lastslot=2e7,
              dl_active_time_s=2.0, rate_bins=None, cs_minutes=0.0):
+    """One kpi.csv row as HourlyRows; the UL volume and times are 0."""
     if rate_bins is None:
-        rate_bins = tuple([10.0] * 15)
-    return CellKpiRecord(
-        cell_id=cell_id, day=day, hour=hour, rrc_ues=rrc_ues, dl_prbs=dl_prbs,
-        ul_prbs=ul_prbs, dl_bits=dl_bits, dl_bits_lastslot=dl_bits_lastslot,
-        dl_active_time_s=dl_active_time_s, rate_bins=tuple(rate_bins),
-        cs_minutes=cs_minutes)
+        rate_bins = [10.0] * 15
+    return HourlyRows([cell_id], np.array([day]), np.array([hour]), np.array(
+        [[rrc_ues, dl_prbs, ul_prbs, dl_bits, dl_bits_lastslot,
+          dl_active_time_s, 0.0, 0.0, 0.0, *rate_bins, cs_minutes]],
+        dtype=float))
+
+
+def make_energy(radio_unit="ru-c1", day=1, hour=1, energy_wh=500.0):
+    """One energy.csv row as HourlyRows."""
+    return HourlyRows([radio_unit], np.array([day]), np.array([hour]),
+                      np.array([[energy_wh]], dtype=float))
+
+
+def stack(tables):
+    """The rows of `tables` (HourlyRows of one file type), in order."""
+    tables = list(tables)
+    return HourlyRows([i for t in tables for i in t.ids],
+                      *(np.concatenate([getattr(t, name) for t in tables])
+                        for name in ("day", "hour", "values")))
+
+
+def assert_same_rows(a, b):
+    """`a` and `b` hold the same ids, and days, hours and values of the
+    same dtypes, shapes and bits."""
+    assert a.ids == b.ids
+    for name in ("day", "hour", "values"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 
 
 def make_traffic(cfg, values, std=1e-9):

@@ -283,6 +283,31 @@ class TestCellWithoutKpiRows:
         assert "error:" in r.output and "'cap002'" in r.output
 
 
+class TestUnknownIds:
+    @pytest.mark.parametrize("name, bad_id, kind, command", [
+        ("kpi_biased.csv", "ghost", "cell", "train"),
+        ("kpi_biased.csv", "ghost", "cell", "benchmark"),
+        ("energy_biased.csv", "ru-ghost", "radio unit", "train"),
+        ("kpi.csv", "ghost", "cell", "simulate"),
+        ("energy.csv", "ru-ghost", "radio unit", "train"),
+    ])
+    def test_fail_cleanly_naming_file_and_row(self, pipeline, tmp_path,
+                                              name, bad_id, kind, command):
+        data = copy_dir(pipeline / "data", tmp_path / "data")
+        lines = (data / name).read_text().splitlines()
+        lines[5] = bad_id + "," + lines[5].split(",", 1)[1]
+        (data / name).write_text("\n".join(lines) + "\n")
+        args = ["--out", tmp_path / "o"]
+        if command != "train":
+            args += ["--models", pipeline / "models"]
+        r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, command,
+                    "--data", data, *args)
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)   # not an escaped error
+        assert (f"error: {data / name}, row 5: references unknown {kind} "
+                f"'{bad_id}'") in r.output
+
+
 class TestCompareCommand:
     def test_report_written(self, pipeline, estimates, tmp_path):
         abm, bench = estimates

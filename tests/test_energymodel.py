@@ -153,15 +153,12 @@ class TestFeatureEncoding:
         assert [c.id for c in carrier_order(cells)] == ["c1", "c2", "b1"]
 
     def test_build_energy_samples_joins_kpi_and_energy(self):
-        from carriersim.datamodel import RadioEnergyRecord
-
-        from conftest import make_kpi
+        from conftest import make_energy, make_kpi, stack
 
         cfg = make_network()
-        kpis = [make_kpi(cell_id=c.id, day=1, hour=1, dl_prbs=27.0)
-                for c in cfg.cells]
-        energies = [RadioEnergyRecord(radio_unit="ru-c1", day=1, hour=1,
-                                      energy_wh=432.1)]
+        kpis = stack(make_kpi(cell_id=c.id, day=1, hour=1, dl_prbs=27.0)
+                     for c in cfg.cells)
+        energies = make_energy("ru-c1", 1, 1, 432.1)
         rows = build_energy_samples(cfg, kpis, energies)
         assert len(rows) == 1
         assert rows[0].dl_loads["c1"] == pytest.approx(27.0 / 270)

@@ -29,22 +29,23 @@ from carriersim.errors import (
     ZeroActiveTimeError,
 )
 
-from conftest import make_kpi, make_network
+from conftest import make_kpi, make_network, stack
 
 
 class TestAvgRate:
     def test_formula(self):
         # (1e8 - 2e7) bits over 2 s = 40 Mbps
         k = make_kpi(dl_bits=1e8, dl_bits_lastslot=2e7, dl_active_time_s=2.0)
-        assert avg_rate_from_kpis(k) == 40.0
+        assert avg_rate_from_kpis(k).tolist() == [40.0]
 
     def test_all_bits_in_lastslot_gives_zero(self):
         k = make_kpi(dl_bits=5e7, dl_bits_lastslot=5e7, dl_active_time_s=3.0)
-        assert avg_rate_from_kpis(k) == 0.0
+        assert avg_rate_from_kpis(k).tolist() == [0.0]
 
     def test_zero_active_time_rejected(self):
-        k = make_kpi(dl_active_time_s=0.0)
-        with pytest.raises(ZeroActiveTimeError):
+        k = stack([make_kpi(), make_kpi(day=2, hour=7, dl_active_time_s=0.0)])
+        with pytest.raises(ZeroActiveTimeError,
+                           match="cell c1 day 2 hour 7: zero active time"):
             avg_rate_from_kpis(k)
 
 
@@ -474,12 +475,12 @@ class TestRateModel:
 class TestSampleExtraction:
     def test_build_rate_samples_splits_targets(self):
         cfg = make_network()
-        kpis = [
+        kpis = stack([
             make_kpi(cell_id="c1", dl_prbs=54.0, dl_bits=1e8,
                      dl_bits_lastslot=2e7, dl_active_time_s=2.0),
             make_kpi(cell_id="c1", hour=2, dl_active_time_s=0.0,
                      rate_bins=[0.0] * 15),
-        ]
+        ])
         avg, ce = build_rate_samples(cfg, kpis)
         assert len(avg["c1"]) == 1
         assert avg["c1"][0].rate_mbps == 40.0
