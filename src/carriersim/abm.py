@@ -8,9 +8,13 @@ capacity cell's candidacy and margin; a step re-checks only the acting cell
 and the capacity cells paired with a cell whose counters it changed. Every
 movement is logged so a run can be replayed from its initial draw, and
 per-hour runs roll forward into the next hour.
-A step works on Python scalars (list counters, uniforms read in blocks,
-list transfer tables) that repeat numpy's float operations in numpy's order;
-numpy draws the traffic, scans the candidates and weighs 8 or more of them.
+A step works on Python scalars (list counters and network lookups, uniforms
+read in blocks, list transfer tables) that repeat numpy's float operations in
+numpy's order; numpy draws the traffic, scans the candidates and weighs 8 or
+more of them. One function, `_shutdown`, draws and applies every shutdown: a
+step's, a roll-in's and `transfer_users`'. With one target it moves past the
+UEs' uniforms unread. A step refolds the hosts' counters at once; the roll-in
+refolds each host once, after its last shutdown.
 
 State bookkeeping uses a per-host contribution ledger: a host cell's counters
 are always rederived as its own drawn base plus the logged contributions it
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import reduce
 from itertools import accumulate
@@ -76,6 +81,9 @@ class SimNetwork:
                                    dtype=np.intp)
         self.paired_global = np.array(
             [self.index[cfg.pairing[c]] for c in self.cap_ids], dtype=np.intp)
+        # the same two maps as lists, for a step's scalar lookups
+        self.cap_cell = self.cap_global.tolist()
+        self.paired_cell = self.paired_global.tolist()
         # per-capacity-cell threshold arrays under the ShutdownThresholds names
         self.th = SimpleNamespace(**{
             f.name: np.array([getattr(cfg.energy_saving[c], f.name)
@@ -191,7 +199,7 @@ class RunState:
             base_ul[paired], net.th)
         self.sd_margin = net.th.entry_dl_prb - (base_dl[cap] + base_dl[paired])
         self.contribs: list[list] = [[] for _ in range(net.n_cells)]
-        self.origin_hosts: dict[int, set[int]] = {}
+        self.origin_hosts: dict[int, set[int]] = defaultdict(set)
         self.replay = ReplayLog(hour=hour, base_ue=base_ue.copy(),
                                 base_dl=base_dl.copy(), base_ul=base_ul.copy())
 
@@ -234,72 +242,27 @@ class _Uniforms:
         self.random, self.block, self.buf, self.pos = rng.random, block, [], 0
 
     def take(self, n: int) -> list[float]:
+        self.skip(n)
+        return self.buf[self.pos - n:self.pos]
+
+    def skip(self, n: int) -> None:
+        """Move past the next n uniforms unread, drawing blocks as needed."""
         while self.pos + n > len(self.buf):
             self.buf = self.buf[self.pos:] + self.random(self.block).tolist()
             self.pos = 0
         self.pos += n
-        return self.buf[self.pos - n:self.pos]
 
 
 # ---------------------------------------------------------------------------
 # Core mutations
 
 
-def _draw_moves(state: RunState, a: int, targets: list[int], cum: list[float],
-                uniforms: _Uniforms):
-    """Draw a transfer target per departing UE, grouped by origin."""
-    g = state.net.cap_global.item(a)
-    n_ue = round(state.ue[g])
-    if n_ue == 0:
-        return []
-    m_dl = state.dl[g] / n_ue
-    m_ul = state.ul[g] / n_ue
-    groups = [(a, round(state.base_ue[g]))]
-    groups += [(origin, n) for origin, n, _, _ in state.contribs[g]]
-    last = len(targets) - 1
-    moves = []
-    for origin, count in groups:
-        u = uniforms.take(count)  # also for one target: the stream stays
-        if not last:
-            counts = [count]
-        else:
-            counts = [0] * len(targets)
-            for v in u:  # searchsorted(side="right"), clamped to the last slot
-                counts[bisect_right(cum, v, 0, last)] += 1
-        moves += [(origin, targets[slot], n, n * m_dl, n * m_ul)
-                  for slot, n in enumerate(counts) if n]
-    return moves
-
-
-def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
-    """Apply drawn moves and shut `a` down; returns the target cells."""
-    g = state.net.cap_global.item(a)
-    touched = set()
-    for origin, target, n, dla, ula in moves:
-        state.contribs[target].append((origin, n, dla, ula))
-        state.origin_hosts.setdefault(origin, set()).add(target)
-        touched.add(target)
-    for target in touched:
-        state._refold(target)
-    # every UE left, including previously received foreign ones
-    for origin, _, _, _ in state.contribs[g]:
-        hosts = state.origin_hosts.get(origin)
-        if hosts is not None:
-            hosts.discard(g)
-    state.contribs[g] = []
-    state.ue[g] = 0.0
-    state.dl[g] = 0.0
-    state.ul[g] = 0.0
-    state.t_cs[g] = SHUTDOWN_MINUTES
-    state.x[a] = False
-    state.replay.events.append(("sd", step, a, tuple(moves)))
-    return touched
-
-
-def _transfer(state: RunState, a: int, entry, uniforms: _Uniforms,
+def _shutdown(state: RunState, a: int, entry, uniforms: _Uniforms,
               step: int) -> set[int] | None:
     """Shut down capacity cell `a`, handing its UEs to targets drawn from its
-    transfer-table entry; returns the cells that received UEs.
+    transfer-table entry, one uniform per UE, grouped by origin (its own UEs,
+    then the foreign ones it hosts, in ledger order). Returns the cells that
+    received UEs; their counters are left for the caller to refold.
 
     Returns None (state untouched) when no feasible target exists, i.e. the
     shutdown attempt is abandoned.
@@ -308,14 +271,63 @@ def _transfer(state: RunState, a: int, entry, uniforms: _Uniforms,
     if entry is None:
         return None
     targets, _, cum, _ = entry
-    return _apply_shutdown(
-        state, a, _draw_moves(state, a, targets, cum, uniforms), step)
+    g = state.net.cap_cell[a]
+    n_ue = round(state.ue[g])
+    if n_ue == 0:
+        return _apply_shutdown(state, a, [], step)
+    m_dl = state.dl[g] / n_ue
+    m_ul = state.ul[g] / n_ue
+    groups = [(a, round(state.base_ue[g]))]
+    groups += [(origin, n) for origin, n, _, _ in state.contribs[g]]
+    last = len(targets) - 1
+    moves = []
+    if not last:  # every UE goes to the one target: its uniforms go unread
+        t = targets[0]
+        for origin, n in groups:
+            uniforms.skip(n)
+            if n:
+                moves.append((origin, t, n, n * m_dl, n * m_ul))
+        return _apply_shutdown(state, a, moves, step)
+    for origin, count in groups:
+        counts = [0] * len(targets)
+        # searchsorted(side="right"), clamped to the last slot
+        for v in uniforms.take(count):
+            counts[bisect_right(cum, v, 0, last)] += 1
+        moves += [(origin, targets[slot], n, n * m_dl, n * m_ul)
+                  for slot, n in enumerate(counts) if n]
+    return _apply_shutdown(state, a, moves, step)
 
 
-def _reactivate(state: RunState, a: int, step: int) -> list[int]:
+def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
+    """Log drawn moves in the ledger and shut `a` down; returns the target
+    cells, whose counters the caller refolds."""
+    g = state.net.cap_cell[a]
+    contribs, origin_hosts = state.contribs, state.origin_hosts
+    touched = set()
+    for origin, target, n, dla, ula in moves:
+        contribs[target].append((origin, n, dla, ula))
+        origin_hosts[origin].add(target)
+        touched.add(target)
+    # every UE left, including previously received foreign ones
+    for origin, _, _, _ in contribs[g]:
+        hosts = origin_hosts.get(origin)
+        if hosts is not None:
+            hosts.discard(g)
+    contribs[g] = []
+    state.ue[g] = 0.0
+    state.dl[g] = 0.0
+    state.ul[g] = 0.0
+    state.t_cs[g] = SHUTDOWN_MINUTES
+    state.x[a] = False
+    state.replay.events.append(("sd", step, a, tuple(moves)))
+    touched.discard(g)  # a cell listed as its own target keeps nothing
+    return touched
+
+
+def _reactivate(state: RunState, a: int, step: int) -> Iterable[int]:
     """Bring `a` back; returns the cells that hosted its UEs."""
-    g = state.net.cap_global.item(a)
-    hosts = sorted(state.origin_hosts.pop(a, ()))
+    g = state.net.cap_cell[a]
+    hosts = state.origin_hosts.pop(a, ())
     for h in hosts:
         state.contribs[h] = [e for e in state.contribs[h] if e[0] != a]
         state._refold(h)
@@ -342,10 +354,12 @@ def _refresh(state: RunState, a: int, touched, cand: np.ndarray,
     net, x = state.net, state.x
     if x[a]:
         cand[a], margin[a] = state.sd_frozen[a], state.sd_margin[a]
-    paired_caps = net.paired_caps
-    for k in [a, *(k for h in touched for k in paired_caps[h])]:
+    ks = [a]
+    for h in touched:
+        ks += net.paired_caps[h]
+    for k in ks:
         if not x[k]:
-            p, th = net.paired_global.item(k), net.cap_th[k]
+            p, th = net.paired_cell[k], net.cap_th[k]
             dl = state.dl[p]
             cand[k] = check_wakeup(state.ue[p], dl, state.ul[p], th)
             margin[k] = dl - th.leave_dl_prb
@@ -358,13 +372,14 @@ def _pick(margins, u: float) -> int:
     n = len(margins)
     if n == 1:
         return 0
-    if n >= 8:
+    if n >= 8:  # add.reduce and add.accumulate are what sum and cumsum run
         weights = np.maximum(margins, 0.0)
-        total = weights.sum()
+        total = np.add.reduce(weights)
         if total <= 0.0:
             cum = np.arange(1, n + 1) / n
         else:
-            cum = (weights / total).cumsum()
+            weights /= total
+            cum = np.add.accumulate(weights, out=weights)
         cum[-1] = 1.0
         return min(int(cum.searchsorted(u, side="right")), n - 1)
     weights = [m if m > 0.0 else 0.0 for m in np.asarray(margins).tolist()]
@@ -385,7 +400,8 @@ def replay_log(log: ReplayLog, net: SimNetwork) -> RunState:
     for event in list(log.events):
         if event[0] == "sd":
             _, step, a, moves = event
-            _apply_shutdown(state, a, list(moves), step)
+            for h in _apply_shutdown(state, a, moves, step):
+                state._refold(h)
         else:
             _, step, a = event
             _reactivate(state, a, step)
@@ -433,10 +449,15 @@ def transfer_users(cell_id: str, state: RunState, handover: HandoverModel,
     a = state.net.cap_index[cell_id]
     if not state.x[a]:
         raise ValueError(f"{cell_id!r} is already shut down")
-    return _transfer(state, a,
-                     _handover_targets(state.net, handover, cell_id, hour),
-                     _Uniforms(rng, block=1),
-                     step=len(state.replay.events) + 1) is not None
+    touched = _shutdown(state, a,
+                        _handover_targets(state.net, handover, cell_id, hour),
+                        _Uniforms(rng, block=1),
+                        step=len(state.replay.events) + 1)
+    if touched is None:
+        return False
+    for h in touched:
+        state._refold(h)
+    return True
 
 
 def reactivate(cell_id: str, state: RunState) -> RunState:
@@ -476,9 +497,11 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
 
     The roll-in replays the shutdown path from all-active to `starting_x`
     (ascending cell order, UE transfers included) without rule checks or
-    agent randomness. After the traffic draw the run reads its uniforms from
-    `rng` in blocks of UNIFORM_BLOCK, so `rng` may end up to one block further
-    on than used.
+    agent randomness. It refolds each host once, after the last rolled
+    shutdown; a rolled cell that received UEs earlier in the roll-in is
+    refolded just before its own shutdown reads it. After the traffic draw
+    the run reads its uniforms from `rng` in blocks of UNIFORM_BLOCK, so `rng`
+    may end up to one block further on than used.
     """
     net = _net if _net is not None else SimNetwork(cfg)
     table = _table if _table is not None else build_transfer_table(
@@ -489,17 +512,32 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
     # all active: candidacy from the frozen draws; rolled-in cells re-checked
     cand, margin = state.sd_frozen.copy(), state.sd_margin.copy()
     rolled = (~start).nonzero()[0].tolist()
+    hosts: set[int] = set()
     for a in rolled:
-        _transfer(state, a, table[a], uniforms, step=0)
+        g = net.cap_cell[a]
+        if g in hosts:  # it received UEs: refold it before reading it
+            hosts.remove(g)
+            state._refold(g)
+        hosts.update(_shutdown(state, a, table[a], uniforms, step=0) or ())
+    for h in hosts:
+        state._refold(h)
     for a in rolled:
         _refresh(state, a, (), cand, margin)
+    x = state.x
     for t in range(1, abm_cfg.max_steps + 1):
         idx = cand.nonzero()[0]
-        if not len(idx):
+        n = len(idx)
+        if not n:
             return RunResult(state, t, True)
-        a = idx.item(_pick(margin[idx], uniforms.take(1)[0]))
-        if state.x[a]:
-            touched = _transfer(state, a, table[a], uniforms, step=t)
+        if n == 1:
+            uniforms.skip(1)
+            a = idx.item(0)
+        else:
+            a = idx.item(_pick(margin[idx], uniforms.take(1)[0]))
+        if x[a]:
+            touched = _shutdown(state, a, table[a], uniforms, step=t)
+            for h in touched or ():
+                state._refold(h)
         else:
             touched = _reactivate(state, a, step=t)
         if touched is not None:

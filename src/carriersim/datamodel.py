@@ -465,6 +465,7 @@ def parse_engineering(path) -> NetworkConfig:
             cell = Cell(cell_id, radio_unit, _float(frequency),
                         _float(bandwidth), _float(power), int(n_dl_prb),
                         int(n_ul_prb))
+            info = (radio_type, int(n_trx), tx_mode)
         except (ValueError, ConfigError) as exc:
             raise MalformedRowError(path, i, str(exc))
         cells.append(cell)
@@ -489,7 +490,6 @@ def parse_engineering(path) -> NetworkConfig:
                 _parse_pairs(a4_cell_offsets, path, i))
         except (ValueError, ConfigError) as exc:
             raise MalformedRowError(path, i, str(exc))
-        info = (radio_type, int(n_trx), tx_mode)
         prior = radio_info.setdefault(cell.radio_unit, info)
         if prior != info:
             raise MalformedRowError(

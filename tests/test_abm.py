@@ -8,7 +8,6 @@ from carriersim.abm import (
     SimNetwork,
     _apply_shutdown,
     _coerce_start,
-    _draw_moves,
     _eligible_masks,
     _entry,
     _handover_targets,
@@ -16,6 +15,7 @@ from carriersim.abm import (
     _new_state,
     _pick,
     _reactivate,
+    _shutdown,
     _Uniforms,
     build_transfer_table,
     eligible_sets,
@@ -412,7 +412,8 @@ def _reference_transfer(state, a, entry, rng, step):
         return False
     targets, _, cum, _ = entry
     moves = _reference_draw_moves(state, a, targets, cum, rng)
-    _apply_shutdown(state, a, moves, step)
+    for h in _apply_shutdown(state, a, moves, step):
+        state._refold(h)
     return True
 
 
@@ -484,7 +485,7 @@ class TestIncrementalStepperMatchesReference:
         abm_cfg = AbmConfig(runs=1, max_steps=60)
         seen = {"ac": 0, "foreign": 0, "cap_target": 0, "multi_target": 0,
                 "abandoned": 0, "one_candidate": 0, "many_candidates": 0,
-                "crowd": 0}
+                "crowd": 0, "rollin_abandoned": 0, "rollin_foreign": 0}
         for seed in range(50):
             n_cap = len(cfg.capacity_cells)
             start = np.random.default_rng(1000 + seed).random(n_cap) < 0.4
@@ -502,6 +503,12 @@ class TestIncrementalStepperMatchesReference:
             seen["abandoned"] += len(n_cand) - len(acted)
             seen["one_candidate"] += n_cand.count(1)
             seen["many_candidates"] += sum(n > 1 for n in n_cand)
+            # roll-in shutdowns are logged at step 0; a rolled cell with no
+            # feasible target stays active
+            rolled = [e for e in state.replay.events if e[1] == 0]
+            seen["rollin_abandoned"] += int((~start).sum()) - len(rolled)
+            seen["rollin_foreign"] += sum(any(m[0] != e[2] for m in e[3])
+                                          for e in rolled)
             for e in state.replay.events:
                 if e[0] != "sd":
                     continue
@@ -512,10 +519,11 @@ class TestIncrementalStepperMatchesReference:
         wanted = {"mixed": set(seen) - {"one_candidate", "crowd"},
                   "single": {"ac", "one_candidate"},
                   "chain": {"ac", "foreign", "cap_target", "multi_target",
-                            "abandoned", "many_candidates"},
+                            "abandoned", "many_candidates",
+                            "rollin_abandoned", "rollin_foreign"},
                   "crowd": {"ac", "foreign", "cap_target", "multi_target",
-                            "many_candidates", "crowd"}}[case]
-        assert {k for k in wanted if seen[k] == 0} == set()
+                            "many_candidates", "crowd", "rollin_foreign"}}[case]
+        assert {k for k in wanted if seen[k] == 0} == set(), seen
 
     def test_pick_with_one_candidate_draws_once(self):
         rng, twin = np.random.default_rng(11), np.random.default_rng(11)
@@ -631,16 +639,18 @@ class TestExactness:
         state, _ = fresh_state(cfg, {"c1": (12, 40, 12), "b1": (5, 10, 5),
                                      "b2": (5, 10, 5), "b3": (5, 10, 5)})
         handover = make_handover({"c1": {"b1": 0.1, "b2": 0.2, "b3": 0.7}})
-        targets, _, cum, _ = build_transfer_table(state.net, handover, 1)[0]
+        entry = build_transfer_table(state.net, handover, 1)[0]
+        targets, _, cum, _ = entry
         assert cum[1] == 0.30000000000000004
         values = [0.0, float(np.nextafter(1.0, 0.0))]
         for c in cum[:-1]:
             values += [c, float(np.nextafter(c, 0.0)),
                        float(np.nextafter(c, 1.0))]
         values += [0.5] * (12 - len(values))
-        got = _draw_moves(state, 0, targets, cum, _Served(values))
-        assert got == _reference_draw_moves(state, 0, targets, cum,
-                                            _Served(values))
+        want = _reference_draw_moves(state, 0, targets, cum, _Served(values))
+        _shutdown(state, 0, entry, _Served(values), step=1)
+        got = state.replay.events[-1][3]
+        assert list(got) == want
         assert len(got) == 3
 
     def test_uniforms_read_in_blocks_keep_the_stream(self):

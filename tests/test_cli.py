@@ -200,6 +200,21 @@ class TestSimulate:
         assert "error:" in r.output and "mr.csv, row 1" in r.output
         assert "Traceback" not in r.output
 
+    def test_non_integer_n_trx_fails_cleanly(self, pipeline, tmp_path):
+        data = copy_dir(pipeline / "data", tmp_path / "data")
+        lines = (data / "engineering.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "x"  # n_trx
+        lines[2] = ",".join(fields)
+        (data / "engineering.csv").write_text("\n".join(lines) + "\n")
+        r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, "simulate",
+                    "--data", data, "--models", pipeline / "models",
+                    "--out", tmp_path / "o")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)   # not an escaped error
+        assert "error:" in r.output and "engineering.csv, row 2" in r.output
+        assert "Traceback" not in r.output
+
     def test_old_rate_bundle_fails_cleanly(self, pipeline, tmp_path):
         models = copy_dir(pipeline / "models", tmp_path / "models")
         (models / "rate_model.json").write_text(json.dumps(

@@ -3,10 +3,14 @@ of the scenario generator's files.
 
 The network is the one perfbench's whatif workload queries: 2 capacity cells,
 1 coverage cell, 3 days, scenario seed 7, traffic fitted from its KPI file.
-It has one coverage cell, so its reports never draw extra neighbours; the
-generator is pinned on a 6 + 3-cell, 2-day spec (seed 11) that does, and on
-a sparse, noisy 3 + 2-cell spec whose cell-hours reach the zero-UE branch of
-both KPI campaigns.
+It has one coverage cell, so its reports never draw extra neighbours, and
+its steps never weigh more than 2 candidates or split a shutdown over more
+than one target. A 30 + 20-cell, 1-day network (scenario seed 3) pins the
+ABM's large-network paths: 8 or more candidates weighed at once, UEs split
+over several targets, and starting configurations rolled in. The
+generator is pinned on a 6 + 3-cell, 2-day spec (seed 11), whose reports do
+draw extra neighbours, and on a sparse, noisy 3 + 2-cell spec whose
+cell-hours reach the zero-UE branch of both KPI campaigns.
 A change to the ABM, the baseline or the generator that is meant to keep the
 outputs must keep these digests; a change that is meant to move them updates
 them and says why.
@@ -25,6 +29,11 @@ SIMULATE_DAY_SHA256 = (
     "b0f7a6bdf54016584514b275600c707fdec6c896610bab9cfd7a4435849d7c12")
 RUN_BENCHMARK_SHA256 = (
     "8abcf5150ba2c789fcbfdf87c6e2960acb11a8a7fce09c40024a2e8c80e7b83d")
+# the 30 + 20-cell network: simulate_day at R=5 (seed 5), and run_benchmark
+LARGE_SIMULATE_DAY_SHA256 = (
+    "b86d98aeeb38dee25b26cb3413a69d5e66d9e6cb35a7a1c556c641286ca7dab4")
+LARGE_RUN_BENCHMARK_SHA256 = (
+    "9c7d95a4af1a69c191f2202d71c65f07b620b7531454927e3edc1d4f32a8a6f3")
 # generate_scenario(ScenarioSpec(6, 3, 2), seed=11): each file it writes, and
 # the handover table built from its reports (sorted items, repr'd)
 GENERATOR_SHA256 = {
@@ -73,14 +82,25 @@ def _digest(outputs, names):
     return h.hexdigest()
 
 
-@pytest.fixture(scope="module")
-def whatif_network(tmp_path_factory):
-    data = tmp_path_factory.mktemp("whatif")
-    generate_scenario(ScenarioSpec(n_capacity=2, n_coverage=1, n_days=3),
-                      data, seed=7)
+def _fitted_network(data, spec, seed):
+    """(traffic fitted from the parsed KPI file, config, handover model)."""
+    generate_scenario(spec, data, seed=seed)
     cfg, kpis, _, mrs = parse_datasets(data)
     return fit_traffic_model(kpis), cfg, build_handover_model_for_hours(cfg,
                                                                         mrs)
+
+
+@pytest.fixture(scope="module")
+def whatif_network(tmp_path_factory):
+    return _fitted_network(tmp_path_factory.mktemp("whatif"),
+                           ScenarioSpec(n_capacity=2, n_coverage=1, n_days=3),
+                           seed=7)
+
+
+@pytest.fixture(scope="module")
+def large_network(tmp_path_factory):
+    return _fitted_network(tmp_path_factory.mktemp("large"),
+                           ScenarioSpec(30, 20, 1), seed=3)
 
 
 def test_simulate_day_arrays_are_pinned(whatif_network):
@@ -94,6 +114,19 @@ def test_run_benchmark_arrays_are_pinned(whatif_network):
     outputs = run_benchmark(*whatif_network)
     assert _digest(outputs, ("ues", "dl_prbs", "cs_minutes")) \
         == RUN_BENCHMARK_SHA256
+
+
+def test_simulate_day_arrays_are_pinned_on_a_large_network(large_network):
+    outputs = simulate_day(*large_network,
+                           AbmConfig(runs=5, max_steps=400, seed=5))
+    assert _digest(outputs, ("ues", "dl_prbs", "ul_prbs", "cs_minutes")) \
+        == LARGE_SIMULATE_DAY_SHA256
+
+
+def test_run_benchmark_arrays_are_pinned_on_a_large_network(large_network):
+    outputs = run_benchmark(*large_network)
+    assert _digest(outputs, ("ues", "dl_prbs", "cs_minutes")) \
+        == LARGE_RUN_BENCHMARK_SHA256
 
 
 def test_generator_files_and_handover_table_are_pinned(tmp_path):
