@@ -11,8 +11,8 @@ engineering.csv -- one row per cell:
     entry_ue, entry_dl_prb, entry_ul_prb, leave_ue, leave_dl_prb, leave_ul_prb
   `role` is "capacity" or "coverage". Pairing and shutdown thresholds are
   required on capacity rows and must be blank on coverage rows. The A4 offset
-  fields hold `cell:value` pairs joined by `|` (blank means no per-neighbour
-  offsets; missing entries read as 0).
+  fields hold `cell:value` pairs joined by `|`, each cell id distinct and
+  non-empty (blank means no per-neighbour offsets; missing entries read as 0).
 
 kpi.csv -- one row per cell, day and hour:
     cell_id, day, hour, rrc_ues, dl_prbs_used, ul_prbs_used, dl_bits,
@@ -31,8 +31,8 @@ energy.csv -- one row per radio unit, day and hour:
 
 mr.csv -- one row per UE measurement report:
     timestamp, ue_id, serving_cell, rsrp_dbm
-  `timestamp` is ISO-8601 (`YYYY-MM-DDTHH:MM:SS`); `rsrp_dbm` holds
-  `cell:value` pairs joined by `|` and must include the serving cell.
+  `timestamp` is ISO-8601 (`YYYY-MM-DDTHH:MM:SS`); `rsrp_dbm` holds such
+  pairs and must include the serving cell. In memory: MeasurementReports.
 
 Numeric fields must be finite: `nan` and `inf` are rejected with the file
 and row, like any other malformed value or a row shorter than the header.
@@ -249,28 +249,13 @@ class HourlyRows:
                           self.day[mask], self.hour[mask], self.values[mask])
 
 
-@dataclass(frozen=True)
-class MeasurementReport:
-    timestamp: str
-    ue_id: str
-    serving_cell: str
-    neighbor_rsrp_dbm: Mapping[str, float]
-
-    @property
-    def hour(self) -> int:
-        """Hour-of-day index in 1..24 derived from the ISO timestamp."""
-        return int(self.timestamp[11:13]) + 1
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementReports:
     """Measurement reports as columns. Report i was sent at timestamps[i] by
     UE ue_ids[i] and served by cells[serving[i]]; its RSRP pairs are
     (cells[neighbours[k]], rsrp_dbm[k]) for k in offsets[i]:offsets[i + 1]
-    (compressed sparse rows), in the order they were given. `cells` is
-    sorted, so code order is cell-id order. len(), iteration and indexing
-    give MeasurementReport rows, built on demand (iteration stops at the
-    IndexError past the last one)."""
+    (compressed sparse rows), in the order they were given, each cell at
+    most once. `cells` is sorted, so code order is cell-id order."""
 
     cells: tuple[str, ...]
     timestamps: list[str]
@@ -280,40 +265,13 @@ class MeasurementReports:
     neighbours: np.ndarray
     rsrp_dbm: np.ndarray
 
-    @classmethod
-    def from_rows(cls, reports: Iterable[MeasurementReport],
-                  ) -> "MeasurementReports":
-        """The columns of `reports`, read once and not kept."""
-        stamps, ue_ids, serving, counts, cells, rsrp = [], [], [], [0], [], []
-        for r in reports:
-            stamps.append(r.timestamp)
-            ue_ids.append(r.ue_id)
-            serving.append(r.serving_cell)
-            counts.append(len(r.neighbor_rsrp_dbm))
-            cells += r.neighbor_rsrp_dbm
-            rsrp += r.neighbor_rsrp_dbm.values()
-        names = tuple(sorted(set(serving).union(cells)))
-        code = {c: k for k, c in enumerate(names)}.__getitem__
-        serving, cells = (np.array(list(map(code, ids)), dtype=int)
-                          for ids in (serving, cells))
-        return cls(names, stamps, ue_ids, serving, np.cumsum(counts), cells,
-                   np.array(rsrp, dtype=float))
-
     @functools.cached_property
     def hour(self) -> np.ndarray:
-        """Each report's MeasurementReport.hour."""
+        """Each report's hour of day in 1..24: its timestamp's hour + 1."""
         return np.array([int(t[11:13]) + 1 for t in self.timestamps], dtype=int)
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __getitem__(self, i: int) -> MeasurementReport:
-        i = range(len(self))[i]
-        pairs = slice(self.offsets[i], self.offsets[i + 1])
-        return MeasurementReport(
-            self.timestamps[i], self.ue_ids[i], self.cells[self.serving[i]],
-            dict(zip([self.cells[k] for k in self.neighbours[pairs].tolist()],
-                     self.rsrp_dbm[pairs].tolist())))
 
 
 TRAFFIC_KPIS = ("ues", "dl_prbs", "ul_prbs")
@@ -391,28 +349,60 @@ _TIMESTAMP = re.compile(r"\d{4}-(0[1-9]|1[0-2])-(0[1-9]|[12]\d|3[01])"
                         r"T([01]\d|2[0-3]):[0-5]\d:[0-5]\d")
 
 
-def _parse_pairs(text: str, path, row_index: int) -> dict[str, float]:
-    pairs: dict[str, float] = {}
-    text = text.strip()
-    if not text:
-        return pairs
-    for chunk in text.split("|"):
-        try:
-            cell, value = chunk.split(":")
-            pairs[cell.strip()] = _float(value)
-        except ValueError:
-            raise MalformedRowError(path, row_index, f"bad pair field {chunk!r}")
-    return pairs
+def _split_pairs(texts, code: dict[str, int],
+                 ) -> tuple[list[int], np.ndarray, np.ndarray, str | None]:
+    """The `cell:value` pairs of each of `texts` (joined by `|`; blank means
+    none): each text's number of pairs, then all their cell ids, stripped
+    and coded by `code` (a new id gets the next code), and their values, in
+    order. Texts are split up to the first with a bad pair: one that is not
+    one `:` between a cell id and a finite float, or whose cell id is empty
+    or repeats one of its text's. Its message comes last (None if none)."""
+    texts = [t.strip() for t in texts]
+    counts = [t.count("|") + 1 if t else 0 for t in texts]
+    fields = "|".join(filter(None, texts)).split("|") if any(texts) else []
+    # a second `:` or none leaves a value that does not convert
+    parts = [f.partition(":") for f in fields]
+    values = _convert([p[2] for p in parts], float)[0]
+    cells = [p[0].strip() for p in parts[:len(values)]]
+    for cell in dict.fromkeys(cells):
+        code.setdefault(cell, len(code))
+    ids = np.fromiter(map(code.__getitem__, cells), np.int64, len(cells))
+    # a pair is bad if its cell id is empty or repeats one of its text's
+    bad = np.ones(len(cells) + 1, dtype=bool)   # ends on a sentinel
+    bad[np.unique(np.repeat(np.arange(len(texts)), counts)[:len(cells)]
+                  * len(code) + ids, return_index=True)[1]] = False
+    bad[:-1] |= ids == code.get("", -1)
+    k = int(bad.argmax())   # the first bad pair, or len(fields)
+    row = int(np.searchsorted(np.cumsum(counts), k, side="right"))
+    end = sum(counts[:row])   # the pairs of the texts before its text
+    message = None if k == len(fields) else (
+        f"bad pair field {fields[k]!r}" if k == len(values) else
+        f"{'repeated' if cells[k] else 'empty'} cell id in pair field "
+        f"{fields[k]!r}")
+    return counts[:row], ids[:end], values[:end], message
+
+
+def _pair_map(text: str) -> dict[str, float]:
+    """One pair field as a map of cell id to value; a bad pair raises a
+    ValueError with _split_pairs' message."""
+    code: dict[str, int] = {}   # one code per pair, in order
+    _, _, values, message = _split_pairs([text], code)
+    if message is not None:
+        raise ValueError(message)
+    return dict(zip(code, values.tolist()))
 
 
 def _format_pairs(pairs: Mapping[str, float]) -> str:
     return "|".join(f"{cell}:{_fmt(value)}" for cell, value in sorted(pairs.items()))
 
 
-def _read_rows(path, columns: list[str]) -> Iterator[tuple[str, ...]]:
-    """The fields of `columns` in each row of CSV file `path`, read as they
-    are asked for; a repeated column name reads its last column. An empty
-    file or a missing column raises MissingColumnError."""
+def _read_rows(path, columns: list[str]) -> Iterator[tuple[int, list]]:
+    """The fields of `columns` in the rows of CSV file `path`, in lists of
+    up to _CHUNK rows read as they are asked for, each with the number of
+    rows before it; a repeated column name reads its last column. An empty
+    file or a missing column raises MissingColumnError. A row shorter than
+    the header ends its list and raises when the next one is asked for, so
+    the rows before it are checked first."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -424,11 +414,16 @@ def _read_rows(path, columns: list[str]) -> Iterator[tuple[str, ...]]:
                 f"{path}: missing column(s) {', '.join(missing)}")
         index = {name: k for k, name in enumerate(header)}
         pick = operator.itemgetter(*(index[c] for c in columns))
-        for i, row in enumerate(filter(None, reader), start=1):
-            if len(row) < len(header):
-                raise MalformedRowError(
-                    path, i, f"{len(row)} fields, the header has {len(header)}")
-            yield pick(row)
+        rows, done = filter(None, reader), 0
+        while chunk := list(itertools.islice(rows, _CHUNK)):
+            n = next((k for k, row in enumerate(chunk)
+                      if len(row) < len(header)), len(chunk))
+            if n:
+                yield done, list(map(pick, chunk[:n]))
+            if n < len(chunk):
+                raise MalformedRowError(path, done + n + 1, f"{len(chunk[n])} "
+                                        f"fields, the header has {len(header)}")
+            done += n
 
 
 _ENGINEERING_COLUMNS = [
@@ -456,7 +451,8 @@ def parse_engineering(path) -> NetworkConfig:
     pairing, mobility, thresholds = {}, {}, {}
     radio_info: dict[str, tuple[str, int, str]] = {}
     radio_cells: dict[str, list[str]] = {}
-    rows = enumerate(_read_rows(path, _ENGINEERING_COLUMNS), start=1)
+    rows = enumerate(itertools.chain.from_iterable(
+        chunk for _, chunk in _read_rows(path, _ENGINEERING_COLUMNS)), start=1)
     for i, (cell_id, radio_unit, radio_type, n_trx, tx_mode, frequency,
             bandwidth, power, n_dl_prb, n_ul_prb, role, paired,
             a4_threshold, a4_hysteresis, a4_freq_offsets, a4_cell_offsets,
@@ -466,28 +462,22 @@ def parse_engineering(path) -> NetworkConfig:
                         _float(bandwidth), _float(power), int(n_dl_prb),
                         int(n_ul_prb))
             info = (radio_type, int(n_trx), tx_mode)
-        except (ValueError, ConfigError) as exc:
-            raise MalformedRowError(path, i, str(exc))
-        cells.append(cell)
-        kind, paired = role.strip().lower(), paired.strip()
-        if kind == "capacity":
-            capacity.add(cell.id)
-            if not paired:
-                raise MalformedRowError(path, i, "capacity cell without pairing")
-            pairing[cell.id] = paired
-            try:
+            cells.append(cell)
+            kind, paired = role.strip().lower(), paired.strip()
+            if kind == "capacity":
+                capacity.add(cell.id)
+                if not paired:
+                    raise MalformedRowError(path, i,
+                                            "capacity cell without pairing")
+                pairing[cell.id] = paired
                 thresholds[cell.id] = ShutdownThresholds(*map(_float, shutdown))
-            except (ValueError, ConfigError) as exc:
-                raise MalformedRowError(path, i, str(exc))
-        elif kind == "coverage":
-            coverage.add(cell.id)
-        else:
-            raise MalformedRowError(path, i, f"unknown role {role!r}")
-        try:
+            elif kind == "coverage":
+                coverage.add(cell.id)
+            else:
+                raise MalformedRowError(path, i, f"unknown role {role!r}")
             mobility[cell.id] = A4Params(
                 _float(a4_threshold), _float(a4_hysteresis),
-                _parse_pairs(a4_freq_offsets, path, i),
-                _parse_pairs(a4_cell_offsets, path, i))
+                _pair_map(a4_freq_offsets), _pair_map(a4_cell_offsets))
         except (ValueError, ConfigError) as exc:
             raise MalformedRowError(path, i, str(exc))
         prior = radio_info.setdefault(cell.radio_unit, info)
@@ -533,11 +523,9 @@ def _parse_hourly(path, columns: list[str], checks) -> HourlyRows:
     rows at a time. A row's fields convert in column order, then its hour
     must lie in 1..24 and it must pass `checks(rows)`, (message, failing
     rows) pairs in order. The first bad row raises its first failure."""
-    rows = _read_rows(path, columns)
     empty = np.empty(0, dtype=np.int64)
     tables = [HourlyRows([], empty, empty, np.empty((0, len(columns) - 3)))]
-    done = 0
-    while chunk := list(itertools.islice(rows, _CHUNK)):
+    for done, chunk in _read_rows(path, columns):
         texts = list(zip(*chunk))
         converted = ([_convert(t, int) for t in texts[1:3]]
                      + [_convert(t, float) for t in texts[3:]])
@@ -559,7 +547,6 @@ def _parse_hourly(path, columns: list[str], checks) -> HourlyRows:
             raise MalformedRowError(path, done + n + 1, next(
                 message for array, message in converted if len(array) == n))
         tables.append(table)
-        done += n
     return HourlyRows(
         list(itertools.chain.from_iterable(t.ids for t in tables)),
         *(np.concatenate([getattr(t, name) for t in tables])
@@ -586,18 +573,39 @@ def parse_energy(path) -> HourlyRows:
 
 
 def parse_mrs(path) -> MeasurementReports:
-    def reports():
-        for i, (stamp, ue_id, serving, rsrp_text) in enumerate(
-                _read_rows(path, _MR_COLUMNS), start=1):
-            if not _TIMESTAMP.fullmatch(stamp):
-                raise MalformedRowError(
-                    path, i, f"timestamp {stamp!r} is not "
-                    "YYYY-MM-DDTHH:MM:SS with hour 00-23")
-            rsrp = _parse_pairs(rsrp_text, path, i)
-            if serving not in rsrp:
-                raise MalformedRowError(path, i, "serving cell has no RSRP entry")
-            yield MeasurementReport(stamp, ue_id, serving, rsrp)
-    return MeasurementReports.from_rows(reports())
+    """mr.csv as MeasurementReports, read _CHUNK rows at a time. A row's
+    timestamp must match, then its pairs split (_split_pairs), then its
+    serving cell have a pair. The first bad row raises its first failure."""
+    code: dict[str, int] = {}   # cell id -> code, in order of appearance
+    timestamps, ue_ids, counts = [], [], [0]
+    empty = np.empty(0, dtype=np.int64)
+    blocks = [(empty, empty, np.empty(0))]   # serving, neighbours and RSRPs
+    for done, chunk in _read_rows(path, _MR_COLUMNS):
+        stamps, ues, servers, texts = zip(*chunk)
+        n = next((k for k, stamp in enumerate(stamps)
+                  if not _TIMESTAMP.fullmatch(stamp)), len(chunk))
+        split, cells, values, message = _split_pairs(texts[:n], code)
+        m = len(split)   # rows whose pairs split; a failure is at row m
+        if message is None and n < len(chunk):
+            message = (f"timestamp {stamps[n]!r} is not YYYY-MM-DDTHH:MM:SS "
+                       "with hour 00-23")
+        own = np.array([code.get(c, -1) for c in servers[:m]], dtype=np.int64)
+        report = np.repeat(np.arange(m), split)
+        has_own = np.bincount(report[cells == own[report]], minlength=m) > 0
+        if not has_own.all():
+            raise MalformedRowError(path, done + int(has_own.argmin()) + 1,
+                                    "serving cell has no RSRP entry")
+        if message is not None:
+            raise MalformedRowError(path, done + m + 1, message)
+        timestamps += stamps
+        ue_ids += ues
+        counts += split
+        blocks.append((own, cells, values))
+    names = tuple(sorted(code))
+    rank = np.argsort([code[c] for c in names])   # code -> code in `names`
+    serving, neighbours, rsrp = map(np.concatenate, zip(*blocks))
+    return MeasurementReports(names, timestamps, ue_ids, rank[serving],
+                              np.cumsum(counts), rank[neighbours], rsrp)
 
 
 def check_ids(cfg: NetworkConfig, rows: HourlyRows, path) -> None:
@@ -633,8 +641,6 @@ def parse_datasets(paths) -> tuple[NetworkConfig, HourlyRows, HourlyRows,
 def _fmt(value) -> str:
     """A real float as the repr of the equal Python float, so that numpy
     scalars (whose repr is `np.float64(5.0)` under numpy 2) parse back."""
-    if type(value) is float:
-        return repr(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -659,10 +665,9 @@ def write_engineering(path, cfg: NetworkConfig) -> None:
                 cfg.pairing.get(cell.id, ""),
                 _fmt(a4.threshold_dbm), _fmt(a4.hysteresis_db),
                 _format_pairs(a4.freq_offset_db), _format_pairs(a4.cell_offset_db),
-                _fmt(th.entry_ue) if th else "", _fmt(th.entry_dl_prb) if th else "",
-                _fmt(th.entry_ul_prb) if th else "",
-                _fmt(th.leave_ue) if th else "", _fmt(th.leave_dl_prb) if th else "",
-                _fmt(th.leave_ul_prb) if th else "",
+                # the last six columns are the ShutdownThresholds fields
+                *(_fmt(getattr(th, c)) if th else ""
+                  for c in _ENGINEERING_COLUMNS[-6:]),
             ])
 
 
@@ -687,12 +692,9 @@ def write_energy(path, rows: HourlyRows) -> None:
     _write_hourly(path, _ENERGY_COLUMNS, rows)
 
 
-def write_mrs(path, reports: MeasurementReports | Iterable[MeasurementReport],
-              ) -> None:
-    """Write a MeasurementReports, or rows through its from_rows, with each
-    report's pairs in cell-id order, _CHUNK reports at a time."""
-    if not isinstance(reports, MeasurementReports):
-        reports = MeasurementReports.from_rows(reports)
+def write_mrs(path, reports: MeasurementReports) -> None:
+    """Write `reports` with each report's pairs in cell-id order, _CHUNK
+    reports at a time."""
     ends = reports.offsets.tolist()
     by_id = np.lexsort((reports.neighbours, np.repeat(
         np.arange(len(reports)), np.diff(reports.offsets))))

@@ -7,12 +7,12 @@ safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .datamodel import (A4Params, MeasurementReport, MeasurementReports,
-                        NetworkConfig, ShutdownThresholds)
+from .datamodel import (A4Params, MeasurementReports, NetworkConfig,
+                        ShutdownThresholds)
 
 PROBABILITY_SUM_TOL = 1e-9
 
@@ -77,8 +77,7 @@ def transfer_candidates(cfg: NetworkConfig, capacity_cell: str) -> list[str]:
     return [c for c in cfg.cells_on_frequency(freq) if c != capacity_cell]
 
 
-def build_handover_model(cfg: NetworkConfig,
-                         mrs: MeasurementReports | Iterable[MeasurementReport],
+def build_handover_model(cfg: NetworkConfig, mrs: MeasurementReports,
                          hour: int) -> HandoverModel:
     """Estimate transfer probabilities for one hour from measurement reports.
 
@@ -86,24 +85,22 @@ def build_handover_model(cfg: NetworkConfig,
     served by a capacity cell votes for its strongest A4-qualifying neighbour
     on the paired coverage frequency (ties broken towards the lowest cell id);
     votes are normalized per cell. Cells with no qualifying report get an
-    empty map. A list of reports is voted as MeasurementReports.from_rows.
+    empty map.
     """
     return HandoverModel(probabilities=_vote(cfg, mrs, hour))
 
 
-def build_handover_model_for_hours(
-        cfg: NetworkConfig, mrs: MeasurementReports | Iterable[MeasurementReport],
-        ) -> HandoverModel:
+def build_handover_model_for_hours(cfg: NetworkConfig,
+                                   mrs: MeasurementReports) -> HandoverModel:
     """Group reports by hour-of-day and build the per-hour models in one pass."""
     return HandoverModel(probabilities=_vote(cfg, mrs))
 
 
-def _vote(cfg: NetworkConfig, mrs, hour: int | None = None) -> dict:
+def _vote(cfg: NetworkConfig, mrs: MeasurementReports,
+          hour: int | None = None) -> dict:
     """build_handover_model's table for `hour` from all of `mrs`, or without
     `hour` the table of every hour 1-24 from the reports of that hour, voted
     on the report arrays."""
-    if not isinstance(mrs, MeasurementReports):
-        mrs = MeasurementReports.from_rows(mrs)
     hours = list(range(1, 25)) if hour is None else [hour]
     report_hour = mrs.hour if hour is None else np.full(len(mrs), hour)
     names, n = mrs.cells, len(mrs.cells)

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from carriersim.datamodel import (
     RadioUnit,
     ShutdownThresholds,
     TrafficModel,
+    parse_mrs,
 )
 from carriersim.rules import HandoverModel
 
@@ -89,6 +93,38 @@ def assert_same_rows(a, b):
     same dtypes, shapes and bits."""
     assert a.ids == b.ids
     for name in ("day", "hour", "values"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def make_reports(rows):
+    """MeasurementReports parsed from an mr.csv of `rows`, each a
+    (timestamp, ue_id, serving_cell, rsrp) tuple; `rsrp` maps cell ids to
+    RSRPs, written in its order, each as the repr of its float."""
+    lines = ["timestamp,ue_id,serving_cell,rsrp_dbm"] + [
+        f"{stamp},{ue},{serving}," + "|".join(
+            f"{cell}:{float(value)!r}" for cell, value in rsrp.items())
+        for stamp, ue, serving, rsrp in rows]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "mr.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return parse_mrs(path)
+
+
+def report_pairs(reports):
+    """Each report's RSRP pairs as a {cell: rsrp} dict in their order,
+    read from the columns."""
+    cells = [reports.cells[k] for k in reports.neighbours.tolist()]
+    rsrp, ends = reports.rsrp_dbm.tolist(), reports.offsets.tolist()
+    return [dict(zip(cells[a:b], rsrp[a:b])) for a, b in zip(ends, ends[1:])]
+
+
+def assert_same_reports(a, b):
+    """`a` and `b` hold the same cells, timestamps, UEs, and serving cells,
+    offsets, neighbours and RSRPs of the same dtypes, shapes and bits."""
+    assert (a.cells, a.timestamps, a.ue_ids) == (b.cells, b.timestamps,
+                                                 b.ue_ids)
+    for name in ("serving", "offsets", "neighbours", "rsrp_dbm"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
 

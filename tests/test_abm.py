@@ -353,6 +353,39 @@ class TestRunMonteCarlo:
             assert replayed.fingerprint() == result.state.fingerprint()
 
 
+class TestRollIn:
+    """A rolled-in capacity cell with no live transfer target for the hour:
+    today the roll-in drops its shutdown without a trace, so the run starts
+    from another configuration than its pool entry (ROADMAP item 2b)."""
+
+    @pytest.mark.parametrize("pmfs", [
+        {"c1": {"b1": 1.0}, "c2": {}, "c3": {"b1": 1.0}},
+        # c2's one target is c1, which the roll-in shut down before c2
+        {"c1": {"b1": 1.0}, "c2": {"c1": 1.0}, "c3": {"b1": 1.0}},
+    ], ids=["no-target", "target-rolled-in"])
+    def test_the_cell_stays_active_and_the_others_shut_down(self, pmfs):
+        # no cell may shut down or wake up: the run ends as its roll-in does
+        cfg = make_network(n_capacity=3, n_coverage=1, entry_ue=0.0,
+                           entry_dl=0.0, entry_ul=0.0, leave_ue=1e9,
+                           leave_dl=1e9, leave_ul=1e9)
+        values = {"c1": (4, 14, 5), "c2": (5, 16, 6), "c3": (3, 9, 4),
+                  "b1": (7, 22, 6)}
+        result = run_once(cfg, values, make_handover(pmfs), max_steps=5,
+                          start=[False, False, False])
+        state, net = result.state, result.state.net
+        assert (result.steps, result.stable) == (1, True)
+        assert dict(zip(net.cap_ids, state.x)) \
+            == {"c1": False, "c2": True, "c3": False}
+        assert [(e[0], e[1], net.cap_ids[e[2]]) for e in state.replay.events] \
+            == [("sd", 0, "c1"), ("sd", 0, "c3")]
+        c2, b1 = net.index["c2"], net.index["b1"]
+        assert (state.ue[c2], state.dl[c2], state.ul[c2], state.t_cs[c2]) \
+            == (state.base_ue[c2], state.base_dl[c2], state.base_ul[c2], 0.0)
+        assert state.ue[b1] == 7 + 4 + 3
+        assert replay_log(state.replay, net).fingerprint() \
+            == state.fingerprint()
+
+
 # The stepper as it was before selection state was kept incrementally:
 # eligibility and margins recomputed over every capacity cell at each step.
 # Copied verbatim so that run_monte_carlo can be held to it bit for bit.

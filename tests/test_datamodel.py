@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,6 @@ from carriersim.datamodel import (
     TRAFFIC_KPIS,
     DatasetPaths,
     HourlyRows,
-    MeasurementReport,
-    MeasurementReports,
     TrafficModel,
     apply_overrides,
     draw_inputs,
@@ -39,8 +39,9 @@ from carriersim.errors import (
 
 from carriersim.harness import ScenarioSpec, generate_scenario
 
-from conftest import (assert_same_rows, make_energy, make_handover, make_kpi,
-                      make_network, make_traffic, stack)
+from conftest import (assert_same_reports, assert_same_rows, make_energy,
+                      make_handover, make_kpi, make_network, make_reports,
+                      make_traffic, report_pairs, stack)
 
 
 def full_day_kpis(cell_ids, days=3):
@@ -63,9 +64,9 @@ def write_fixture(tmp_path, cfg=None, kpis=None, energies=None, mrs=None):
         energies = stack(make_energy(r.id, 1, h, 500.0 + h)
                          for r in cfg.radio_units for h in range(1, 25))
     if mrs is None:
-        mrs = [MeasurementReport(timestamp="2024-03-04T13:00:05", ue_id="u1",
-                                 serving_cell="c1",
-                                 neighbor_rsrp_dbm={"c1": -90.0, "b1": -95.0})]
+        # pairs in cell-id order, the order write_mrs writes
+        mrs = make_reports([("2024-03-04T13:00:05", "u1", "c1",
+                             {"b1": -95.0, "c1": -90.0})])
     return write_datasets(tmp_path, cfg, kpis, energies, mrs), (cfg, kpis, energies, mrs)
 
 
@@ -77,7 +78,7 @@ class TestParsing:
         assert parsed_cfg == cfg
         assert_same_rows(parsed_kpis, kpis)
         assert_same_rows(parsed_energy, energies)
-        assert list(parsed_mrs) == mrs
+        assert_same_reports(parsed_mrs, mrs)
 
     def test_parse_serialize_parse_identity(self, tmp_path):
         write_fixture(tmp_path / "a")
@@ -87,7 +88,7 @@ class TestParsing:
         assert first[0] == second[0]
         assert_same_rows(first[1], second[1])
         assert_same_rows(first[2], second[2])
-        assert list(first[3]) == list(second[3])
+        assert_same_reports(first[3], second[3])
         for name in ("engineering.csv", "kpi.csv", "energy.csv", "mr.csv"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
@@ -107,16 +108,14 @@ class TestParsing:
                         dl_active_time_s=f(2.0),
                         rate_bins=[f(10.0)] * 15, cs_minutes=f(0.0))
         energies = make_energy("ru1", 1, 1, f(512.25))
-        mrs = [MeasurementReport(timestamp="2024-03-04T13:00:05", ue_id="u1",
-                                 serving_cell="c1",
-                                 neighbor_rsrp_dbm={"c1": f(-90.1),
-                                                    "b1": np.float32(-95.5)})]
+        mrs = make_reports([("2024-03-04T13:00:05", "u1", "c1",
+                             {"b1": np.float32(-95.5), "c1": f(-90.1)})])
         write_kpis(tmp_path / "kpi.csv", kpis)
         write_energy(tmp_path / "energy.csv", energies)
         write_mrs(tmp_path / "mr.csv", mrs)
         assert_same_rows(parse_kpis(tmp_path / "kpi.csv"), kpis)
         assert_same_rows(parse_energy(tmp_path / "energy.csv"), energies)
-        assert list(parse_mrs(tmp_path / "mr.csv")) == mrs
+        assert_same_reports(parse_mrs(tmp_path / "mr.csv"), mrs)
         # written as the repr of the equal Python float
         assert ",20.5,0.1," in (tmp_path / "kpi.csv").read_text()
         assert "b1:-95.5|c1:-90.1" in (tmp_path / "mr.csv").read_text()
@@ -145,13 +144,12 @@ class TestParsing:
         patched = [lines[0] + ",vendor_extra"] + [l + ",1" for l in lines[1:]]
         paths.mr.write_text("\n".join(patched))
         parsed = parse_datasets(tmp_path)
-        assert parsed[3][0].ue_id == "u1"
+        assert parsed[3].ue_ids == ["u1"]
 
     def test_mr_without_serving_rsrp_rejected(self, tmp_path):
-        mr = MeasurementReport(timestamp="2024-03-04T13:00:05", ue_id="u1",
-                               serving_cell="c1", neighbor_rsrp_dbm={"b1": -95.0})
+        paths, _ = write_fixture(tmp_path)
+        paths.mr.write_text(MR_HEADER + "2024-03-04T13:00:05,u1,c1,b1:-95.0\n")
         with pytest.raises(MalformedRowError):
-            write_fixture(tmp_path, mrs=[mr])
             parse_datasets(tmp_path)
 
     @pytest.mark.parametrize("text", ["nan", "inf"])
@@ -191,20 +189,35 @@ class TestParsing:
             parse_engineering(paths.engineering)
         assert err.value.row_index == 2
 
+    @pytest.mark.parametrize("column", ["a4_freq_offsets_db",
+                                        "a4_cell_offsets_db"])
+    @pytest.mark.parametrize("text, message", [
+        ("b1:1.0|b1:2.0", "repeated cell id in pair field 'b1:2.0'"),
+        ("b1:1.0| b1 :2.0", "repeated cell id in pair field ' b1 :2.0'"),
+        ("b1:1.0|:2.0", "empty cell id in pair field ':2.0'"),
+    ])
+    def test_repeated_or_empty_a4_offset_cell_rejected(self, tmp_path, column,
+                                                       text, message):
+        paths, _ = write_fixture(tmp_path)
+        lines = paths.engineering.read_text().splitlines()
+        header, row = lines[0].split(","), lines[2].split(",")
+        row[header.index(column)] = text
+        lines[2] = ",".join(row)
+        paths.engineering.write_text("\n".join(lines))
+        with pytest.raises(MalformedRowError) as err:
+            parse_engineering(paths.engineering)
+        assert (err.value.row_index, err.value.message) == (2, message)
+
     @pytest.mark.parametrize("stamp", ["2024-03-04T24:00:05",
                                        "2024-03-04 13:00:05",
                                        "2024-03-04T1:00:05", "13:00",
                                        "2024-13-04T13:00:05", ""])
     def test_malformed_mr_timestamp_rejected(self, tmp_path, stamp):
-        good = MeasurementReport(timestamp="2024-03-04T23:59:59", ue_id="u0",
-                                 serving_cell="c1",
-                                 neighbor_rsrp_dbm={"c1": -90.0})
-        bad = MeasurementReport(timestamp=stamp, ue_id="u1",
-                                serving_cell="c1",
-                                neighbor_rsrp_dbm={"c1": -90.0})
-        paths, _ = write_fixture(tmp_path, mrs=[good, bad])
+        path = tmp_path / "mr.csv"
+        path.write_text(MR_HEADER + "2024-03-04T23:59:59,u0,c1,c1:-90.0\n"
+                        + f"{stamp},u1,c1,c1:-90.0\n")
         with pytest.raises(MalformedRowError) as err:
-            parse_mrs(paths.mr)
+            parse_mrs(path)
         assert err.value.row_index == 2
 
     def test_dataset_paths_in_dir(self, tmp_path):
@@ -241,27 +254,31 @@ class TestColumns:
 
     def test_reports_keep_their_pair_order_and_write_it_by_cell_id(
             self, tmp_path):
-        rows = [MeasurementReport("2024-03-04T13:00:05", "u1", "c1",
-                                  {"c1": -90.0, "b2": -95.5, "a1": -0.0}),
-                MeasurementReport("2024-03-04T00:59:59", "u2", "b2",
-                                  {"b2": -70.0}),
-                MeasurementReport("2024-03-05T23:00:00", "u3", "zz",
-                                  {"b2": -101.25, "zz": -80.0})]
-        reports = MeasurementReports.from_rows(rows)
+        rows = [("2024-03-04T13:00:05", "u1", "c1",
+                 {"c1": -90.0, "b2": -95.5, "a1": -0.0}),
+                ("2024-03-04T00:59:59", "u2", "b2", {"b2": -70.0}),
+                ("2024-03-05T23:00:00", "u3", "zz", {"b2": -101.25, "zz": -80.0})]
+        reports = make_reports(rows)
         assert len(reports) == 3
-        assert list(reports) == rows and reports[-1] == rows[2]
-        assert [list(r.neighbor_rsrp_dbm) for r in reports] \
-            == [list(r.neighbor_rsrp_dbm) for r in rows]
-        assert reports.hour.tolist() == [r.hour for r in rows] == [14, 1, 24]
-        with pytest.raises(IndexError):
-            reports[3]
+        assert reports.cells == ("a1", "b2", "c1", "zz")
+        assert reports.timestamps == [r[0] for r in rows]
+        assert reports.ue_ids == ["u1", "u2", "u3"]
+        assert [reports.cells[k] for k in reports.serving.tolist()] \
+            == ["c1", "b2", "zz"]
+        assert reports.offsets.tolist() == [0, 3, 4, 6]
+        pairs = report_pairs(reports)
+        assert [list(p.items()) for p in pairs] \
+            == [list(r[3].items()) for r in rows]
+        assert [math.copysign(1.0, v) for v in pairs[0].values()] \
+            == [-1.0, -1.0, -1.0]
+        assert reports.hour.tolist() == [14, 1, 24]
         write_mrs(tmp_path / "mr.csv", reports)
         assert (tmp_path / "mr.csv").read_text().splitlines()[1:] == [
             "2024-03-04T13:00:05,u1,c1,a1:-0.0|b2:-95.5|c1:-90.0",
             "2024-03-04T00:59:59,u2,b2,b2:-70.0",
             "2024-03-05T23:00:00,u3,zz,b2:-101.25|zz:-80.0"]
         parsed = parse_mrs(tmp_path / "mr.csv")
-        assert [list(r.neighbor_rsrp_dbm) for r in parsed] \
+        assert [list(p) for p in report_pairs(parsed)] \
             == [["a1", "b2", "c1"], ["b2"], ["b2", "zz"]]
 
     def test_kpi_and_energy_rows_write_and_parse_back(self, tmp_path):
@@ -285,29 +302,88 @@ class TestColumns:
             "ru-b1,2,24,-0.0"]
         assert_same_rows(parse_energy(tmp_path / "energy.csv"), energies)
 
-    # each message as the record-by-record parser gave it
-    @pytest.mark.parametrize("row, message", [
+    # each message as the record-by-record parser gave it, the bad row at
+    # row `at` after good ones (1,536 rows are read and checked at a time)
+    @pytest.mark.parametrize("row, message, at", [
         ("2024-03-04T24:00:05,u2,c1,c1:-90.0",
          "timestamp '2024-03-04T24:00:05' is not YYYY-MM-DDTHH:MM:SS with "
-         "hour 00-23"),
-        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|b1", "bad pair field 'b1'"),
+         "hour 00-23", 3),
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|b1", "bad pair field 'b1'", 3),
         ("2024-03-04T13:00:05,u2,c1,c1:abc|b1:-95.0",
-         "bad pair field 'c1:abc'"),
+         "bad pair field 'c1:abc'", 3),
         ("2024-03-04T13:00:05,u2,c1,c1:-90.0|b1:inf",
-         "bad pair field 'b1:inf'"),
+         "bad pair field 'b1:inf'", 3),
         ("2024-03-04T13:00:05,u2,c1,b1:-95.0",
-         "serving cell has no RSRP entry"),
-        ("2024-03-04T13:00:05,u2,c1,", "serving cell has no RSRP entry"),
+         "serving cell has no RSRP entry", 3),
+        ("2024-03-04T13:00:05,u2,c1,", "serving cell has no RSRP entry", 3),
+        # a repeated or empty cell id (the last value or a cell '' was kept)
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|b1:-95.0|b1:-80.0",
+         "repeated cell id in pair field 'b1:-80.0'", 3),
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0| b1 :-95.0|b1:-80.0",
+         "repeated cell id in pair field 'b1:-80.0'", 3),
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|:-80.0",
+         "empty cell id in pair field ':-80.0'", 3),
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|c1:-90.0|b1",
+         "repeated cell id in pair field 'c1:-90.0'", 3),
+        ("2024-03-04T13:00:05,u2,c1, :-80.0|c1:x",
+         "empty cell id in pair field ':-80.0'", 3),
+        # past a chunk boundary, and at its edges
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|b1",
+         "bad pair field 'b1'", 1536),
+        ("2024-03-04T13:00:05,u2,c1,b1:-95.0",
+         "serving cell has no RSRP entry", 1537),
+        ("2024-03-04T1:00:05,u2,c1,c1:-90.0",
+         "timestamp '2024-03-04T1:00:05' is not YYYY-MM-DDTHH:MM:SS with "
+         "hour 00-23", 1537),
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|b1:-95.0|c1:-80.0",
+         "repeated cell id in pair field 'c1:-80.0'", 3100),
+        ("2024-03-04T13:00:05,u2,c1", "3 fields, the header has 4", 3100),
+        # a bad row before a short one read with it
+        ("2024-03-04T13:00:05,u2,c1,b1:-95.0\n2024-03-04T13:00:05,u2,c1",
+         "serving cell has no RSRP entry", 3100),
     ])
     def test_malformed_report_errors_name_file_row_and_message(
-            self, tmp_path, row, message):
+            self, tmp_path, row, message, at):
         path = tmp_path / "mr.csv"
-        path.write_text(MR_HEADER + MR_GOOD + row + "\n")
+        good = MR_GOOD.splitlines(keepends=True)
+        path.write_text(MR_HEADER + "".join(good[k % 2] for k in range(at - 1))
+                        + row + "\n" + MR_GOOD)
         with pytest.raises(MalformedRowError) as err:
             parse_mrs(path)
         assert (err.value.path, err.value.row_index, err.value.message) \
-            == (str(path), 3, message)
-        assert str(err.value) == f"{path}, row 3: {message}"
+            == (str(path), at, message)
+        assert str(err.value) == f"{path}, row {at}: {message}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_write_then_parse_round_trips(self, data):
+        # distinct ids that sort otherwise than drawn, so write_mrs reorders
+        ids = data.draw(st.permutations(["c10", "c9", "B", "b", "a_1", "zz"]))
+        reports = []
+        for i in range(data.draw(st.integers(0, 30))):
+            cells = data.draw(st.lists(st.sampled_from(ids), min_size=1,
+                                       max_size=5, unique=True))
+            rsrp = data.draw(st.lists(
+                st.sampled_from([0.0, -0.0]) | st.floats(-140.0, -40.0),
+                min_size=len(cells), max_size=len(cells)))
+            reports.append((f"2024-03-04T{data.draw(st.integers(0, 23)):02d}"
+                            ":15:00", f"u{i}", data.draw(st.sampled_from(cells)),
+                            dict(zip(cells, rsrp))))
+        given_order = make_reports(reports)
+        # written pairs are in cell-id order; so parsed back, then written
+        # again, they are the same reports in the same bytes
+        by_id = make_reports([(*r[:3], dict(sorted(r[3].items())))
+                              for r in reports])
+        with tempfile.TemporaryDirectory() as directory:
+            first, second = Path(directory) / "1.csv", Path(directory) / "2.csv"
+            write_mrs(first, given_order)
+            parsed = parse_mrs(first)
+            assert_same_reports(parsed, by_id)
+            write_mrs(second, parsed)
+            assert second.read_bytes() == first.read_bytes()
+        assert [[v.hex() for v in p.values()] for p in report_pairs(parsed)] \
+            == [[float(v).hex() for _, v in sorted(r[3].items())]
+                for r in reports]
 
 
 KPI_COLUMNS = (["cell_id", "day", "hour", "rrc_ues", "dl_prbs_used",
@@ -433,6 +509,17 @@ class TestHourlyFileErrors:
         with pytest.raises(MalformedRowError) as err:
             parse_kpis(path)
         assert err.value.row_index == 2
+
+    def test_a_bad_row_before_a_short_one_read_with_it_raises_first(
+            self, tmp_path):
+        path = tmp_path / "kpi.csv"
+        path.write_text(hourly_text(KPI_COLUMNS, KPI_GOOD,
+                                    [{}, {"hour": "0"}, {}])
+                        + ",".join(KPI_GOOD[c] for c in KPI_COLUMNS[:-1]))
+        with pytest.raises(MalformedRowError) as err:
+            parse_kpis(path)
+        assert (err.value.row_index, err.value.message) \
+            == (2, "hour 0 outside 1..24")
 
     def test_day_and_hour_must_fit_64_bits(self, tmp_path):
         path = tmp_path / "kpi.csv"

@@ -30,6 +30,8 @@ from carriersim.harness import (_RATE_DRAWS, _TRAFFIC_DRAWS, _at_least,
 from carriersim.ratemodel import DEFAULT_BIN_EDGES
 from carriersim.rules import build_handover_model_for_hours
 
+from conftest import report_pairs
+
 
 class TestMaeMape:
     def test_identical_series_zero_error(self):
@@ -417,12 +419,17 @@ class TestNormalStream:
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
-def _extras(cfg, report):
-    """A report's extra neighbours: its cells other than the serving and
-    the paired one."""
-    cap = report.serving_cell
-    return [c for c in report.neighbor_rsrp_dbm
-            if c not in (cap, cfg.pairing[cap])]
+def _reports(reports):
+    """Each report's serving cell, hour and {cell: rsrp} pairs, read from
+    the columns."""
+    return zip([reports.cells[k] for k in reports.serving.tolist()],
+               reports.hour.tolist(), report_pairs(reports))
+
+
+def _extras(cfg, cap, rsrp):
+    """A report's extra neighbours: its cells other than the serving cell
+    `cap` and its paired one."""
+    return [c for c in rsrp if c not in (cap, cfg.pairing[cap])]
 
 
 class TestMeasurementReports:
@@ -480,7 +487,8 @@ class TestMeasurementReports:
         rng, twin = np.random.default_rng(11), np.random.default_rng(11)
         reports = _generate_mrs(cfg, spec, rng)
         expected = self.twin_reports(cfg, spec, twin)
-        got = {r.ue_id: (r.timestamp, r.neighbor_rsrp_dbm) for r in reports}
+        got = dict(zip(reports.ue_ids,
+                       zip(reports.timestamps, report_pairs(reports))))
         assert list(got) == list(expected)
         for ue, (stamp, rsrp) in expected.items():
             assert got[ue][0] == stamp, ue
@@ -495,13 +503,13 @@ class TestMeasurementReports:
         cfg = _build_network(spec)
         floor = spec.a4_threshold_dbm + spec.a4_hysteresis_db
         per_cell_hour, qualified, lifted = {}, set(), 0
-        for r in _generate_mrs(cfg, spec, np.random.default_rng(5)):
-            cap, paired = r.serving_cell, cfg.pairing[r.serving_cell]
-            key = (cap, r.hour)
+        for cap, hour, rsrp in _reports(
+                _generate_mrs(cfg, spec, np.random.default_rng(5))):
+            paired = cfg.pairing[cap]
+            key = (cap, hour)
             per_cell_hour[key] = per_cell_hour.get(key, 0) + 1
-            rsrp = r.neighbor_rsrp_dbm
             assert cap in rsrp and paired in rsrp
-            extras = _extras(cfg, r)
+            extras = _extras(cfg, cap, rsrp)
             assert len(extras) <= 3
             assert set(extras) <= cfg.coverage_cells
             if any(v > floor for c, v in rsrp.items() if c != cap):
@@ -521,12 +529,13 @@ class TestMeasurementReports:
         cfg = _build_network(spec)
         n_extra, picks, per_cell = np.zeros(4), {}, {}
         for seed in (1, 2, 3):
-            for r in _generate_mrs(cfg, spec, np.random.default_rng(seed)):
-                extras = _extras(cfg, r)
+            for cap, _, rsrp in _reports(
+                    _generate_mrs(cfg, spec, np.random.default_rng(seed))):
+                extras = _extras(cfg, cap, rsrp)
                 n_extra[len(extras)] += 1
-                per_cell[r.serving_cell] = per_cell.get(r.serving_cell, 0) + 1
+                per_cell[cap] = per_cell.get(cap, 0) + 1
                 for c in extras:
-                    key = (r.serving_cell, c)
+                    key = (cap, c)
                     picks[key] = picks.get(key, 0) + 1
 
         def within_5_sigma(count, trials, p):

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from carriersim.datamodel import (
     A4Params,
     Cell,
-    MeasurementReport,
-    MeasurementReports,
     NetworkConfig,
     RadioUnit,
     ShutdownThresholds,
@@ -24,7 +22,7 @@ from carriersim.rules import (
     transfer_candidates,
 )
 
-from conftest import make_network
+from conftest import make_network, make_reports
 
 TH = ShutdownThresholds(entry_ue=10.0, entry_dl_prb=100.0, entry_ul_prb=50.0,
                         leave_ue=40.0, leave_dl_prb=100.0, leave_ul_prb=60.0)
@@ -152,9 +150,8 @@ class TestA4:
 
 
 def report(serving, rsrp, hour=13):
-    stamp = f"2024-03-04T{hour - 1:02d}:15:00"
-    return MeasurementReport(timestamp=stamp, ue_id="u", serving_cell=serving,
-                             neighbor_rsrp_dbm=rsrp)
+    """One make_reports row."""
+    return (f"2024-03-04T{hour - 1:02d}:15:00", "u", serving, rsrp)
 
 
 class TestHandoverModel:
@@ -166,39 +163,39 @@ class TestHandoverModel:
             report("c1", {"c1": -80.0, "b1": -92.0}),
             report("c1", {"c1": -80.0, "b1": -105.0, "b2": -95.0}),
         ]
-        model = build_handover_model(cfg, mrs, hour=13)
+        model = build_handover_model(cfg, make_reports(mrs), hour=13)
         assert model.targets("c1", 13) == {"b1": pytest.approx(2 / 3),
                                            "b2": pytest.approx(1 / 3)}
 
     def test_no_qualifying_neighbor_gives_zero_map(self):
         cfg = make_network(n_capacity=1, n_coverage=2, a4_threshold=-80.0)
         mrs = [report("c1", {"c1": -70.0, "b1": -95.0, "b2": -99.0})]
-        model = build_handover_model(cfg, mrs, hour=13)
+        model = build_handover_model(cfg, make_reports(mrs), hour=13)
         assert model.targets("c1", 13) == {}
 
     def test_single_qualifying_neighbor_gets_probability_one(self):
         cfg = make_network(n_capacity=1, n_coverage=2, a4_threshold=-110.0)
         mrs = [report("c1", {"c1": -70.0, "b1": -95.0}) for _ in range(4)]
-        model = build_handover_model(cfg, mrs, hour=13)
+        model = build_handover_model(cfg, make_reports(mrs), hour=13)
         assert model.targets("c1", 13)["b1"] == 1.0
 
     def test_only_voted_targets_are_stored(self):
         # b2 and b3 are candidates on the coverage layer but get no vote
         cfg = make_network(n_capacity=1, n_coverage=3, a4_threshold=-110.0)
         mrs = [report("c1", {"c1": -70.0, "b1": -95.0, "b2": -120.0})]
-        model = build_handover_model(cfg, mrs, hour=13)
+        model = build_handover_model(cfg, make_reports(mrs), hour=13)
         assert model.targets("c1", 13) == {"b1": 1.0}
 
     def test_cell_without_reports_gets_zero_map(self):
         cfg = make_network(n_capacity=2, n_coverage=1)
         mrs = [report("c1", {"c1": -70.0, "b1": -95.0})]
-        model = build_handover_model(cfg, mrs, hour=13)
+        model = build_handover_model(cfg, make_reports(mrs), hour=13)
         assert model.targets("c2", 13) == {}
 
     def test_tie_breaks_to_lowest_cell_id(self):
         cfg = make_network(n_capacity=1, n_coverage=3, a4_threshold=-110.0)
         mrs = [report("c1", {"c1": -70.0, "b3": -95.0, "b2": -95.0})]
-        model = build_handover_model(cfg, mrs, hour=13)
+        model = build_handover_model(cfg, make_reports(mrs), hour=13)
         assert model.targets("c1", 13)["b2"] == 1.0
 
     def test_serving_cell_never_a_candidate(self):
@@ -212,7 +209,7 @@ class TestHandoverModel:
     def test_normalization_invariant(self, raw):
         cfg = make_network(n_capacity=2, n_coverage=2, a4_threshold=-100.0)
         mrs = [report(s, {s: -70.0, "b1": r1, "b2": r2}) for s, r1, r2 in raw]
-        model = build_handover_model(cfg, mrs, hour=13)
+        model = build_handover_model(cfg, make_reports(mrs), hour=13)
         for cell in ("c1", "c2"):
             probs = model.targets(cell, 13)
             total = sum(probs.values())
@@ -244,9 +241,10 @@ def test_hourly_build_equals_merged_per_hour_builds():
         mrs.append(report(serving, rsrp, hour=int(rng.integers(1, 25))))
     merged = {}
     for hour in range(1, 25):
-        merged.update(build_handover_model(
-            cfg, [m for m in mrs if m.hour == hour], hour).probabilities)
-    built = build_handover_model_for_hours(cfg, mrs).probabilities
+        merged.update(build_handover_model(cfg, make_reports(
+            m for m in mrs if m[0][11:13] == f"{hour - 1:02d}"),
+            hour).probabilities)
+    built = build_handover_model_for_hours(cfg, make_reports(mrs)).probabilities
     assert list(built.items()) == list(merged.items())
     voted = {j for pmf in built.values() for j in pmf}
     assert voted == {"b1", "b2"}
@@ -256,19 +254,19 @@ def test_hourly_build_equals_merged_per_hour_builds():
 
 def loop_vote(cfg, by_hour, hours):
     """The vote report by report, as it was written before the array vote:
-    the reference that the array vote must equal bit for bit."""
+    the reference that the array vote must equal bit for bit. `by_hour`
+    maps an hour to its reports' (serving cell, {cell: rsrp}) tuples."""
     candidates = {c: set(transfer_candidates(cfg, c))
                   for c in cfg.capacity_cells}
     table = {}
     for hour in hours:
         counts = {c: {} for c in candidates}
-        for report in by_hour.get(hour, ()):
-            serving = report.serving_cell
+        for serving, pairs in by_hour.get(hour, ()):
             if serving not in counts:
                 continue
             a4, eligible = cfg.mobility[serving], candidates[serving]
             qualifying = [(-rsrp, j)
-                          for j, rsrp in report.neighbor_rsrp_dbm.items()
+                          for j, rsrp in pairs.items()
                           if j in eligible
                           and (rsrp + a4.freq_offset_db.get(j, 0.0)
                                + a4.cell_offset_db.get(j, 0.0)
@@ -297,8 +295,9 @@ VOTE_IDS = ("a", "b", "c", "d", "e", "f")
 def vote_inputs(draw):
     """A network of 2-6 cells on up to three frequencies (capacity cells may
     share the coverage frequency, coverage cells may not share one), and up
-    to 40 reports served by any cell, with pairs on any cell, the serving one
-    and an unknown one (which has no offsets) included. A capacity cell's threshold may sit exactly
+    to 40 (hour, serving cell, {cell: rsrp}) reports served by any cell,
+    with pairs on any cell, the serving one (always) and an unknown one
+    (which has no offsets) included. A capacity cell's threshold may sit exactly
     on the biased RSRP of one of its reports' candidate pairs. RSRPs and
     offsets are two-decimal values from a drawn seed, so that biased sums
     round differently in another order of operations (Hypothesis would
@@ -321,19 +320,20 @@ def vote_inputs(draw):
     reports = []
     for _ in range(draw(st.integers(0, 40))):
         hour = draw(st.integers(1, 24))
+        serving = draw(st.sampled_from(ids))
         cells = draw(st.lists(st.sampled_from(ids + ("zz",)), unique=True,
                               max_size=5))
-        reports.append(MeasurementReport(
-            f"2024-03-04T{hour - 1:02d}:15:00", "u", draw(st.sampled_from(ids)),
-            {c: rsrp() for c in cells}))
+        if serving not in cells:   # mr.csv needs the serving cell's RSRP
+            cells.insert(draw(st.integers(0, len(cells))), serving)
+        reports.append((hour, serving, {c: rsrp() for c in cells}))
     pairing = {c: draw(st.sampled_from(coverage)) for c in capacity}
     mobility = {}
     for c in ids:
         offsets = [{j: offset() for j in ids} for _ in "fc"]
         a4 = A4Params(draw(st.sampled_from([-130.0, -100.0, -0.0, 0.0])),
                       draw(st.sampled_from([0.0, 0.3, 2.0])), *offsets)
-        boundary = [(j, v) for r in reports if r.serving_cell == c
-                    and c in pairing for j, v in r.neighbor_rsrp_dbm.items()
+        boundary = [(j, v) for _, serving, pairs in reports if serving == c
+                    and c in pairing for j, v in pairs.items()
                     if j != c and freq.get(j) == freq[pairing[c]]]
         if boundary and draw(st.booleans()):
             j, v = draw(st.sampled_from(boundary))
@@ -358,25 +358,24 @@ class TestArrayVote:
     @given(vote_inputs())
     @settings(max_examples=200, deadline=None)
     def test_equals_the_report_loop(self, inputs):
-        cfg, reports = inputs
+        cfg, rows = inputs
         by_hour = {}
-        for r in reports:
-            by_hour.setdefault(r.hour, []).append(r)
-        columns = MeasurementReports.from_rows(reports)
+        for hour, *r in rows:
+            by_hour.setdefault(hour, []).append(r)
+        reports = make_reports(report(serving, pairs, hour)
+                               for hour, serving, pairs in rows)
         expected = exact(loop_vote(cfg, by_hour, range(1, 25)))
         assert exact(build_handover_model_for_hours(
             cfg, reports).probabilities) == expected
-        assert exact(build_handover_model_for_hours(
-            cfg, columns).probabilities) == expected
         # one hour's model votes every report it is given
-        assert exact(build_handover_model(cfg, columns, 7).probabilities) \
-            == exact(loop_vote(cfg, {7: reports}, (7,)))
+        assert exact(build_handover_model(cfg, reports, 7).probabilities) \
+            == exact(loop_vote(cfg, {7: [r[1:] for r in rows]}, (7,)))
 
     def test_signed_zero_rsrps_tie_to_the_lowest_id(self):
         cfg = make_network(n_capacity=1, n_coverage=3, a4_threshold=-110.0)
         mrs = [report("c1", {"c1": -70.0, "b3": 0.0, "b2": -0.0}),
                report("c1", {"c1": -70.0, "b2": 0.0, "b1": -0.0, "b3": 0.0})]
-        model = build_handover_model(cfg, mrs, hour=13)
+        model = build_handover_model(cfg, make_reports(mrs), hour=13)
         assert exact(model.probabilities) == [
             (("c1", 13), [("b1", "float", (0.5).hex()),
                           ("b2", "float", (0.5).hex())])]
