@@ -40,7 +40,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .datamodel import (NetworkConfig, ShutdownThresholds, TrafficModel,
-                        draw_inputs)
+                        _row_chunks, _write_columns, draw_inputs)
 from .errors import EmptyCandidateSetError, InconsistentReplayError
 from .rules import (PROBABILITY_SUM_TOL, HandoverModel, check_shutdown_entry,
                     check_wakeup)
@@ -700,18 +700,20 @@ def write_hourly_report(path, outputs: Sequence[HourlyOutputs],
 
 
 def write_run_dump(path, outputs: Sequence[HourlyOutputs]) -> None:
-    """Raw per-run values for distribution inspection."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["hour", "run", "cell_id", "ues", "dl_prbs",
-                         "cs_minutes"])
+    """Raw per-run values for distribution inspection: a row per hour, run
+    and cell, each value written as the repr of its float."""
+    def chunks():
         for out in outputs:
-            for run in range(out.runs):
-                for i, cell in enumerate(out.cells):
-                    writer.writerow([
-                        out.hour, run, cell, repr(float(out.ues[run, i])),
-                        repr(float(out.dl_prbs[run, i])),
-                        repr(float(out.cs_minutes[run, i]))])
+            cells = list(out.cells) * out.runs
+            values = np.stack([out.ues, out.dl_prbs, out.cs_minutes],
+                              axis=-1, dtype=float).reshape(-1, 3)
+            for s in _row_chunks(len(cells)):
+                rows = np.arange(s.start, s.stop)
+                yield (np.full(len(rows), out.hour), rows // len(out.cells),
+                       cells[s], values[s])
+
+    _write_columns(path, ["hour", "run", "cell_id", "ues", "dl_prbs",
+                          "cs_minutes"], chunks())
 
 
 def read_mean_report(path) -> dict[str, dict[tuple[str, int], float]]:

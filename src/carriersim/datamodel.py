@@ -35,7 +35,8 @@ mr.csv -- one row per UE measurement report:
   pairs and must include the serving cell. In memory: MeasurementReports.
 
 Numeric fields must be finite: `nan` and `inf` are rejected with the file
-and row, like any other malformed value or a row shorter than the header.
+and row, like any other malformed value or a row whose field count differs
+from the header's.
 Blank lines are skipped and not counted as rows.
 """
 
@@ -400,9 +401,9 @@ def _read_rows(path, columns: list[str]) -> Iterator[tuple[int, list]]:
     """The fields of `columns` in the rows of CSV file `path`, in lists of
     up to _CHUNK rows read as they are asked for, each with the number of
     rows before it; a repeated column name reads its last column. An empty
-    file or a missing column raises MissingColumnError. A row shorter than
-    the header ends its list and raises when the next one is asked for, so
-    the rows before it are checked first."""
+    file or a missing column raises MissingColumnError. A row with more or
+    fewer fields than the header ends its list and raises when the next one
+    is asked for, so the rows before it are checked first."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -417,7 +418,7 @@ def _read_rows(path, columns: list[str]) -> Iterator[tuple[int, list]]:
         rows, done = filter(None, reader), 0
         while chunk := list(itertools.islice(rows, _CHUNK)):
             n = next((k for k, row in enumerate(chunk)
-                      if len(row) < len(header)), len(chunk))
+                      if len(row) != len(header)), len(chunk))
             if n:
                 yield done, list(map(pick, chunk[:n]))
             if n < len(chunk):
@@ -671,17 +672,62 @@ def write_engineering(path, cfg: NetworkConfig) -> None:
             ])
 
 
-def _write_hourly(path, columns: list[str], rows: HourlyRows) -> None:
-    """Write `rows` under the header `columns`, formatting _CHUNK rows at a
-    time (csv.writer writes a float as its repr)."""
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in ',"\r\n')
+
+
+def _quoted(texts: list[str]) -> list[str]:
+    """`texts` as csv.writer's QUOTE_MINIMAL writes them: a text holding a
+    comma, quote or line break in quotes, its quotes doubled, decided once
+    per distinct text."""
+    if not _needs_quotes("".join(texts)):
+        return texts
+    quoted = {t: '"' + t.replace('"', '""') + '"' if _needs_quotes(t) else t
+              for t in set(texts)}
+    return [quoted[t] for t in texts]
+
+
+def _formatted(values: np.ndarray) -> np.ndarray:
+    """An int or float array as an object array of the same shape holding
+    each value's str (ints) or repr (floats), as csv.writer writes them,
+    each formatted once per distinct value (per bit pattern for floats, so
+    -0.0 keeps its sign)."""
+    floats = values.dtype.kind == "f"
+    keys, inverse = np.unique(values.view(np.int64) if floats else values,
+                              return_inverse=True)
+    texts = list(map(repr if floats else str,
+                     (keys.view(float) if floats else keys).tolist()))
+    return np.array(texts, dtype=object)[inverse.reshape(values.shape)]
+
+
+def _row_chunks(n: int) -> list[slice]:
+    """Slices of up to _CHUNK rows covering rows 0..n-1 in order."""
+    return [slice(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
+
+def _write_columns(path, header: list[str], chunks) -> None:
+    """Write a CSV file of `header` and the rows of each of `chunks`, in the
+    bytes csv.writer writes. A chunk is a tuple of columns of its rows, each
+    a list of str, a 1-D int or float array, or a 2-D one holding several
+    columns. Only one chunk's texts are held at a time, so callers give
+    _row_chunks' slices of their rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for lo in range(0, len(rows), _CHUNK):
-            chunk = slice(lo, lo + _CHUNK)
-            writer.writerows(zip(rows.ids[chunk], rows.day[chunk].tolist(),
-                                 rows.hour[chunk].tolist(),
-                                 *rows.values[chunk].T.tolist()))
+        fh.write(",".join(_quoted(header)) + "\r\n")
+        for chunk in chunks:
+            columns = []
+            for column in chunk:
+                if isinstance(column, np.ndarray):
+                    columns += _formatted(
+                        column.reshape(len(column), -1)).T.tolist()
+                else:
+                    columns.append(_quoted(column))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _write_hourly(path, columns: list[str], rows: HourlyRows) -> None:
+    _write_columns(path, columns, (
+        (rows.ids[s], rows.day[s], rows.hour[s], rows.values[s])
+        for s in _row_chunks(len(rows))))
 
 
 def write_kpis(path, rows: HourlyRows) -> None:
@@ -693,25 +739,24 @@ def write_energy(path, rows: HourlyRows) -> None:
 
 
 def write_mrs(path, reports: MeasurementReports) -> None:
-    """Write `reports` with each report's pairs in cell-id order, _CHUNK
-    reports at a time."""
+    """Write `reports` with each report's pairs in cell-id order."""
     ends = reports.offsets.tolist()
     by_id = np.lexsort((reports.neighbours, np.repeat(
         np.arange(len(reports)), np.diff(reports.offsets))))
     cells, rsrp = reports.neighbours[by_id], reports.rsrp_dbm[by_id]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MR_COLUMNS)
-        for lo in range(0, len(reports), _CHUNK):
-            hi = min(lo + _CHUNK, len(reports))
-            pairs = [f"{reports.cells[c]}:{v!r}" for c, v in zip(
-                cells[ends[lo]:ends[hi]].tolist(),
-                rsrp[ends[lo]:ends[hi]].tolist())]
-            writer.writerows(zip(
-                reports.timestamps[lo:hi], reports.ue_ids[lo:hi],
-                [reports.cells[k] for k in reports.serving[lo:hi].tolist()],
-                ["|".join(pairs[a - ends[lo]:b - ends[lo]])
-                 for a, b in zip(ends[lo:hi], ends[lo + 1:hi + 1])]))
+    names = np.array(reports.cells, dtype=object)
+    prefixes = np.array([f"{c}:" for c in reports.cells], dtype=object)
+
+    def chunks():
+        for s in _row_chunks(len(reports)):
+            a, b = ends[s.start], ends[s.stop]
+            pairs = (prefixes[cells[a:b]] + _formatted(rsrp[a:b])).tolist()
+            edges = [end - a for end in ends[s.start:s.stop + 1]]
+            yield (reports.timestamps[s], reports.ue_ids[s],
+                   names[reports.serving[s]].tolist(),
+                   ["|".join(pairs[x:y]) for x, y in zip(edges, edges[1:])])
+
+    _write_columns(path, _MR_COLUMNS, chunks())
 
 
 def write_datasets(directory, cfg, kpis, energies, mrs) -> DatasetPaths:

@@ -187,21 +187,19 @@ def _build_network(spec: ScenarioSpec) -> NetworkConfig:
 def _build_true_traffic(cfg: NetworkConfig, spec: ScenarioSpec,
                         rng: np.random.Generator) -> TrafficModel:
     cells = tuple(c.id for c in cfg.cells)
-    factors = {cid: rng.uniform(0.75, 1.25) for cid in cells}
-    mean = np.empty((24, len(cells), 3))
-    std = np.empty_like(mean)
-    for k, cell in enumerate(cfg.cells):
-        is_cap = cell.id in cfg.capacity_cells
-        peak_load = spec.peak_capacity_load if is_cap else spec.peak_coverage_load
-        peak_ues = spec.peak_capacity_ues if is_cap else spec.peak_capacity_ues * 1.2
-        f = factors[cell.id]
-        for hour in range(1, 25):
-            p = diurnal_profile(hour)
-            mu = (peak_ues * p * f, peak_load * cell.n_dl_prb * p * f,
-                  0.4 * peak_load * cell.n_ul_prb * p * f)
-            mean[hour - 1, k] = mu
-            std[hour - 1, k] = [max(spec.traffic_noise * m, floor)
-                                for m, floor in zip(mu, (0.3, 0.5, 0.3))]
+    factor = rng.uniform(0.75, 1.25, size=len(cells))
+    is_cap = np.array([c in cfg.capacity_cells for c in cells], dtype=bool)
+    peak_load = np.where(is_cap, spec.peak_capacity_load,
+                         spec.peak_coverage_load)
+    peak_ues = np.where(is_cap, spec.peak_capacity_ues,
+                        spec.peak_capacity_ues * 1.2)
+    n_dl, n_ul = np.array([(c.n_dl_prb, c.n_ul_prb) for c in cfg.cells],
+                          dtype=float).T
+    p = np.array([diurnal_profile(hour) for hour in _HOURS])[:, None]
+    # (hour, cell) products in the order (peak * prbs) * p * factor
+    mean = np.stack([peak_ues * p * factor, peak_load * n_dl * p * factor,
+                     0.4 * peak_load * n_ul * p * factor], axis=-1)
+    std = np.maximum(spec.traffic_noise * mean, [0.3, 0.5, 0.3])
     return TrafficModel(cells=cells, mean=mean, std=std)
 
 

@@ -120,11 +120,26 @@ def _vote(cfg: NetworkConfig, mrs: MeasurementReports,
                            & np.isin(report_hour, hours)[report])
     report, serving = report[pairs], serving[pairs]
     neighbour, rsrp = mrs.neighbours[pairs], mrs.rsrp_dbm[pairs]
-    params = np.array([(a4[k].freq_offset_db.get(names[j], 0.0),
-                        a4[k].cell_offset_db.get(names[j], 0.0),
-                        a4[k].hysteresis_db, a4[k].threshold_dbm)
-                       for k, j in zip(serving.tolist(), neighbour.tolist())])
-    qualifying = np.flatnonzero(_a4_trigger(rsrp, *params.reshape(-1, 4).T))
+    hysteresis, threshold = np.zeros(n), np.zeros(n)   # by serving code
+    for k, p in a4.items():
+        hysteresis[k], threshold[k] = p.hysteresis_db, p.threshold_dbm
+    code = {c: k for k, c in enumerate(names)}
+    pair_key = serving * n + neighbour
+
+    def offsets(name: str) -> np.ndarray:
+        """Each pair's A4Params offset `name` towards its neighbour, 0 if
+        unset: its serving cell's entries looked up by serving * n +
+        neighbour code, after a sentinel key above every pair's."""
+        entries = sorted((k * n + code[j], v) for k, p in a4.items()
+                         for j, v in getattr(p, name).items() if j in code)
+        keys = np.array([key for key, _ in entries] + [n * n], dtype=np.int64)
+        values = np.array([v for _, v in entries] + [0.0])
+        at = np.searchsorted(keys, pair_key)
+        return np.where(keys[at] == pair_key, values[at], 0.0)
+
+    qualifying = np.flatnonzero(_a4_trigger(
+        rsrp, offsets("freq_offset_db"), offsets("cell_offset_db"),
+        hysteresis[serving], threshold[serving]))
     # each report's strongest qualifying neighbour, the lowest id among equals
     ranked = qualifying[np.lexsort((neighbour[qualifying], -rsrp[qualifying],
                                     report[qualifying]))]

@@ -1,10 +1,13 @@
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
 
 from carriersim.abm import (
     AbmConfig,
+    HourlyOutputs,
     SimNetwork,
     _apply_shutdown,
     _coerce_start,
@@ -817,6 +820,34 @@ class TestReports:
         write_run_dump(dump, outputs)
         lines = dump.read_text().splitlines()
         assert len(lines) == 1 + 24 * 3 * 2
+
+    def test_run_dump_bytes_equal_the_row_loop(self, tmp_path):
+        """write_run_dump against the csv.writer row loop it replaced, on
+        hours of more runs x cells than a writer chunk, ids to quote, -0.0,
+        nan, and an hour of int arrays (written as floats)."""
+        rng = np.random.default_rng(8)
+        pool = np.array([0.0, -0.0, 5e-324, 1e16, 3.0, 0.1, np.nan, np.inf])
+        outputs = []
+        for hour, cells, runs in ((1, ("c,1", 'b"2', "\u00e9"), 600),
+                                  (2, ("c1",), 3), (24, ("a", "b"), 0)):
+            values = pool[rng.integers(len(pool), size=(4, runs, len(cells)))]
+            outputs.append(HourlyOutputs(hour, cells, *values))
+        outputs.append(HourlyOutputs(3, ("c1", "b1"), *rng.integers(
+            -5, 60, size=(4, 800, 2))))
+        dump = tmp_path / "runs.csv"
+        write_run_dump(dump, outputs)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["hour", "run", "cell_id", "ues", "dl_prbs",
+                         "cs_minutes"])
+        for out in outputs:
+            for run in range(out.runs):
+                for i, cell in enumerate(out.cells):
+                    writer.writerow([
+                        out.hour, run, cell, repr(float(out.ues[run, i])),
+                        repr(float(out.dl_prbs[run, i])),
+                        repr(float(out.cs_minutes[run, i]))])
+        assert dump.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_mean_tables_equal_report_read_back(self, tmp_path):
         cfg = make_network()

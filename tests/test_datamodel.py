@@ -1,5 +1,7 @@
 import contextlib
+import csv
 import dataclasses
+import io
 import math
 import tempfile
 import tracemalloc
@@ -12,9 +14,11 @@ from hypothesis import strategies as st
 
 from carriersim.abm import AbmConfig, simulate_day
 from carriersim.datamodel import (
+    _CHUNK,
     TRAFFIC_KPIS,
     DatasetPaths,
     HourlyRows,
+    MeasurementReports,
     TrafficModel,
     apply_overrides,
     draw_inputs,
@@ -208,6 +212,22 @@ class TestParsing:
             parse_engineering(paths.engineering)
         assert (err.value.row_index, err.value.message) == (2, message)
 
+    @pytest.mark.parametrize("row", [1, 2])   # the coverage and capacity cell
+    @pytest.mark.parametrize("column, extra", [("radio_type", ",64T"),
+                                               ("leave_ul_prb", ",1")])
+    def test_engineering_row_longer_than_the_header_rejected(
+            self, tmp_path, row, column, extra):
+        paths, _ = write_fixture(tmp_path)
+        lines = paths.engineering.read_text().splitlines()
+        header, fields = lines[0].split(","), lines[row].split(",")
+        fields[header.index(column)] += extra   # an unquoted comma
+        lines[row] = ",".join(fields)
+        paths.engineering.write_text("\n".join(lines))
+        with pytest.raises(MalformedRowError) as err:
+            parse_engineering(paths.engineering)
+        assert (err.value.row_index, err.value.message) \
+            == (row, "23 fields, the header has 22")
+
     @pytest.mark.parametrize("stamp", ["2024-03-04T24:00:05",
                                        "2024-03-04 13:00:05",
                                        "2024-03-04T1:00:05", "13:00",
@@ -341,6 +361,16 @@ class TestColumns:
         # a bad row before a short one read with it
         ("2024-03-04T13:00:05,u2,c1,b1:-95.0\n2024-03-04T13:00:05,u2,c1",
          "serving cell has no RSRP entry", 3100),
+        # a row longer than the header: an unquoted comma between pairs
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0,b1:-95.0",
+         "5 fields, the header has 4", 3),
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0|b1:-95.0,",
+         "5 fields, the header has 4", 1537),
+        ("2024-03-04T13:00:05,u2,c1,c1:-90.0,b1:-95.0",
+         "5 fields, the header has 4", 3100),
+        ("2024-03-04T13:00:05,u2,c1,b1:-95.0\n"
+         "2024-03-04T13:00:05,u2,c1,c1:-90.0,b1:-95.0",
+         "serving cell has no RSRP entry", 3100),
     ])
     def test_malformed_report_errors_name_file_row_and_message(
             self, tmp_path, row, message, at):
@@ -410,6 +440,133 @@ BITS = "dl_bits must be >= dl_bits_lastslot >= 0"
 CS = "cs_minutes outside [0, 60]"
 
 
+# texts csv.writer must quote (a comma, quote or line break) and non-ASCII
+WRITER_TEXTS = st.text(st.sampled_from(list('ab1 ,"\r\n|:\u00e9\u20ac')),
+                       max_size=5)
+WRITER_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e16, 3.0, 60.0, 0.1, math.nan, math.inf, -math.inf]
+) | st.floats()
+WRITER_INTS = st.sampled_from([0, 1, 24, 25, -1]) | st.integers(-2**63,
+                                                               2**63 - 1)
+# around and across the chunk boundaries of the writers
+WRITER_ROWS = st.sampled_from([0, 1, 5, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               2 * _CHUNK + 7])
+STAMPS = ["2024-03-04T13:00:05", "2024-12-31T23:59:59"]
+
+
+def csv_writer_bytes(header, rows):
+    """The bytes csv.writer writes for `header` and `rows`, UTF-8."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+def draw_pools(data, parseable):
+    """Pools of ids, floats and ints to build rows from; with `parseable`
+    only floats in [0, 60] and ints in 1..24, which every parser accepts."""
+    ids = data.draw(st.lists(WRITER_TEXTS, min_size=1, max_size=6))
+    floats = data.draw(st.lists(WRITER_FLOATS, min_size=1, max_size=8))
+    ints = data.draw(st.lists(WRITER_INTS, min_size=1, max_size=4))
+    if parseable:
+        floats = [v for v in floats if 0 <= v <= 60] or [0.0]
+        ints = [v for v in ints if 1 <= v <= 24] or [1]
+    return ids, np.array(floats), np.array(ints, dtype=np.int64)
+
+
+class TestColumnWriter:
+    """write_kpis, write_energy and write_mrs write the bytes csv.writer
+    writes, on both sides of a chunk boundary, and parse back wherever the
+    parsers accept what they wrote."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_hourly_files_match_csv_writer(self, data):
+        ids, floats, ints = draw_pools(data, data.draw(st.booleans()))
+        n = data.draw(WRITER_ROWS)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = floats[rng.integers(len(floats), size=(n, 25))]
+        # dl_bits >= dl_bits_lastslot where both are finite
+        values[:, 3] = np.fmax(values[:, 3], values[:, 4])
+        rows = [ids[k] for k in rng.integers(len(ids), size=n)]
+        day, hour = ints[rng.integers(len(ints), size=(2, n))]
+        with tempfile.TemporaryDirectory() as directory:
+            for name, columns, width, parse, write in (
+                    ("kpi.csv", KPI_COLUMNS, 25, parse_kpis, write_kpis),
+                    ("energy.csv", ENERGY_COLUMNS, 1, parse_energy,
+                     write_energy)):
+                path = Path(directory) / name
+                table = HourlyRows(rows, day, hour, values[:, :width].copy())
+                write(path, table)
+                assert path.read_bytes() == csv_writer_bytes(columns, zip(
+                    rows, day.tolist(), hour.tolist(),
+                    *table.values.T.tolist()))
+                v = table.values
+                kpi_checks = width == 1 or ((v[:, 4] <= v[:, 3]).all()
+                                            and (v[:, -1] <= 60).all())
+                if (np.isfinite(v).all() and (v >= 0).all()
+                        and ((hour >= 1) & (hour <= 24)).all() and kpi_checks):
+                    assert_same_rows(parse(path), table)
+                else:
+                    with pytest.raises(MalformedRowError):
+                        parse(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_measurement_reports_match_csv_writer(self, data):
+        parseable = data.draw(st.booleans())
+        ids, floats, _ = draw_pools(data, False)
+        stamps = data.draw(st.lists(st.sampled_from(STAMPS) | WRITER_TEXTS,
+                                    min_size=1, max_size=3))
+        if parseable:   # pair ids parse back, stamps match, RSRPs finite
+            ids = [c for c in ids if c and c == c.strip()
+                   and not set(c) & {"|", ":"}] or ["c1"]
+            stamps = [t for t in stamps if t in STAMPS] or STAMPS
+            floats = floats[np.isfinite(floats)] if np.isfinite(
+                floats).any() else np.array([-90.0])
+        cells = tuple(sorted(set(ids)))
+        n = data.draw(WRITER_ROWS)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # each report's neighbours, distinct, its serving cell among them
+        # if parseable
+        picks = [rng.permutation(len(cells))[:rng.integers(
+            int(parseable), len(cells) + 1)] for _ in range(n)]
+        serving = np.array([p[rng.integers(len(p))] if parseable
+                            else rng.integers(len(cells)) for p in picks],
+                           dtype=np.int64)
+        counts = [len(p) for p in picks]
+        reports = MeasurementReports(
+            cells, [stamps[k] for k in rng.integers(len(stamps), size=n)],
+            [ids[k] for k in rng.integers(len(ids), size=n)], serving,
+            np.cumsum([0] + counts),
+            np.concatenate([np.empty(0, dtype=np.int64)] + picks),
+            floats[rng.integers(len(floats), size=sum(counts))])
+        pairs = report_pairs(reports)
+        expected = csv_writer_bytes(
+            ["timestamp", "ue_id", "serving_cell", "rsrp_dbm"],
+            [(stamp, ue, cells[k], "|".join(
+                f"{c}:{v!r}" for c, v in sorted(p.items())))
+             for stamp, ue, k, p in zip(reports.timestamps, reports.ue_ids,
+                                        serving.tolist(), pairs)])
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "mr.csv"
+            write_mrs(path, reports)
+            assert path.read_bytes() == expected
+            if not parseable:
+                return
+            parsed = parse_mrs(path)
+            write_mrs(Path(directory) / "again.csv", parsed)
+            assert (Path(directory) / "again.csv").read_bytes() == expected
+        assert (parsed.timestamps, parsed.ue_ids) \
+            == (reports.timestamps, reports.ue_ids)
+        assert [parsed.cells[k] for k in parsed.serving.tolist()] \
+            == [cells[k] for k in serving.tolist()]
+        assert [sorted((c, v.hex()) for c, v in p.items())
+                for p in report_pairs(parsed)] \
+            == [sorted((c, v.hex()) for c, v in p.items()) for p in pairs]
+
+
 class TestHourlyFileErrors:
     """Every malformed kpi.csv and energy.csv row the parsers reject, with
     the type, file, row and message the record-by-record parser gave."""
@@ -445,6 +602,14 @@ class TestHourlyFileErrors:
         ([{}] * 2498 + [{"rrc_ues": "nan"}] + [{}] * 200 + [{"hour": "0"}],
          2500, "non-finite value 'nan'"),
         ([{}] * 1799 + [{"cs_minutes": "99"}], 1801, CS),
+        # a row longer than the header: an unquoted comma in a value
+        ([{"rrc_ues": "5,5"}], 2, "29 fields, the header has 28"),
+        ([{"cs_minutes": "0.0,"}], 2, "29 fields, the header has 28"),
+        ([{"hour": "0"}, {"rrc_ues": "5,5"}], 2, "hour 0 outside 1..24"),
+        ([{"rrc_ues": "5,5"}, {"hour": "0"}], 2,
+         "29 fields, the header has 28"),
+        ([{}] * 1700 + [{"dl_bits": "1,0e8"}], 1702,
+         "29 fields, the header has 28"),
     ])
     def test_kpi_errors(self, tmp_path, patches, row, message):
         path = tmp_path / "kpi.csv"
@@ -464,6 +629,7 @@ class TestHourlyFileErrors:
         ({"energy_wh": "nan"}, "non-finite value 'nan'"),
         ({"energy_wh": "inf"}, "non-finite value 'inf'"),
         ({"energy_wh": "-1.0"}, "negative energy"),
+        ({"energy_wh": "500,5"}, "5 fields, the header has 4"),
     ])
     def test_energy_errors(self, tmp_path, patch, message):
         path = tmp_path / "energy.csv"

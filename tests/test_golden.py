@@ -9,8 +9,10 @@ than one target. A 30 + 20-cell, 1-day network (scenario seed 3) pins the
 ABM's large-network paths: 8 or more candidates weighed at once, UEs split
 over several targets, and starting configurations rolled in. The
 generator is pinned on a 6 + 3-cell, 2-day spec (seed 11), whose reports do
-draw extra neighbours, and on a sparse, noisy 3 + 2-cell spec whose
-cell-hours reach the zero-UE branch of both KPI campaigns.
+draw extra neighbours, on a sparse, noisy 3 + 2-cell spec whose
+cell-hours reach the zero-UE branch of both KPI campaigns, and on a
+40 + 30-cell, 1-day spec (seed 404) whose files span several of the CSV
+writers' chunks.
 A change to the ABM, the baseline or the generator that is meant to keep the
 outputs must keep these digests; a change that is meant to move them updates
 them and says why.
@@ -23,7 +25,7 @@ import pytest
 from carriersim import (AbmConfig, ScenarioSpec, build_handover_model_for_hours,
                         fit_traffic_model, generate_scenario, parse_datasets,
                         run_benchmark, simulate_day)
-from carriersim.datamodel import parse_kpis, write_kpis
+from carriersim.datamodel import _CHUNK, parse_kpis, parse_mrs, write_kpis
 
 SIMULATE_DAY_SHA256 = (
     "b0f7a6bdf54016584514b275600c707fdec6c896610bab9cfd7a4435849d7c12")
@@ -72,6 +74,26 @@ SPARSE_GENERATOR_SHA256 = {
 }
 HANDOVER_TABLE_SHA256 = (
     "a234385b6acc15018706c9895f496d4cc9ab7a8cabfb3320fd16705f731fd588")
+# generate_scenario(ScenarioSpec(40, 30, 1, reports_per_cell_hour=4),
+# seed=404): each file it writes. Its 1,680 KPI rows per kpi*.csv and 3,840
+# reports cross the writers' chunk boundary (the specs above write fewer
+# rows than a chunk per file).
+CHUNKED_GENERATOR_SHA256 = {
+    "energy.csv":
+        "5ac4263d0d3ed5af82f176713ca2829ac38c25a67ccc71ce20065260a963daea",
+    "energy_biased.csv":
+        "10d5d2791b7565bb4e5ac13f625b2e83ee647ce4d8139e4bf54bcd391c59ff21",
+    "engineering.csv":
+        "c6bf2872dc499d1eb471f4e5baf1bc8733201e71963b020dacacb4879c0a05f2",
+    "kpi.csv":
+        "2110496bc119050bb539977ac3ef1eff4f05683c0d942504370bfd9338f58fdf",
+    "kpi_biased.csv":
+        "47d59acde2099a3cc2d28382fb278cc72f0a3d1a821da1e1b403c6c6cb03f950",
+    "mr.csv":
+        "76a99f19281271ac2b375229fbac7048ecadb12214a739fd9b0ca64a6ae8da5d",
+    "scenario.json":
+        "2ee21ee0f7d19672df0667709561fb73a3a78850ff6e76de6a94cc01d503cb47",
+}
 
 
 def _digest(outputs, names):
@@ -160,3 +182,13 @@ def test_sparse_generator_files_are_pinned(tmp_path):
     write_kpis(tmp_path / "rewritten.csv", kpis)
     assert (tmp_path / "rewritten.csv").read_bytes() \
         == (tmp_path / "kpi.csv").read_bytes()
+
+
+def test_generator_files_across_a_chunk_boundary_are_pinned(tmp_path):
+    generate_scenario(ScenarioSpec(40, 30, 1, reports_per_cell_hour=4),
+                      tmp_path, seed=404)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert written == CHUNKED_GENERATOR_SHA256
+    assert len(parse_kpis(tmp_path / "kpi.csv")) == 1680 > _CHUNK
+    assert len(parse_mrs(tmp_path / "mr.csv")) == 3840 > 2 * _CHUNK

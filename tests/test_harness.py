@@ -148,6 +148,40 @@ class TestLaws:
         assert max(values, key=values.get) == 16
 
 
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec(6, 3, 2),
+        ScenarioSpec(3, 2, 2, peak_capacity_ues=1, traffic_noise=1.5),
+        ScenarioSpec(40, 30, 1, peak_capacity_load=0.9, traffic_noise=0.0),
+    ])
+    def test_true_traffic_equals_the_cell_hour_loop(self, spec):
+        """The array build against the cell-by-cell, hour-by-hour loop it
+        replaced: same arrays bit for bit, same generator state after."""
+        cfg = _build_network(spec)
+        rng, twin = np.random.default_rng(21), np.random.default_rng(21)
+        traffic = _build_true_traffic(cfg, spec, rng)
+        mean = np.empty((24, len(cfg.cells), 3))
+        std = np.empty_like(mean)
+        factors = {c.id: twin.uniform(0.75, 1.25) for c in cfg.cells}
+        for k, cell in enumerate(cfg.cells):
+            is_cap = cell.id in cfg.capacity_cells
+            peak_load = (spec.peak_capacity_load if is_cap
+                         else spec.peak_coverage_load)
+            peak_ues = (spec.peak_capacity_ues if is_cap
+                        else spec.peak_capacity_ues * 1.2)
+            f = factors[cell.id]
+            for hour in range(1, 25):
+                p = diurnal_profile(hour)
+                mu = (peak_ues * p * f, peak_load * cell.n_dl_prb * p * f,
+                      0.4 * peak_load * cell.n_ul_prb * p * f)
+                mean[hour - 1, k] = mu
+                std[hour - 1, k] = [max(spec.traffic_noise * m, floor)
+                                    for m, floor in zip(mu, (0.3, 0.5, 0.3))]
+        assert traffic.cells == tuple(c.id for c in cfg.cells)
+        assert traffic.mean.tobytes() == mean.tobytes()
+        assert traffic.std.tobytes() == std.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestGenerateScenario:
     def test_row_counts_match_spec(self, tmp_path):
         # 30 capacity + 20 coverage over 5 days: 50 * 24 * 5 KPI rows

@@ -379,3 +379,29 @@ class TestArrayVote:
         assert exact(model.probabilities) == [
             (("c1", 13), [("b1", "float", (0.5).hex()),
                           ("b2", "float", (0.5).hex())])]
+
+
+@given(vote_inputs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_array_vote_reads_a_missing_offset_as_zero(inputs, data):
+    """vote_inputs with each A4 offset map thinned to a drawn subset, plus
+    offsets towards a cell the reports may name (zz) and one they never
+    name (yy): still the report loop's table."""
+    cfg, rows = inputs
+
+    def thinned(offsets):
+        kept = {j: v for j, v in offsets.items() if data.draw(st.booleans())}
+        return {**kept, **data.draw(st.sampled_from(
+            [{}, {"zz": 50.0}, {"yy": 50.0}]))}
+
+    cfg = replace(cfg, mobility={
+        c: replace(a4, freq_offset_db=thinned(a4.freq_offset_db),
+                   cell_offset_db=thinned(a4.cell_offset_db))
+        for c, a4 in cfg.mobility.items()})
+    by_hour = {}
+    for hour, *r in rows:
+        by_hour.setdefault(hour, []).append(r)
+    reports = make_reports(report(serving, pairs, hour)
+                           for hour, serving, pairs in rows)
+    assert exact(build_handover_model_for_hours(cfg, reports).probabilities) \
+        == exact(loop_vote(cfg, by_hour, range(1, 25)))
