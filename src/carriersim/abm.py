@@ -10,11 +10,15 @@ movement is logged so a run can be replayed from its initial draw, and
 per-hour runs roll forward into the next hour.
 A step works on Python scalars (list counters and network lookups, uniforms
 read in blocks, list transfer tables) that repeat numpy's float operations in
-numpy's order; numpy draws the traffic, scans the candidates and weighs 8 or
-more of them. One function, `_shutdown`, draws and applies every shutdown: a
-step's, a roll-in's and `transfer_users`'. With one target it moves past the
-UEs' uniforms unread. A step refolds the hosts' counters at once; the roll-in
-refolds each host once, after its last shutdown.
+numpy's order; numpy draws the traffic and weighs 8 or more candidates. A run
+keeps the sorted list of its candidates, updated only when a cell's candidacy
+flips, so no step scans the cells. Among 8 or more candidates it draws the
+acting cell from running sums of a weight array (`_certified_pick`) when a
+rounding-error bound proves that `_pick` draws the same cell, and calls
+`_pick` otherwise. One function, `_shutdown`, draws and applies every
+shutdown: a step's, a roll-in's and `transfer_users`'. With one target it
+moves past the UEs' uniforms unread. A step refolds the hosts' counters at
+once; the roll-in refolds each host once, after its last shutdown.
 
 State bookkeeping uses a per-host contribution ledger: a host cell's counters
 are always rederived as its own drawn base plus the logged contributions it
@@ -28,7 +32,8 @@ pool and use per-(seed, hour, run) RNG streams; a RunState is owned by its run.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
+import sys
+from bisect import bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import reduce
@@ -48,6 +53,9 @@ from .rules import (PROBABILITY_SUM_TOL, HandoverModel, check_shutdown_entry,
 HOURS = tuple(range(1, 25))
 SHUTDOWN_MINUTES = 60.0
 UNIFORM_BLOCK = 256  # uniforms a run draws from its generator at a time
+# _certified_pick's decision gap per candidate, relative to the weights'
+# total: 8 units of roundoff (2**-53), twice what the sums can drift apart
+_PICK_GAP = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -176,7 +184,9 @@ class ReplayLog:
 class RunState:
     """Mutable per-run state: configuration vector, predicted counters,
     contribution ledger and replay log. Configuration and counters are
-    lists; the frozen entry checks and margins are arrays."""
+    lists; the frozen entry checks and margins are arrays. The ledger maps a
+    cell to the contributions it hosts and gets a list at its first one; the
+    replay log shares the drawn base arrays, which nothing mutates."""
 
     __slots__ = ("net", "hour", "x", "ue", "dl", "ul", "t_cs",
                  "base_ue", "base_dl", "base_ul", "sd_frozen", "sd_margin",
@@ -198,10 +208,9 @@ class RunState:
             base_ue[cap], base_dl[cap], base_dl[paired], base_ul[cap],
             base_ul[paired], net.th)
         self.sd_margin = net.th.entry_dl_prb - (base_dl[cap] + base_dl[paired])
-        self.contribs: list[list] = [[] for _ in range(net.n_cells)]
+        self.contribs: dict[int, list] = defaultdict(list)
         self.origin_hosts: dict[int, set[int]] = defaultdict(set)
-        self.replay = ReplayLog(hour=hour, base_ue=base_ue.copy(),
-                                base_dl=base_dl.copy(), base_ul=base_ul.copy())
+        self.replay = ReplayLog(hour, base_ue, base_dl, base_ul)
 
     def fingerprint(self) -> tuple:
         """Byte-exact summary of the observable state."""
@@ -215,7 +224,7 @@ class RunState:
         ue = self.base_ue[g]
         dl = self.base_dl[g]
         ul = self.base_ul[g]
-        for _, n, dla, ula in self.contribs[g]:
+        for _, n, dla, ula in self.contribs.get(g, ()):
             ue += n
             dl += dla
             ul += ula
@@ -267,9 +276,12 @@ def _shutdown(state: RunState, a: int, entry, uniforms: _Uniforms,
     Returns None (state untouched) when no feasible target exists, i.e. the
     shutdown attempt is abandoned.
     """
-    entry = _live_targets(state.net, state.x, entry)
     if entry is None:
         return None
+    if entry[3]:  # only capacity targets can be shut down
+        entry = _live_targets(state.net, state.x, entry)
+        if entry is None:
+            return None
     targets, _, cum, _ = entry
     g = state.net.cap_cell[a]
     n_ue = round(state.ue[g])
@@ -278,7 +290,7 @@ def _shutdown(state: RunState, a: int, entry, uniforms: _Uniforms,
     m_dl = state.dl[g] / n_ue
     m_ul = state.ul[g] / n_ue
     groups = [(a, round(state.base_ue[g]))]
-    groups += [(origin, n) for origin, n, _, _ in state.contribs[g]]
+    groups += [(origin, n) for origin, n, _, _ in state.contribs.get(g, ())]
     last = len(targets) - 1
     moves = []
     if not last:  # every UE goes to the one target: its uniforms go unread
@@ -309,11 +321,12 @@ def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
         origin_hosts[origin].add(target)
         touched.add(target)
     # every UE left, including previously received foreign ones
-    for origin, _, _, _ in contribs[g]:
-        hosts = origin_hosts.get(origin)
-        if hosts is not None:
-            hosts.discard(g)
-    contribs[g] = []
+    hosted = contribs.pop(g, None)
+    if hosted:
+        for origin, _, _, _ in hosted:
+            hosts = origin_hosts.get(origin)
+            if hosts is not None:
+                hosts.discard(g)
     state.ue[g] = 0.0
     state.dl[g] = 0.0
     state.ul[g] = 0.0
@@ -346,14 +359,40 @@ def _eligible_masks(state: RunState) -> tuple[np.ndarray, np.ndarray]:
     return x & state.sd_frozen, ~x & check_wakeup(ue, dl, ul, net.th)
 
 
-def _refresh(state: RunState, a: int, touched, cand: np.ndarray,
-             margin: np.ndarray) -> None:
+class _Candidates:
+    """A run's selection state: per capacity cell its candidacy and margin
+    (lists), the sorted list of candidates, and `w`, an array of the
+    candidates' margins clamped at zero and 0.0 off the candidates."""
+
+    __slots__ = ("cand", "margin", "idx", "w")
+
+    def __init__(self, state: RunState):
+        # all active: every cell's candidacy and margin are its frozen ones
+        frozen, margin = state.sd_frozen, state.sd_margin
+        self.cand = frozen.tolist()
+        self.margin = margin.tolist()
+        self.idx = np.flatnonzero(frozen).tolist()
+        self.w = np.where(frozen & (margin > 0.0), margin, 0.0)
+
+    def set(self, k: int, cand: bool, margin: float) -> None:
+        if cand != self.cand[k]:
+            self.cand[k] = cand
+            if cand:
+                insort(self.idx, k)
+            else:
+                self.idx.remove(k)
+        self.margin[k] = margin
+        self.w[k] = margin if cand and margin > 0.0 else 0.0
+
+
+def _refresh(state: RunState, a: int, touched, sel: _Candidates) -> None:
     """Re-evaluate `a` and every shut-down capacity cell paired with a
     `touched` cell: pairings point at coverage cells, and an active cell's
-    candidacy and margin are its frozen ones, so no other cell changed."""
+    candidacy and margin are its frozen ones, so no other cell changed. The
+    candidate list changes only where a cell's candidacy flips."""
     net, x = state.net, state.x
     if x[a]:
-        cand[a], margin[a] = state.sd_frozen[a], state.sd_margin[a]
+        sel.set(a, state.sd_frozen.item(a), state.sd_margin.item(a))
     ks = [a]
     for h in touched:
         ks += net.paired_caps[h]
@@ -361,8 +400,8 @@ def _refresh(state: RunState, a: int, touched, cand: np.ndarray,
         if not x[k]:
             p, th = net.paired_cell[k], net.cap_th[k]
             dl = state.dl[p]
-            cand[k] = check_wakeup(state.ue[p], dl, state.ul[p], th)
-            margin[k] = dl - th.leave_dl_prb
+            sel.set(k, check_wakeup(state.ue[p], dl, state.ul[p], th),
+                    dl - th.leave_dl_prb)
 
 
 def _pick(margins, u: float) -> int:
@@ -382,7 +421,9 @@ def _pick(margins, u: float) -> int:
             cum = np.add.accumulate(weights, out=weights)
         cum[-1] = 1.0
         return min(int(cum.searchsorted(u, side="right")), n - 1)
-    weights = [m if m > 0.0 else 0.0 for m in np.asarray(margins).tolist()]
+    if not isinstance(margins, list):
+        margins = np.asarray(margins).tolist()
+    weights = [m if m > 0.0 else 0.0 for m in margins]
     total = reduce(add, weights)  # numpy too adds < 8 terms left to right
     if total <= 0.0:
         cum = [(i + 1) / n for i in range(n - 1)]
@@ -392,6 +433,38 @@ def _pick(margins, u: float) -> int:
         if u < c:
             return i
     return n - 1
+
+
+def _certified_pick(w: np.ndarray, n: int, u: float) -> int | None:
+    """The index `_pick` draws with `u` from the margins of the n candidates
+    whose clamped margins are the nonzero entries of `w`, or None when the
+    running sums cannot tell.
+
+    Adding exact zeros changes no sum, so each candidate's running sum in
+    `q = add.accumulate(w)` is the sequential sum of the compact weights.
+    `_pick` compares `u` with the cumulative sums of the weights divided by
+    their total; here `u * q[-1]` is compared with `q`. Sums of k
+    nonnegative terms, in any order, are within (k - 1) units of roundoff of
+    their real value relative to it (Higham, "The accuracy of floating point
+    summation", 1993), so both sides sit within about 4n units, relative to
+    the total, of the same real comparison. When `u * q[-1]` is more than
+    n * _PICK_GAP (8n units) of the total from both neighbouring running sums,
+    both sides draw the same cell. The first sum above it belongs to a
+    candidate of positive weight and is at most `q[-1]`, so the check also
+    covers `_pick`'s forced last entry of 1.0. A gap below the smallest
+    normal double (an all-zero or subnormal total) is never trusted.
+    """
+    q = np.add.accumulate(w)
+    total = q.item(-1)
+    gap = _PICK_GAP * n * total
+    if gap < sys.float_info.min:
+        return None
+    v = u * total
+    p = int(q.searchsorted(v, side="right"))
+    if (p < len(q) and q.item(p) - v > gap
+            and (p == 0 or v - q.item(p - 1) > gap)):
+        return p
+    return None
 
 
 def replay_log(log: ReplayLog, net: SimNetwork) -> RunState:
@@ -502,6 +575,12 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
     refolded just before its own shutdown reads it. After the traffic draw
     the run reads its uniforms from `rng` in blocks of UNIFORM_BLOCK, so `rng`
     may end up to one block further on than used.
+
+    A step reads its candidates from the run's sorted candidate list
+    (`_Candidates`), which `_refresh` keeps. One candidate is taken without
+    reading its uniform, 2 to 7 go through `_pick`, and 8 or more through
+    `_certified_pick` on the weight array, with `_pick` on the candidates'
+    margins whenever the running sums cannot decide.
     """
     net = _net if _net is not None else SimNetwork(cfg)
     table = _table if _table is not None else build_transfer_table(
@@ -509,8 +588,7 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
     start = _coerce_start(net, starting_x)
     state = _new_state(net, tm, hour, rng)
     uniforms = _Uniforms(rng)
-    # all active: candidacy from the frozen draws; rolled-in cells re-checked
-    cand, margin = state.sd_frozen.copy(), state.sd_margin.copy()
+    sel = _Candidates(state)
     rolled = (~start).nonzero()[0].tolist()
     hosts: set[int] = set()
     for a in rolled:
@@ -522,18 +600,20 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
     for h in hosts:
         state._refold(h)
     for a in rolled:
-        _refresh(state, a, (), cand, margin)
-    x = state.x
+        _refresh(state, a, (), sel)
+    x, idx, margin, w = state.x, sel.idx, sel.margin, sel.w
     for t in range(1, abm_cfg.max_steps + 1):
-        idx = cand.nonzero()[0]
         n = len(idx)
         if not n:
             return RunResult(state, t, True)
         if n == 1:
             uniforms.skip(1)
-            a = idx.item(0)
+            a = idx[0]
         else:
-            a = idx.item(_pick(margin[idx], uniforms.take(1)[0]))
+            u = uniforms.take(1)[0]
+            a = _certified_pick(w, n, u) if n >= 8 else None
+            if a is None:
+                a = idx[_pick([margin[k] for k in idx], u)]
         if x[a]:
             touched = _shutdown(state, a, table[a], uniforms, step=t)
             for h in touched or ():
@@ -541,7 +621,7 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
         else:
             touched = _reactivate(state, a, step=t)
         if touched is not None:
-            _refresh(state, a, touched, cand, margin)
+            _refresh(state, a, touched, sel)
         if on_step is not None:
             on_step(state, t)
     return RunResult(state, abm_cfg.max_steps, False)

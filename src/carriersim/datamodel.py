@@ -576,7 +576,8 @@ def parse_energy(path) -> HourlyRows:
 def parse_mrs(path) -> MeasurementReports:
     """mr.csv as MeasurementReports, read _CHUNK rows at a time. A row's
     timestamp must match, then its pairs split (_split_pairs), then its
-    serving cell have a pair. The first bad row raises its first failure."""
+    serving cell, stripped as the pairs' cell ids are, have a pair. The
+    first bad row raises its first failure."""
     code: dict[str, int] = {}   # cell id -> code, in order of appearance
     timestamps, ue_ids, counts = [], [], [0]
     empty = np.empty(0, dtype=np.int64)
@@ -590,7 +591,8 @@ def parse_mrs(path) -> MeasurementReports:
         if message is None and n < len(chunk):
             message = (f"timestamp {stamps[n]!r} is not YYYY-MM-DDTHH:MM:SS "
                        "with hour 00-23")
-        own = np.array([code.get(c, -1) for c in servers[:m]], dtype=np.int64)
+        own = np.array([code.get(c.strip(), -1) for c in servers[:m]],
+                       dtype=np.int64)
         report = np.repeat(np.arange(m), split)
         has_own = np.bincount(report[cells == own[report]], minlength=m) > 0
         if not has_own.all():

@@ -10,6 +10,7 @@ from carriersim.abm import (
     HourlyOutputs,
     SimNetwork,
     _apply_shutdown,
+    _certified_pick,
     _coerce_start,
     _eligible_masks,
     _entry,
@@ -594,11 +595,11 @@ class _FixedUniform:
         return self.u
 
 
-def _margin_cases(rng):
+def _margin_cases(rng, lengths=range(1, 301)):
     """Margin vectors of every length 1..300, more of them at 7, 8 and 9
     (where numpy's sum switches to pairwise): positive, with zeros, mixed
     signs, and all non-positive (the uniform fallback)."""
-    for n in range(1, 301):
+    for n in lengths:
         for r in range(24 if n in (7, 8, 9) else 4):
             m = rng.normal(0.0, 10.0, n) * rng.choice([1e-3, 1.0, 1e3], n)
             kind = r % 4
@@ -637,6 +638,28 @@ class TestExactness:
                 assert _pick(margins.tolist(), u) == want
                 checked += 1
         assert checked > 10_000
+
+    def test_certified_pick_decides_only_what_pick_draws(self):
+        # the candidates' clamped margins spread over an array with zeros
+        # between them, as a run keeps them; every all-non-positive case is
+        # an all-zero array
+        rng = np.random.default_rng(23)
+        seen = {"decided": 0, "fallback": 0, "all_zero": 0}
+        lengths = [*range(8, 40), *range(40, 401, 9), 400]
+        for margins in _margin_cases(rng, lengths):
+            n = len(margins)
+            cells = np.sort(rng.choice(2 * n, n, replace=False))
+            w = np.zeros(2 * n)
+            w[cells] = np.where(margins > 0.0, margins, 0.0)
+            seen["all_zero"] += not w.any()
+            for u in _boundary_uniforms(margins, rng):
+                got = _certified_pick(w, n, u)
+                if got is None:
+                    seen["fallback"] += 1
+                    continue
+                assert got == cells[_pick(margins, u)], (margins.tolist(), u)
+                seen["decided"] += 1
+        assert min(seen.values()) > 0, seen
 
     def test_live_targets_equal_numpy_renormalisation(self):
         cfg = make_network(n_capacity=12, n_coverage=12)

@@ -384,6 +384,20 @@ class TestColumns:
             == (str(path), at, message)
         assert str(err.value) == f"{path}, row {at}: {message}"
 
+    @pytest.mark.parametrize("row", [
+        "2024-03-04T13:00:05,u1, c1 ,c1:-90.0|b1:-95.0",
+        "2024-03-04T13:00:05,u1,c1, c1 :-90.0|b1:-95.0",
+    ], ids=["serving", "pair"])
+    def test_serving_and_pair_cell_ids_are_stripped_alike(self, tmp_path,
+                                                          row):
+        path = tmp_path / "mr.csv"
+        path.write_text(MR_HEADER + row + "\n")
+        reports = parse_mrs(path)
+        assert reports.cells == ("b1", "c1")
+        assert [reports.cells[k] for k in reports.serving.tolist()] == ["c1"]
+        assert [dict(p) for p in report_pairs(reports)] \
+            == [{"c1": -90.0, "b1": -95.0}]
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_write_then_parse_round_trips(self, data):

@@ -7,12 +7,14 @@ It has one coverage cell, so its reports never draw extra neighbours, and
 its steps never weigh more than 2 candidates or split a shutdown over more
 than one target. A 30 + 20-cell, 1-day network (scenario seed 3) pins the
 ABM's large-network paths: 8 or more candidates weighed at once, UEs split
-over several targets, and starting configurations rolled in. The
-generator is pinned on a 6 + 3-cell, 2-day spec (seed 11), whose reports do
-draw extra neighbours, on a sparse, noisy 3 + 2-cell spec whose
-cell-hours reach the zero-UE branch of both KPI campaigns, and on a
-40 + 30-cell, 1-day spec (seed 404) whose files span several of the CSV
-writers' chunks.
+over several targets, and starting configurations rolled in. Criterion
+11's 375 + 282-cell network (scenario seed 404, its true traffic) pins a day
+at operator scale, where a pick weighs a median of 94 candidates (5th to
+95th percentile: 10 to 213). The generator is pinned on a 6 + 3-cell, 2-day
+spec (seed 11), whose reports do draw extra neighbours, on a sparse, noisy
+3 + 2-cell spec whose cell-hours reach the zero-UE branch of both KPI
+campaigns, and on a 40 + 30-cell, 1-day spec (seed 404) whose files span
+several of the CSV writers' chunks.
 A change to the ABM, the baseline or the generator that is meant to keep the
 outputs must keep these digests; a change that is meant to move them updates
 them and says why.
@@ -36,6 +38,9 @@ LARGE_SIMULATE_DAY_SHA256 = (
     "b86d98aeeb38dee25b26cb3413a69d5e66d9e6cb35a7a1c556c641286ca7dab4")
 LARGE_RUN_BENCHMARK_SHA256 = (
     "9c7d95a4af1a69c191f2202d71c65f07b620b7531454927e3edc1d4f32a8a6f3")
+# criterion 11's network: simulate_day at R=2 (seed 1)
+OPERATOR_SIMULATE_DAY_SHA256 = (
+    "cd169d2f581231829560c1809968a108b734f0c0ba4d5571ce68469b3b7a5100")
 # generate_scenario(ScenarioSpec(6, 3, 2), seed=11): each file it writes, and
 # the handover table built from its reports (sorted items, repr'd)
 GENERATOR_SHA256 = {
@@ -125,6 +130,15 @@ def large_network(tmp_path_factory):
                            ScenarioSpec(30, 20, 1), seed=3)
 
 
+@pytest.fixture(scope="module")
+def operator_network(tmp_path_factory):
+    scenario = generate_scenario(
+        ScenarioSpec(375, 282, 1, reports_per_cell_hour=4),
+        tmp_path_factory.mktemp("operator"), seed=404)
+    return (scenario.traffic, scenario.cfg,
+            build_handover_model_for_hours(scenario.cfg, scenario.mrs))
+
+
 def test_simulate_day_arrays_are_pinned(whatif_network):
     outputs = simulate_day(*whatif_network,
                            AbmConfig(runs=20, max_steps=400, seed=7))
@@ -143,6 +157,13 @@ def test_simulate_day_arrays_are_pinned_on_a_large_network(large_network):
                            AbmConfig(runs=5, max_steps=400, seed=5))
     assert _digest(outputs, ("ues", "dl_prbs", "ul_prbs", "cs_minutes")) \
         == LARGE_SIMULATE_DAY_SHA256
+
+
+def test_simulate_day_arrays_are_pinned_at_operator_scale(operator_network):
+    outputs = simulate_day(*operator_network,
+                           AbmConfig(runs=2, max_steps=400, seed=1))
+    assert _digest(outputs, ("ues", "dl_prbs", "ul_prbs", "cs_minutes")) \
+        == OPERATOR_SIMULATE_DAY_SHA256
 
 
 def test_run_benchmark_arrays_are_pinned_on_a_large_network(large_network):

@@ -1,8 +1,12 @@
 """README and the package agree on the package-level API, and the package's
-errors survive a pickle round trip."""
+errors survive a pickle round trip, and the package runs as a program only
+when asked."""
 
+import os
 import pickle
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import carriersim
@@ -35,3 +39,22 @@ def test_every_error_survives_a_pickle_round_trip():
         assert type(back) is cls
         assert str(back) == str(err)
         assert vars(back) == vars(err)
+
+
+def _python(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_importing_the_main_module_runs_nothing():
+    done = _python("-c", "import carriersim.__main__")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def test_running_the_package_still_runs_the_cli():
+    done = _python("-m", "carriersim", "--version")
+    assert done.returncode == 0, done.stderr
+    assert carriersim.__version__ in done.stdout
