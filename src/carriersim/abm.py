@@ -31,7 +31,6 @@ pool and use per-(seed, hour, run) RNG streams; a RunState is owned by its run.
 
 from __future__ import annotations
 
-import csv
 import sys
 from bisect import bisect_right, insort
 from collections import defaultdict
@@ -45,7 +44,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .datamodel import (NetworkConfig, ShutdownThresholds, TrafficModel,
-                        _row_chunks, _write_columns, draw_inputs)
+                        _read_keyed, _row_chunks, _write_columns, draw_inputs)
 from .errors import EmptyCandidateSetError, InconsistentReplayError
 from .rules import (PROBABILITY_SUM_TOL, HandoverModel, check_shutdown_entry,
                     check_wakeup)
@@ -196,12 +195,10 @@ class RunState:
         self.net = net
         self.hour = hour
         self.x = [True] * net.n_cap
-        self.base_ue = base_ue.tolist()
-        self.base_dl = base_dl.tolist()
-        self.base_ul = base_ul.tolist()
-        self.ue = list(self.base_ue)
-        self.dl = list(self.base_dl)
-        self.ul = list(self.base_ul)
+        self.base_ue, self.base_dl, self.base_ul = (
+            base_ue.tolist(), base_dl.tolist(), base_ul.tolist())
+        self.ue, self.dl, self.ul = (
+            list(self.base_ue), list(self.base_dl), list(self.base_ul))
         self.t_cs = [0.0] * net.n_cells
         cap, paired = net.cap_global, net.paired_global
         self.sd_frozen = check_shutdown_entry(
@@ -221,9 +218,7 @@ class RunState:
         return tuple(float(np.sum(v)) for v in (self.ue, self.dl, self.ul))
 
     def _refold(self, g: int) -> None:
-        ue = self.base_ue[g]
-        dl = self.base_dl[g]
-        ul = self.base_ul[g]
+        ue, dl, ul = self.base_ue[g], self.base_dl[g], self.base_ul[g]
         for _, n, dla, ula in self.contribs.get(g, ()):
             ue += n
             dl += dla
@@ -231,9 +226,7 @@ class RunState:
         if ue < 0 or dl < 0 or ul < 0:
             raise InconsistentReplayError(
                 f"cell index {g} went negative during restore")
-        self.ue[g] = ue
-        self.dl[g] = dl
-        self.ul[g] = ul
+        self.ue[g], self.dl[g], self.ul[g] = ue, dl, ul
 
 
 def _new_state(net: SimNetwork, tm: TrafficModel, hour: int,
@@ -287,8 +280,7 @@ def _shutdown(state: RunState, a: int, entry, uniforms: _Uniforms,
     n_ue = round(state.ue[g])
     if n_ue == 0:
         return _apply_shutdown(state, a, [], step)
-    m_dl = state.dl[g] / n_ue
-    m_ul = state.ul[g] / n_ue
+    m_dl, m_ul = state.dl[g] / n_ue, state.ul[g] / n_ue
     groups = [(a, round(state.base_ue[g]))]
     groups += [(origin, n) for origin, n, _, _ in state.contribs.get(g, ())]
     last = len(targets) - 1
@@ -327,9 +319,7 @@ def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
             hosts = origin_hosts.get(origin)
             if hosts is not None:
                 hosts.discard(g)
-    state.ue[g] = 0.0
-    state.dl[g] = 0.0
-    state.ul[g] = 0.0
+    state.ue[g] = state.dl[g] = state.ul[g] = 0.0
     state.t_cs[g] = SHUTDOWN_MINUTES
     state.x[a] = False
     state.replay.events.append(("sd", step, a, tuple(moves)))
@@ -352,25 +342,23 @@ def _reactivate(state: RunState, a: int, step: int) -> Iterable[int]:
 
 
 def _eligible_masks(state: RunState) -> tuple[np.ndarray, np.ndarray]:
-    net = state.net
-    paired = net.paired_global
+    paired = state.net.paired_global
     x = np.array(state.x)
     ue, dl, ul = (np.array(v)[paired] for v in (state.ue, state.dl, state.ul))
-    return x & state.sd_frozen, ~x & check_wakeup(ue, dl, ul, net.th)
+    return x & state.sd_frozen, ~x & check_wakeup(ue, dl, ul, state.net.th)
 
 
 class _Candidates:
-    """A run's selection state: per capacity cell its candidacy and margin
-    (lists), the sorted list of candidates, and `w`, an array of the
-    candidates' margins clamped at zero and 0.0 off the candidates."""
+    """A run's selection state: per capacity cell its candidacy (a list), the
+    sorted list of candidates, and `w`, an array of the candidates' margins
+    clamped at zero and 0.0 off the candidates."""
 
-    __slots__ = ("cand", "margin", "idx", "w")
+    __slots__ = ("cand", "idx", "w")
 
     def __init__(self, state: RunState):
         # all active: every cell's candidacy and margin are its frozen ones
         frozen, margin = state.sd_frozen, state.sd_margin
         self.cand = frozen.tolist()
-        self.margin = margin.tolist()
         self.idx = np.flatnonzero(frozen).tolist()
         self.w = np.where(frozen & (margin > 0.0), margin, 0.0)
 
@@ -381,7 +369,6 @@ class _Candidates:
                 insort(self.idx, k)
             else:
                 self.idx.remove(k)
-        self.margin[k] = margin
         self.w[k] = margin if cand and margin > 0.0 else 0.0
 
 
@@ -580,7 +567,7 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
     (`_Candidates`), which `_refresh` keeps. One candidate is taken without
     reading its uniform, 2 to 7 go through `_pick`, and 8 or more through
     `_certified_pick` on the weight array, with `_pick` on the candidates'
-    margins whenever the running sums cannot decide.
+    clamped margins (their weights) whenever the running sums cannot decide.
     """
     net = _net if _net is not None else SimNetwork(cfg)
     table = _table if _table is not None else build_transfer_table(
@@ -601,7 +588,7 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
         state._refold(h)
     for a in rolled:
         _refresh(state, a, (), sel)
-    x, idx, margin, w = state.x, sel.idx, sel.margin, sel.w
+    x, idx, w = state.x, sel.idx, sel.w
     for t in range(1, abm_cfg.max_steps + 1):
         n = len(idx)
         if not n:
@@ -613,7 +600,7 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
             u = uniforms.take(1)[0]
             a = _certified_pick(w, n, u) if n >= 8 else None
             if a is None:
-                a = idx[_pick([margin[k] for k in idx], u)]
+                a = idx[_pick([w.item(k) for k in idx], u)]
         if x[a]:
             touched = _shutdown(state, a, table[a], uniforms, step=t)
             for h in touched or ():
@@ -743,40 +730,41 @@ _MEAN_COLUMNS = ["cell_id", "hour", "ue_mean", "ue_std", "dl_prb_mean",
                  "dl_prb_std", "dl_load_mean", "cs_min_mean", "cs_min_std"]
 
 
+def _hour_means(out: HourlyOutputs, cfg: NetworkConfig) -> list[np.ndarray]:
+    """Each cell's ue, dl_prbs, dl_load and cs_minutes mean over the runs."""
+    ue, dl, cs = (a.mean(axis=0) for a in (out.ues, out.dl_prbs,
+                                           out.cs_minutes))
+    return [ue, dl, dl / cfg._prb_capacity(out.cells)[:, 0], cs]
+
+
 def mean_tables(outputs: Sequence[HourlyOutputs], cfg: NetworkConfig,
                 ) -> dict[str, dict[tuple[str, int], float]]:
     """Per-cell hourly means as {kpi: {(cell, hour): value}} tables (ue,
     dl_prbs, dl_load, cs_minutes): the values write_hourly_report writes and
     read_mean_report reads back."""
-    caps = {c.id: float(c.n_dl_prb) for c in cfg.cells}
     tables: dict[str, dict[tuple[str, int], float]] = {
         "ue": {}, "dl_prbs": {}, "dl_load": {}, "cs_minutes": {}}
     for out in outputs:
-        ue, dl, cs = (a.mean(axis=0).tolist()
-                      for a in (out.ues, out.dl_prbs, out.cs_minutes))
-        for i, cell in enumerate(out.cells):
-            key = (cell, out.hour)
-            tables["ue"][key], tables["dl_prbs"][key] = ue[i], dl[i]
-            tables["dl_load"][key] = dl[i] / caps[cell]
-            tables["cs_minutes"][key] = cs[i]
+        keys = [(cell, out.hour) for cell in out.cells]
+        for table, means in zip(tables.values(), _hour_means(out, cfg)):
+            table.update(zip(keys, means.tolist()))
     return tables
 
 
 def write_hourly_report(path, outputs: Sequence[HourlyOutputs],
                         cfg: NetworkConfig) -> None:
     """Per-cell hourly means and stds (population std over the R runs)."""
-    means = mean_tables(outputs, cfg)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_MEAN_COLUMNS)
+    def chunks():
         for out in outputs:
-            ue, dl, cs = (a.std(axis=0).tolist()
-                          for a in (out.ues, out.dl_prbs, out.cs_minutes))
-            for i, cell in enumerate(out.cells):
-                key = (cell, out.hour)
-                writer.writerow([cell, out.hour, *map(repr, (
-                    means["ue"][key], ue[i], means["dl_prbs"][key], dl[i],
-                    means["dl_load"][key], means["cs_minutes"][key], cs[i]))])
+            ue, dl, load, cs = _hour_means(out, cfg)
+            values = np.column_stack([ue, out.ues.std(axis=0), dl,
+                                      out.dl_prbs.std(axis=0), load, cs,
+                                      out.cs_minutes.std(axis=0)])
+            hours = np.full(len(out.cells), out.hour)
+            for s in _row_chunks(len(out.cells)):
+                yield list(out.cells[s]), hours[s], values[s]
+
+    _write_columns(path, _MEAN_COLUMNS, chunks())
 
 
 def write_run_dump(path, outputs: Sequence[HourlyOutputs]) -> None:
@@ -799,13 +787,7 @@ def write_run_dump(path, outputs: Sequence[HourlyOutputs]) -> None:
 def read_mean_report(path) -> dict[str, dict[tuple[str, int], float]]:
     """Read a report written by write_hourly_report into
     {kpi: {(cell, hour): value}} tables (ue, dl_prbs, dl_load, cs_minutes)."""
-    tables: dict[str, dict[tuple[str, int], float]] = {
-        "ue": {}, "dl_prbs": {}, "dl_load": {}, "cs_minutes": {}}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["cell_id"], int(row["hour"]))
-            tables["ue"][key] = float(row["ue_mean"])
-            tables["dl_prbs"][key] = float(row["dl_prb_mean"])
-            tables["dl_load"][key] = float(row["dl_load_mean"])
-            tables["cs_minutes"][key] = float(row["cs_min_mean"])
-    return tables
+    rows = _read_keyed(path, [c for c in _MEAN_COLUMNS if "std" not in c],
+                       (str, int) + (float,) * 4, 2)
+    return {kpi: {key: values[k] for key, values in rows.items()}
+            for k, kpi in enumerate(("ue", "dl_prbs", "dl_load", "cs_minutes"))}

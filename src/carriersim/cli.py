@@ -309,9 +309,8 @@ def benchmark(settings, data, models, out, overrides):
 
 
 def _estimator_tables(directory, outputs_name):
-    d = Path(directory)
-    tables = dict(read_mean_report(d / outputs_name))
-    predictions = d / "predictions.csv"
+    tables = read_mean_report(Path(directory) / outputs_name)
+    predictions = Path(directory) / "predictions.csv"
     if predictions.exists():
         tables.update(read_truth(predictions))
     return tables
@@ -331,7 +330,7 @@ def compare_cmd(abm_dir, bench_dir, truth_path, out):
         abm_tables = _estimator_tables(abm_dir, "abm_outputs.csv")
         bench_tables = _estimator_tables(bench_dir, "benchmark_outputs.csv")
         truth_tables = read_truth(truth_path)
-        aligned_abm, aligned_bench, aligned_truth = {}, {}, {}
+        aligned = {"truth": {}, "abm": {}, "benchmark": {}}
         coverage = []
         for kpi, truth in truth_tables.items():
             estimates = {"abm": abm_tables.get(kpi),
@@ -347,10 +346,9 @@ def compare_cmd(abm_dir, bench_dir, truth_path, out):
                             "dropped " + ", ".join(
                                 f"{len(set(truth) - set(t))} absent from {n}"
                                 for n, t in estimates.items()))
-            aligned_truth[kpi] = {k: truth[k] for k in keys}
-            aligned_abm[kpi] = {k: abm_tables[kpi][k] for k in keys}
-            aligned_bench[kpi] = {k: bench_tables[kpi][k] for k in keys}
-        report = compare(aligned_abm, aligned_bench, aligned_truth)
+            for name, table in (("truth", truth), *estimates.items()):
+                aligned[name][kpi] = {k: table[k] for k in keys}
+        report = compare(aligned["abm"], aligned["benchmark"], aligned["truth"])
     except SimulatorError as exc:
         _fail(exc)
     write_eval_report(out, report)

@@ -519,49 +519,81 @@ def _convert(texts: tuple[str, ...], kind: type) -> tuple[np.ndarray, str | None
     return array, message
 
 
+def _convert_rows(path, done: int, chunk: list, kinds, checks) -> list:
+    """The fields of `chunk`, the rows of CSV file `path` after its first
+    `done`, as columns converted by `kinds`: str keeps the texts (a tuple),
+    int and float give an int64 or float64 array. A row's fields convert in
+    column order, then it must pass `checks(columns)`, (message, failing
+    rows) pairs in order. The first bad row raises MalformedRowError with
+    its first failure, a check's message formatted with the row's fields."""
+    converted = [(texts, None) if kind is str else _convert(texts, kind)
+                 for texts, kind in zip(zip(*chunk), kinds)]
+    n = min(len(column) for column, _ in converted)
+    columns = [column[:n] for column, _ in converted]
+    failures = checks(columns)
+    failing = np.array([mask for _, mask in failures], dtype=bool)
+    if failing.any():
+        r = int(failing.any(axis=0).argmax())
+        raise MalformedRowError(path, done + r + 1, failures[int(
+            failing[:, r].argmax())][0].format(*(c[r] for c in columns)))
+    if n < len(chunk):
+        raise MalformedRowError(path, done + n + 1, next(
+            message for column, message in converted if len(column) == n))
+    return columns
+
+
+def _read_keyed(path, columns: list[str], kinds, n_keys: int) -> dict:
+    """The rows of `columns` in CSV file `path`, converted by `kinds`
+    (_convert_rows), as a map of each row's key, the tuple of its first
+    `n_keys` fields, to the tuple of its other fields, in file order. A row
+    whose key repeats an earlier row's is bad."""
+    rows: dict[tuple, tuple] = {}
+
+    def add(fields):   # the check adds each row it checks
+        fields = [f if kind is str else f.tolist()
+                  for f, kind in zip(fields, kinds)]
+        repeated = []
+        for key, values in zip(zip(*fields[:n_keys]), zip(*fields[n_keys:])):
+            repeated.append(key in rows)
+            rows[key] = values
+        return [("repeats an earlier row's " + ", ".join(columns[:n_keys]),
+                 repeated)]
+
+    for done, chunk in _read_rows(path, columns):
+        _convert_rows(path, done, chunk, kinds, add)
+    return rows
+
+
 def _parse_hourly(path, columns: list[str], checks) -> HourlyRows:
     """kpi.csv or energy.csv (header `columns`) as HourlyRows, read _CHUNK
-    rows at a time. A row's fields convert in column order, then its hour
-    must lie in 1..24 and it must pass `checks(rows)`, (message, failing
-    rows) pairs in order. The first bad row raises its first failure."""
+    rows at a time. A row's hour must lie in 1..24, then it must pass
+    `checks(values)`, `values` mapping value column names to arrays."""
+    kinds = (str, int, int) + (float,) * (len(columns) - 3)
     empty = np.empty(0, dtype=np.int64)
     tables = [HourlyRows([], empty, empty, np.empty((0, len(columns) - 3)))]
     for done, chunk in _read_rows(path, columns):
-        texts = list(zip(*chunk))
-        converted = ([_convert(t, int) for t in texts[1:3]]
-                     + [_convert(t, float) for t in texts[3:]])
-        n = min(len(array) for array, _ in converted)
+        ids, day, hour, *values = _convert_rows(
+            path, done, chunk, kinds, lambda fields: [
+                ("hour {2} outside 1..24", (fields[2] < 1) | (fields[2] > 24)),
+                *checks(dict(zip(columns[3:], fields[3:])))])
         # ids repeat every hour: keep one string per distinct id
-        table = HourlyRows(list(map(sys.intern, texts[0][:n])),
-                           *(array[:n] for array, _ in converted[:2]),
-                           np.column_stack([a[:n] for a, _ in converted[2:]]))
-        failures = [("", (table.hour < 1) | (table.hour > 24))] + checks(table)
-        failing = np.array([mask for _, mask in failures], dtype=bool)
-        bad = failing.any(axis=0)
-        if bad.any():
-            r = int(bad.argmax())
-            k = int(failing[:, r].argmax())
-            raise MalformedRowError(
-                path, done + r + 1, failures[k][0] if k
-                else f"hour {table.hour[r]} outside 1..24")
-        if n < len(chunk):
-            raise MalformedRowError(path, done + n + 1, next(
-                message for array, message in converted if len(array) == n))
-        tables.append(table)
+        tables.append(HourlyRows(list(map(sys.intern, ids)), day, hour,
+                                 np.column_stack(values)))
     return HourlyRows(
         list(itertools.chain.from_iterable(t.ids for t in tables)),
         *(np.concatenate([getattr(t, name) for t in tables])
           for name in ("day", "hour", "values")))
 
 
-def _kpi_checks(rows: HourlyRows) -> list[tuple[str, np.ndarray]]:
-    bits, lastslot = rows.column("dl_bits"), rows.column("dl_bits_lastslot")
-    cs_minutes = rows.column("cs_minutes")
+def _kpi_checks(values: dict[str, np.ndarray]) -> list[tuple[str, np.ndarray]]:
+    bits, lastslot = values["dl_bits"], values["dl_bits_lastslot"]
+    cs_minutes = values["cs_minutes"]
     # a negative dl_bits or cs_minutes fails an earlier check first
     return [("dl_bits must be >= dl_bits_lastslot >= 0",
              (lastslot < 0) | (bits < lastslot)),
             ("cs_minutes outside [0, 60]", (cs_minutes < 0) | (cs_minutes > 60)),
-            ("negative counter", (rows.values < 0).any(axis=1))]
+            ("negative counter", np.any([v < 0 for v in values.values()],
+                                        axis=0))]
 
 
 def parse_kpis(path) -> HourlyRows:
@@ -569,8 +601,8 @@ def parse_kpis(path) -> HourlyRows:
 
 
 def parse_energy(path) -> HourlyRows:
-    return _parse_hourly(path, _ENERGY_COLUMNS, lambda rows: [
-        ("negative energy", rows.values[:, 0] < 0)])
+    return _parse_hourly(path, _ENERGY_COLUMNS, lambda values: [
+        ("negative energy", values["energy_wh"] < 0)])
 
 
 def parse_mrs(path) -> MeasurementReports:
@@ -638,7 +670,7 @@ def parse_datasets(paths) -> tuple[NetworkConfig, HourlyRows, HourlyRows,
 
 
 # ---------------------------------------------------------------------------
-# Serialization (inverse of the parsers; used by the scenario generator)
+# Serialization (inverse of the parsers): every CSV file the package writes
 
 
 def _fmt(value) -> str:
@@ -651,27 +683,23 @@ def _fmt(value) -> str:
 
 def write_engineering(path, cfg: NetworkConfig) -> None:
     radio = {r.id: r for r in cfg.radio_units}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_ENGINEERING_COLUMNS)
-        for cell in cfg.cells:
-            r = radio[cell.radio_unit]
-            a4 = cfg.mobility[cell.id]
-            is_cap = cell.id in cfg.capacity_cells
-            th = cfg.energy_saving.get(cell.id)
-            writer.writerow([
-                cell.id, cell.radio_unit, r.radio_type, r.n_trx,
-                r.carrier_tx_mode, _fmt(cell.frequency_mhz),
-                _fmt(cell.bandwidth_mhz), _fmt(cell.max_tx_power_dbm),
-                cell.n_dl_prb, cell.n_ul_prb,
-                "capacity" if is_cap else "coverage",
-                cfg.pairing.get(cell.id, ""),
-                _fmt(a4.threshold_dbm), _fmt(a4.hysteresis_db),
-                _format_pairs(a4.freq_offset_db), _format_pairs(a4.cell_offset_db),
-                # the last six columns are the ShutdownThresholds fields
-                *(_fmt(getattr(th, c)) if th else ""
-                  for c in _ENGINEERING_COLUMNS[-6:]),
-            ])
+
+    def row(cell: Cell) -> list[str]:
+        r, a4 = radio[cell.radio_unit], cfg.mobility[cell.id]
+        th = cfg.energy_saving.get(cell.id)
+        return [*map(_fmt, (
+            cell.id, cell.radio_unit, r.radio_type, r.n_trx, r.carrier_tx_mode,
+            cell.frequency_mhz, cell.bandwidth_mhz, cell.max_tx_power_dbm,
+            cell.n_dl_prb, cell.n_ul_prb,
+            "capacity" if cell.id in cfg.capacity_cells else "coverage",
+            cfg.pairing.get(cell.id, ""), a4.threshold_dbm, a4.hysteresis_db)),
+            _format_pairs(a4.freq_offset_db), _format_pairs(a4.cell_offset_db),
+            # the last six columns are the ShutdownThresholds fields
+            *(_fmt(getattr(th, c)) if th else ""
+              for c in _ENGINEERING_COLUMNS[-6:])]
+
+    _write_rows(path, _ENGINEERING_COLUMNS, list(map(row, cfg.cells)),
+                (str,) * len(_ENGINEERING_COLUMNS))
 
 
 def _needs_quotes(text: str) -> bool:
@@ -724,6 +752,15 @@ def _write_columns(path, header: list[str], chunks) -> None:
                 else:
                     columns.append(_quoted(column))
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _write_rows(path, header: list[str], rows: list[tuple], kinds) -> None:
+    """Write `rows`, tuples of fields of the types `kinds` (str, int or
+    float), through _write_columns, _CHUNK rows at a time."""
+    _write_columns(path, header, (
+        [list(c) if kind is str else np.array(c, dtype=kind)
+         for c, kind in zip(zip(*rows[s]), kinds)]
+        for s in _row_chunks(len(rows))))
 
 
 def _write_hourly(path, columns: list[str], rows: HourlyRows) -> None:

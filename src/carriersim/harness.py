@@ -15,7 +15,6 @@ Traffic follows a diurnal profile (single evening peak) with Gaussian noise.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -35,6 +34,8 @@ from .datamodel import (
     RadioUnit,
     ShutdownThresholds,
     TrafficModel,
+    _read_keyed,
+    _write_rows,
     write_datasets,
     write_energy,
     write_kpis,
@@ -145,9 +146,8 @@ _CAP_MODE = {40.0: "32T32R", 43.0: "32T32R", 46.0: "64T64R"}
 
 
 def _build_network(spec: ScenarioSpec) -> NetworkConfig:
-    cells, radios = [], []
-    capacity, coverage = [], []
-    pairing, mobility, thresholds = {}, {}, {}
+    cells, radios, capacity, coverage = [], [], [], []
+    pairing, thresholds = {}, {}
     for i in range(spec.n_coverage):
         cid = f"cov{i + 1:03d}"
         coverage.append(cid)
@@ -157,8 +157,6 @@ def _build_network(spec: ScenarioSpec) -> NetworkConfig:
         radios.append(RadioUnit(id=f"ru-{cid}", radio_type="rru-l08",
                                 n_trx=4, carrier_tx_mode="4T4R",
                                 cell_ids=(cid,)))
-        mobility[cid] = A4Params(threshold_dbm=spec.a4_threshold_dbm,
-                                 hysteresis_db=spec.a4_hysteresis_db)
     for i in range(spec.n_capacity):
         cid = f"cap{i + 1:03d}"
         capacity.append(cid)
@@ -171,12 +169,13 @@ def _build_network(spec: ScenarioSpec) -> NetworkConfig:
                                 carrier_tx_mode=_CAP_MODE[pmax],
                                 cell_ids=(cid,)))
         pairing[cid] = f"cov{(i % spec.n_coverage) + 1:03d}"
-        mobility[cid] = A4Params(threshold_dbm=spec.a4_threshold_dbm,
-                                 hysteresis_db=spec.a4_hysteresis_db)
         thresholds[cid] = ShutdownThresholds(
             entry_ue=spec.entry_ue, entry_dl_prb=spec.entry_dl_prb,
             entry_ul_prb=spec.entry_ul_prb, leave_ue=spec.leave_ue,
             leave_dl_prb=spec.leave_dl_prb, leave_ul_prb=spec.leave_ul_prb)
+    mobility = {c.id: A4Params(threshold_dbm=spec.a4_threshold_dbm,
+                               hysteresis_db=spec.a4_hysteresis_db)
+                for c in cells}
     return NetworkConfig(radio_units=tuple(radios), cells=tuple(cells),
                          capacity_cells=frozenset(capacity),
                          coverage_cells=frozenset(coverage),
@@ -531,21 +530,16 @@ _TRUTH_COLUMNS = ["kpi", "entity", "hour", "value"]
 
 
 def write_truth(path, tables: Mapping[str, KpiTable]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRUTH_COLUMNS)
-        for kpi in sorted(tables):
-            for (entity, hour), value in sorted(tables[kpi].items()):
-                writer.writerow([kpi, entity, hour, repr(float(value))])
+    _write_rows(path, _TRUTH_COLUMNS, [
+        (kpi, *key, value) for kpi in sorted(tables)
+        for key, value in sorted(tables[kpi].items())], (str, str, int, float))
 
 
 def read_truth(path) -> dict[str, KpiTable]:
     tables: dict[str, KpiTable] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            tables.setdefault(row["kpi"], {})[(row["entity"],
-                                               int(row["hour"]))] = \
-                float(row["value"])
+    for (kpi, entity, hour), (value,) in _read_keyed(
+            path, _TRUTH_COLUMNS, (str, str, int, float), 3).items():
+        tables.setdefault(kpi, {})[entity, hour] = value
     return tables
 
 
@@ -564,8 +558,7 @@ class MaeMape:
 
 
 def mae_mape(pred: Sequence[float], truth: Sequence[float]) -> MaeMape:
-    pred = list(pred)
-    truth = list(truth)
+    pred, truth = list(pred), list(truth)
     if len(pred) != len(truth):
         raise LengthMismatchError(f"{len(pred)} predictions vs {len(truth)} "
                                   "truths")
@@ -618,23 +611,18 @@ def compare(abm_tables: Mapping[str, KpiTable],
                 raise KeyMismatchError(
                     f"{name} keys differ from truth for KPI {kpi!r}")
         keys = sorted(truth)
-        t = [truth[k] for k in keys]
-        a = [abm_tables[kpi][k] for k in keys]
-        b = [bench_tables[kpi][k] for k in keys]
+        t, a, b = ([table[k] for k in keys] for table in (
+            truth, abm_tables[kpi], bench_tables[kpi]))
         abm_err = mae_mape(a, t)
         bench_err = mae_mape(b, t)
         kpis[kpi] = KpiEval(abm=abm_err, benchmark=bench_err,
                             gain_mae=_gain(bench_err.mae, abm_err.mae),
                             gain_mape=_gain(bench_err.mape, abm_err.mape))
         by_hour: dict[int, list[tuple[float, float, float]]] = {}
-        for k, tv, av, bv in zip(keys, t, a, b):
-            by_hour.setdefault(k[1], []).append((tv, av, bv))
-        profiles[kpi] = [
-            (hour,
-             float(np.mean([v[0] for v in vals])),
-             float(np.mean([v[1] for v in vals])),
-             float(np.mean([v[2] for v in vals])))
-            for hour, vals in sorted(by_hour.items())]
+        for k, *values in zip(keys, t, a, b):
+            by_hour.setdefault(k[1], []).append(values)
+        profiles[kpi] = [(hour, *(float(np.mean(v)) for v in zip(*vals)))
+                         for hour, vals in sorted(by_hour.items())]
     return EvalReport(kpis=kpis, profiles=profiles)
 
 
@@ -642,24 +630,17 @@ def write_eval_report(directory, report: EvalReport) -> None:
     """report.json with the per-KPI scores and profiles.csv for plotting."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = {}
-    for kpi, ev in sorted(report.kpis.items()):
-        payload[kpi] = {
-            "abm": {"mae": ev.abm.mae, "mape_percent": ev.abm.mape,
-                    "mape_skipped": ev.abm.skipped},
-            "benchmark": {"mae": ev.benchmark.mae,
-                          "mape_percent": ev.benchmark.mape,
-                          "mape_skipped": ev.benchmark.skipped},
-            "accuracy_gain_mae": ev.gain_mae,
-            "accuracy_gain_mape": ev.gain_mape,
-        }
+
+    def scores(e: MaeMape) -> dict:
+        return {"mae": e.mae, "mape_percent": e.mape, "mape_skipped": e.skipped}
+
+    payload = {kpi: {"abm": scores(ev.abm), "benchmark": scores(ev.benchmark),
+                     "accuracy_gain_mae": ev.gain_mae,
+                     "accuracy_gain_mape": ev.gain_mape}
+               for kpi, ev in report.kpis.items()}
     (directory / "report.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2), encoding="utf-8")
-    with open(directory / "profiles.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kpi", "hour", "truth_mean", "abm_mean",
-                         "benchmark_mean"])
-        for kpi, rows in sorted(report.profiles.items()):
-            for hour, tv, av, bv in rows:
-                writer.writerow([kpi, hour, repr(tv), repr(av), repr(bv)])
+    _write_rows(directory / "profiles.csv", [
+        "kpi", "hour", "truth_mean", "abm_mean", "benchmark_mean"], [
+        (kpi, *row) for kpi, rows in sorted(report.profiles.items())
+        for row in rows], (str, int, float, float, float))

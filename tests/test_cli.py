@@ -381,6 +381,46 @@ class TestCompareCommand:
         report = json.loads((tmp_path / "report" / "report.json").read_text())
         assert "energy_wh" not in report
 
+    @pytest.mark.parametrize("name", ["truth.csv", "predictions.csv",
+                                      "abm_outputs.csv"])
+    @pytest.mark.parametrize("case", ["missing column", "nan", "short row",
+                                      "non-integer hour", "repeated key"])
+    def test_malformed_report_file_fails_cleanly(self, pipeline, estimates,
+                                                 tmp_path, name, case):
+        abm = copy_dir(estimates[0], tmp_path / "abm")
+        truth = tmp_path / "truth.csv"
+        truth.write_bytes((pipeline / "data" / "truth.csv").read_bytes())
+        path = truth if name == "truth.csv" else abm / name
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        header = rows[0]
+        if case == "missing column":
+            header[header.index("hour")] = "hr"
+        elif case == "nan":
+            value = "value" if "value" in header else "ue_mean"
+            rows[3][header.index(value)] = "nan"
+        elif case == "short row":
+            rows[3].pop()
+        elif case == "non-integer hour":
+            rows[3][header.index("hour")] = "3.5"
+        else:
+            rows[3] = rows[2]
+        path.write_text("\n".join(map(",".join, rows)) + "\n")
+        message = {
+            "missing column": ": missing column(s) hour",
+            "nan": ", row 3: non-finite value 'nan'",
+            "short row": f", row 3: {len(header) - 1} fields, the header has "
+                         f"{len(header)}",
+            "non-integer hour":
+                ", row 3: invalid literal for int() with base 10: '3.5'",
+            "repeated key": ", row 3: repeats an earlier row's ",
+        }[case]
+        r = run_cli("compare", "--abm", abm, "--benchmark", estimates[1],
+                    "--truth", truth, "--out", tmp_path / "report")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)   # not an escaped error
+        assert f"error: {path}{message}" in r.output
+        assert not (tmp_path / "report").exists()
+
     def test_mismatched_cells_fail(self, pipeline, estimates, tmp_path):
         abm, bench = estimates
         truth = tmp_path / "truth.csv"

@@ -14,7 +14,10 @@ at operator scale, where a pick weighs a median of 94 candidates (5th to
 spec (seed 11), whose reports do draw extra neighbours, on a sparse, noisy
 3 + 2-cell spec whose cell-hours reach the zero-UE branch of both KPI
 campaigns, and on a 40 + 30-cell, 1-day spec (seed 404) whose files span
-several of the CSV writers' chunks.
+several of the CSV writers' chunks. The report files of the what-if
+network's pinned day and baseline are pinned too: the hourly reports, the
+truth tables of the day's runs, and compare's report.json and profiles.csv
+of both estimators' means against them.
 A change to the ABM, the baseline or the generator that is meant to keep the
 outputs must keep these digests; a change that is meant to move them updates
 them and says why.
@@ -27,12 +30,30 @@ import pytest
 from carriersim import (AbmConfig, ScenarioSpec, build_handover_model_for_hours,
                         fit_traffic_model, generate_scenario, parse_datasets,
                         run_benchmark, simulate_day)
+from carriersim.abm import mean_tables, write_hourly_report
 from carriersim.datamodel import _CHUNK, parse_kpis, parse_mrs, write_kpis
+from carriersim.harness import (compare, truth_tables_from_outputs,
+                                write_eval_report, write_truth)
 
 SIMULATE_DAY_SHA256 = (
     "b0f7a6bdf54016584514b275600c707fdec6c896610bab9cfd7a4435849d7c12")
 RUN_BENCHMARK_SHA256 = (
     "8abcf5150ba2c789fcbfdf87c6e2960acb11a8a7fce09c40024a2e8c80e7b83d")
+# the what-if network's report files: write_hourly_report of the pinned
+# simulate_day and run_benchmark, write_truth of truth_tables_from_outputs on
+# the day, and write_eval_report of compare's scores against that truth
+REPORT_SHA256 = {
+    "abm_outputs.csv":
+        "929dd867ce1ac57c0d75f7599ee5d4fec7ec26bbbdb5d3fa268a261e7a4441c7",
+    "benchmark_outputs.csv":
+        "b83f9f09b7d24074adcae73d5f10636266b1d2aed5b8c7831eaf0e255f710f4b",
+    "truth.csv":
+        "293a26ee3b27afd75c28d77f5114afe94bd51d5524faace502f332f950623e0b",
+    "report.json":
+        "cf49c62a4ac372519ffdce7544058f9848da743a735a7ffc5d282362fd7af46b",
+    "profiles.csv":
+        "bd3b4f1c80e4cbc2e367fa9891a05fff03b8e92609f18c1514f20630d25722c5",
+}
 # the 30 + 20-cell network: simulate_day at R=5 (seed 5), and run_benchmark
 LARGE_SIMULATE_DAY_SHA256 = (
     "b86d98aeeb38dee25b26cb3413a69d5e66d9e6cb35a7a1c556c641286ca7dab4")
@@ -213,3 +234,29 @@ def test_generator_files_across_a_chunk_boundary_are_pinned(tmp_path):
     assert written == CHUNKED_GENERATOR_SHA256
     assert len(parse_kpis(tmp_path / "kpi.csv")) == 1680 > _CHUNK
     assert len(parse_mrs(tmp_path / "mr.csv")) == 3840 > 2 * _CHUNK
+
+
+@pytest.fixture(scope="module")
+def whatif_reports(whatif_network, tmp_path_factory):
+    out = tmp_path_factory.mktemp("whatif_reports")
+    scenario = generate_scenario(
+        ScenarioSpec(n_capacity=2, n_coverage=1, n_days=3), out / "data",
+        seed=7)
+    cfg = whatif_network[1]
+    outputs = simulate_day(*whatif_network,
+                           AbmConfig(runs=20, max_steps=400, seed=7))
+    bench = run_benchmark(*whatif_network)
+    write_hourly_report(out / "abm_outputs.csv", outputs, cfg)
+    write_hourly_report(out / "benchmark_outputs.csv", bench, cfg)
+    truth = truth_tables_from_outputs(scenario, outputs)
+    write_truth(out / "truth.csv", truth)
+    abm, baseline = mean_tables(outputs, cfg), mean_tables(bench, cfg)
+    write_eval_report(out, compare(abm, baseline, {
+        kpi: table for kpi, table in truth.items() if kpi in abm}))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_report_files_are_pinned(whatif_reports, name):
+    assert hashlib.sha256((whatif_reports / name).read_bytes()).hexdigest() \
+        == REPORT_SHA256[name]

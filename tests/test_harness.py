@@ -1,10 +1,11 @@
+import csv
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from carriersim.abm import AbmConfig, simulate_day
-from carriersim.datamodel import parse_datasets, parse_kpis
+from carriersim.datamodel import _CHUNK, parse_datasets, parse_kpis
 from carriersim.errors import (
     EmptySeriesError,
     InvalidSpecError,
@@ -272,6 +273,30 @@ class TestGroundTruthReplay:
         path = tmp_path / "truth.csv"
         write_truth(path, tables)
         assert read_truth(path) == tables
+
+    def test_truth_file_across_chunks_is_what_csv_writer_writes(self,
+                                                                tmp_path):
+        # one KPI spans three of the writer's chunks, ids need quoting, and
+        # the values hold -0.0, ints and numpy floats
+        entities = ["a,b", 'q"x', "c\nd", "plain"]
+        tables = {"ue": {(entities[i % 4] + str(i // 4), 1 + i % 24):
+                         [0.1 * i, -0.0, i, np.float64(1 / 3)][i % 4]
+                         for i in range(2 * _CHUNK + 5)},
+                  "cs_minutes": {("e", 2): 60.0}}
+        path = tmp_path / "truth.csv"
+        write_truth(path, tables)
+        with open(tmp_path / "reference.csv", "w", newline="",
+                  encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["kpi", "entity", "hour", "value"])
+            for kpi in sorted(tables):
+                for (entity, hour), value in sorted(tables[kpi].items()):
+                    writer.writerow([kpi, entity, hour, repr(float(value))])
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert read_truth(path) == tables
+        write_truth(path, {})
+        assert path.read_bytes() == b"kpi,entity,hour,value\r\n"
+        assert read_truth(path) == {}
 
     def test_saturated_traffic_keeps_cells_active(self, tmp_path):
         spec = ScenarioSpec(n_capacity=2, n_coverage=1, n_days=1,
