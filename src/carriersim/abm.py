@@ -5,9 +5,9 @@ of shutdown configurations one cell flip at a time: eligibility rule checks,
 margin-weighted agent selection (`_pick`, the one selection PMF), UE transfer
 on shutdown, exact state restoration on reactivation. A run keeps every
 capacity cell's candidacy and margin; a step re-checks only the acting cell
-and the capacity cells paired with a cell whose counters it changed. Every
-movement is logged so a run can be replayed from its initial draw, and
-per-hour runs roll forward into the next hour.
+and the capacity cells paired with a cell whose counters it changed. On
+request a run logs every movement, so that it can be replayed from its
+initial draw; per-hour runs roll forward into the next hour.
 A step works on Python scalars (list counters and network lookups, uniforms
 read in blocks, list transfer tables) that repeat numpy's float operations in
 numpy's order; numpy draws the traffic and weighs 8 or more candidates. A run
@@ -17,13 +17,15 @@ acting cell from running sums of a weight array (`_certified_pick`) when a
 rounding-error bound proves that `_pick` draws the same cell, and calls
 `_pick` otherwise. One function, `_shutdown`, draws and applies every
 shutdown: a step's, a roll-in's and `transfer_users`'. With one target it
-moves past the UEs' uniforms unread. A step refolds the hosts' counters at
-once; the roll-in refolds each host once, after its last shutdown.
+moves past the UEs' uniforms unread.
 
 State bookkeeping uses a per-host contribution ledger: a host cell's counters
-are always rederived as its own drawn base plus the logged contributions it
-currently hosts. Removing a contribution therefore restores the exact prior
-value, which makes shutdown/reactivate round trips bit-identical.
+are always its own drawn base plus the contributions it currently hosts,
+added in ledger order. A shutdown adds each move to its target's counters as
+it appends the move to the target's ledger; a reactivation, which removes
+contributions from the middle of ledgers, refolds each host from its base.
+Removing a contribution therefore restores the exact prior value, which
+makes shutdown/reactivate round trips bit-identical.
 
 Runs within an hour are independent given the previous hour's configuration
 pool and use per-(seed, hour, run) RNG streams; a RunState is owned by its run.
@@ -170,28 +172,32 @@ class ReplayLog:
     Events are ("sd", step, cap_idx, moves) with moves a tuple of
     (origin_cap_idx, target_cell_idx, ue_count, dl_amount, ul_amount),
     or ("ac", step, cap_idx). Replaying them from the initial state
-    reproduces the live RunState field for field.
+    reproduces the live RunState field for field. `events` is None when the
+    run records none.
     """
 
     hour: int
     base_ue: np.ndarray
     base_dl: np.ndarray
     base_ul: np.ndarray
-    events: list = field(default_factory=list)
+    events: list | None = field(default_factory=list)
 
 
 class RunState:
     """Mutable per-run state: configuration vector, predicted counters,
     contribution ledger and replay log. Configuration and counters are
     lists; the frozen entry checks and margins are arrays. The ledger maps a
-    cell to the contributions it hosts and gets a list at its first one; the
-    replay log shares the drawn base arrays, which nothing mutates."""
+    cell to the contributions it hosts and gets a list at its first one;
+    `origin_hosts` lists per capacity cell the set of cells hosting its UEs.
+    The replay log shares the drawn base arrays, which nothing mutates, and
+    records the events only when `record` is true."""
 
     __slots__ = ("net", "hour", "x", "ue", "dl", "ul", "t_cs",
                  "base_ue", "base_dl", "base_ul", "sd_frozen", "sd_margin",
                  "contribs", "origin_hosts", "replay")
 
-    def __init__(self, net: SimNetwork, hour: int, base_ue, base_dl, base_ul):
+    def __init__(self, net: SimNetwork, hour: int, base_ue, base_dl, base_ul,
+                 record: bool = True):
         self.net = net
         self.hour = hour
         self.x = [True] * net.n_cap
@@ -206,8 +212,9 @@ class RunState:
             base_ul[paired], net.th)
         self.sd_margin = net.th.entry_dl_prb - (base_dl[cap] + base_dl[paired])
         self.contribs: dict[int, list] = defaultdict(list)
-        self.origin_hosts: dict[int, set[int]] = defaultdict(set)
-        self.replay = ReplayLog(hour, base_ue, base_dl, base_ul)
+        self.origin_hosts = [set() for _ in range(net.n_cap)]
+        self.replay = ReplayLog(hour, base_ue, base_dl, base_ul,
+                                [] if record else None)
 
     def fingerprint(self) -> tuple:
         """Byte-exact summary of the observable state."""
@@ -230,9 +237,9 @@ class RunState:
 
 
 def _new_state(net: SimNetwork, tm: TrafficModel, hour: int,
-               rng: np.random.Generator) -> RunState:
+               rng: np.random.Generator, record: bool = True) -> RunState:
     draw = draw_inputs(tm, hour, rng, cfg=net.cfg)[tm.rows(net.cell_ids)]
-    return RunState(net, hour, *draw.T.copy())
+    return RunState(net, hour, *draw.T.copy(), record)
 
 
 class _Uniforms:
@@ -246,6 +253,10 @@ class _Uniforms:
     def take(self, n: int) -> list[float]:
         self.skip(n)
         return self.buf[self.pos - n:self.pos]
+
+    def next(self) -> float:
+        self.skip(1)
+        return self.buf[self.pos - 1]
 
     def skip(self, n: int) -> None:
         """Move past the next n uniforms unread, drawing blocks as needed."""
@@ -264,7 +275,7 @@ def _shutdown(state: RunState, a: int, entry, uniforms: _Uniforms,
     """Shut down capacity cell `a`, handing its UEs to targets drawn from its
     transfer-table entry, one uniform per UE, grouped by origin (its own UEs,
     then the foreign ones it hosts, in ledger order). Returns the cells that
-    received UEs; their counters are left for the caller to refold.
+    received UEs.
 
     Returns None (state untouched) when no feasible target exists, i.e. the
     shutdown attempt is abandoned.
@@ -282,7 +293,9 @@ def _shutdown(state: RunState, a: int, entry, uniforms: _Uniforms,
         return _apply_shutdown(state, a, [], step)
     m_dl, m_ul = state.dl[g] / n_ue, state.ul[g] / n_ue
     groups = [(a, round(state.base_ue[g]))]
-    groups += [(origin, n) for origin, n, _, _ in state.contribs.get(g, ())]
+    hosted = state.contribs.get(g)
+    if hosted:
+        groups += [(origin, n) for origin, n, _, _ in hosted]
     last = len(targets) - 1
     moves = []
     if not last:  # every UE goes to the one target: its uniforms go unread
@@ -303,26 +316,30 @@ def _shutdown(state: RunState, a: int, entry, uniforms: _Uniforms,
 
 
 def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
-    """Log drawn moves in the ledger and shut `a` down; returns the target
-    cells, whose counters the caller refolds."""
+    """Log drawn moves in the ledger, adding each to its target's counters,
+    and shut `a` down; returns the target cells."""
     g = state.net.cap_cell[a]
     contribs, origin_hosts = state.contribs, state.origin_hosts
+    ue, dl, ul = state.ue, state.dl, state.ul
     touched = set()
     for origin, target, n, dla, ula in moves:
+        # the last additions a refold of the target's ledger would make
         contribs[target].append((origin, n, dla, ula))
+        ue[target] += n
+        dl[target] += dla
+        ul[target] += ula
         origin_hosts[origin].add(target)
         touched.add(target)
     # every UE left, including previously received foreign ones
     hosted = contribs.pop(g, None)
     if hosted:
         for origin, _, _, _ in hosted:
-            hosts = origin_hosts.get(origin)
-            if hosts is not None:
-                hosts.discard(g)
+            origin_hosts[origin].discard(g)
     state.ue[g] = state.dl[g] = state.ul[g] = 0.0
     state.t_cs[g] = SHUTDOWN_MINUTES
     state.x[a] = False
-    state.replay.events.append(("sd", step, a, tuple(moves)))
+    if state.replay.events is not None:
+        state.replay.events.append(("sd", step, a, tuple(moves)))
     touched.discard(g)  # a cell listed as its own target keeps nothing
     return touched
 
@@ -330,14 +347,15 @@ def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
 def _reactivate(state: RunState, a: int, step: int) -> Iterable[int]:
     """Bring `a` back; returns the cells that hosted its UEs."""
     g = state.net.cap_cell[a]
-    hosts = state.origin_hosts.pop(a, ())
+    hosts, state.origin_hosts[a] = state.origin_hosts[a], set()
     for h in hosts:
         state.contribs[h] = [e for e in state.contribs[h] if e[0] != a]
         state._refold(h)
     state.x[a] = True
     state.t_cs[g] = 0.0
     state._refold(g)
-    state.replay.events.append(("ac", step, a))
+    if state.replay.events is not None:
+        state.replay.events.append(("ac", step, a))
     return hosts
 
 
@@ -351,16 +369,24 @@ def _eligible_masks(state: RunState) -> tuple[np.ndarray, np.ndarray]:
 class _Candidates:
     """A run's selection state: per capacity cell its candidacy (a list), the
     sorted list of candidates, and `w`, an array of the candidates' margins
-    clamped at zero and 0.0 off the candidates."""
+    clamped at zero and 0.0 off the candidates; also each cell's frozen
+    shutdown candidacy and margin, as lists."""
 
-    __slots__ = ("cand", "idx", "w")
+    __slots__ = ("cand", "idx", "w", "frozen", "margin")
 
     def __init__(self, state: RunState):
-        # all active: every cell's candidacy and margin are its frozen ones
-        frozen, margin = state.sd_frozen, state.sd_margin
-        self.cand = frozen.tolist()
-        self.idx = np.flatnonzero(frozen).tolist()
-        self.w = np.where(frozen & (margin > 0.0), margin, 0.0)
+        # an active cell's candidacy and margin are its frozen ones, a shut
+        # down cell's its wake-up ones on its paired cell's counters
+        net, frozen, margin = state.net, state.sd_frozen, state.sd_margin
+        self.frozen, self.margin = frozen.tolist(), margin.tolist()
+        x = np.array(state.x, dtype=bool)
+        ue, dl, ul = (np.array(v, dtype=float)[net.paired_global]
+                      for v in (state.ue, state.dl, state.ul))
+        cand = np.where(x, frozen, check_wakeup(ue, dl, ul, net.th))
+        m = np.where(x, margin, dl - net.th.leave_dl_prb)
+        self.cand = cand.tolist()
+        self.idx = np.flatnonzero(cand).tolist()
+        self.w = np.where(cand & (m > 0.0), m, 0.0)
 
     def set(self, k: int, cand: bool, margin: float) -> None:
         if cand != self.cand[k]:
@@ -379,7 +405,7 @@ def _refresh(state: RunState, a: int, touched, sel: _Candidates) -> None:
     candidate list changes only where a cell's candidacy flips."""
     net, x = state.net, state.x
     if x[a]:
-        sel.set(a, state.sd_frozen.item(a), state.sd_margin.item(a))
+        sel.set(a, sel.frozen[a], sel.margin[a])
     ks = [a]
     for h in touched:
         ks += net.paired_caps[h]
@@ -456,12 +482,13 @@ def _certified_pick(w: np.ndarray, n: int, u: float) -> int | None:
 
 def replay_log(log: ReplayLog, net: SimNetwork) -> RunState:
     """Rebuild the RunState a log describes by reapplying every event."""
+    if log.events is None:
+        raise ValueError("the run recorded no replay events")
     state = RunState(net, log.hour, log.base_ue, log.base_dl, log.base_ul)
     for event in list(log.events):
         if event[0] == "sd":
             _, step, a, moves = event
-            for h in _apply_shutdown(state, a, moves, step):
-                state._refold(h)
+            _apply_shutdown(state, a, moves, step)
         else:
             _, step, a = event
             _reactivate(state, a, step)
@@ -509,15 +536,9 @@ def transfer_users(cell_id: str, state: RunState, handover: HandoverModel,
     a = state.net.cap_index[cell_id]
     if not state.x[a]:
         raise ValueError(f"{cell_id!r} is already shut down")
-    touched = _shutdown(state, a,
-                        _handover_targets(state.net, handover, cell_id, hour),
-                        _Uniforms(rng, block=1),
-                        step=len(state.replay.events) + 1)
-    if touched is None:
-        return False
-    for h in touched:
-        state._refold(h)
-    return True
+    return _shutdown(state, a,
+                     _handover_targets(state.net, handover, cell_id, hour),
+                     _Uniforms(rng, block=1), _next_step(state)) is not None
 
 
 def reactivate(cell_id: str, state: RunState) -> RunState:
@@ -526,8 +547,14 @@ def reactivate(cell_id: str, state: RunState) -> RunState:
     a = state.net.cap_index[cell_id]
     if state.x[a]:
         raise ValueError(f"{cell_id!r} is not shut down")
-    _reactivate(state, a, step=len(state.replay.events) + 1)
+    _reactivate(state, a, _next_step(state))
     return state
+
+
+def _next_step(state: RunState) -> int:
+    """The step number of a state's next single move: one past its logged
+    events (its step is logged with it, so unused when nothing is)."""
+    return len(state.replay.events or ()) + 1
 
 
 @dataclass(frozen=True)
@@ -551,17 +578,16 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
                     starting_x, hour: int, rng: np.random.Generator,
                     on_step: Callable[[RunState, int], None] | None = None,
                     _net: SimNetwork | None = None,
-                    _table=None) -> RunResult:
+                    _table=None, record: bool = False) -> RunResult:
     """One Monte Carlo run: draw traffic, roll to the starting configuration,
     then iterate rule checks / selection / transfer until stable or capped.
 
     The roll-in replays the shutdown path from all-active to `starting_x`
     (ascending cell order, UE transfers included) without rule checks or
-    agent randomness. It refolds each host once, after the last rolled
-    shutdown; a rolled cell that received UEs earlier in the roll-in is
-    refolded just before its own shutdown reads it. After the traffic draw
-    the run reads its uniforms from `rng` in blocks of UNIFORM_BLOCK, so `rng`
-    may end up to one block further on than used.
+    agent randomness. After the traffic draw the run reads its uniforms from
+    `rng` in blocks of UNIFORM_BLOCK, so `rng` may end up to one block
+    further on than used. With `record` the run logs its events in
+    `state.replay` (see ReplayLog); else the log holds only the drawn base.
 
     A step reads its candidates from the run's sorted candidate list
     (`_Candidates`), which `_refresh` keeps. One candidate is taken without
@@ -573,21 +599,11 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
     table = _table if _table is not None else build_transfer_table(
         net, handover, hour)
     start = _coerce_start(net, starting_x)
-    state = _new_state(net, tm, hour, rng)
+    state = _new_state(net, tm, hour, rng, record)
     uniforms = _Uniforms(rng)
+    for a in (~start).nonzero()[0].tolist():
+        _shutdown(state, a, table[a], uniforms, step=0)
     sel = _Candidates(state)
-    rolled = (~start).nonzero()[0].tolist()
-    hosts: set[int] = set()
-    for a in rolled:
-        g = net.cap_cell[a]
-        if g in hosts:  # it received UEs: refold it before reading it
-            hosts.remove(g)
-            state._refold(g)
-        hosts.update(_shutdown(state, a, table[a], uniforms, step=0) or ())
-    for h in hosts:
-        state._refold(h)
-    for a in rolled:
-        _refresh(state, a, (), sel)
     x, idx, w = state.x, sel.idx, sel.w
     for t in range(1, abm_cfg.max_steps + 1):
         n = len(idx)
@@ -597,14 +613,12 @@ def run_monte_carlo(tm: TrafficModel, cfg: NetworkConfig,
             uniforms.skip(1)
             a = idx[0]
         else:
-            u = uniforms.take(1)[0]
+            u = uniforms.next()
             a = _certified_pick(w, n, u) if n >= 8 else None
             if a is None:
                 a = idx[_pick([w.item(k) for k in idx], u)]
         if x[a]:
             touched = _shutdown(state, a, table[a], uniforms, step=t)
-            for h in touched or ():
-                state._refold(h)
         else:
             touched = _reactivate(state, a, step=t)
         if touched is not None:

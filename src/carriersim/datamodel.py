@@ -452,6 +452,7 @@ def parse_engineering(path) -> NetworkConfig:
     pairing, mobility, thresholds = {}, {}, {}
     radio_info: dict[str, tuple[str, int, str]] = {}
     radio_cells: dict[str, list[str]] = {}
+    ids: set[str] = set()
     rows = enumerate(itertools.chain.from_iterable(
         chunk for _, chunk in _read_rows(path, _ENGINEERING_COLUMNS)), start=1)
     for i, (cell_id, radio_unit, radio_type, n_trx, tx_mode, frequency,
@@ -463,6 +464,10 @@ def parse_engineering(path) -> NetworkConfig:
                         _float(bandwidth), _float(power), int(n_dl_prb),
                         int(n_ul_prb))
             info = (radio_type, int(n_trx), tx_mode)
+            if cell.id in ids:
+                raise MalformedRowError(path, i,
+                                        "repeats an earlier row's cell_id")
+            ids.add(cell.id)
             cells.append(cell)
             kind, paired = role.strip().lower(), paired.strip()
             if kind == "capacity":
@@ -542,6 +547,17 @@ def _convert_rows(path, done: int, chunk: list, kinds, checks) -> list:
     return columns
 
 
+def _repeat_check(seen: dict, names: list[str], keys, values):
+    """The _convert_rows check that no row's key, its fields of columns
+    `names`, repeats an earlier row's; it enters each of `keys` in `seen`,
+    mapped to the matching entry of `values`."""
+    repeated = []
+    for key, value in zip(keys, values):
+        repeated.append(key in seen)
+        seen[key] = value
+    return "repeats an earlier row's " + ", ".join(names), repeated
+
+
 def _read_keyed(path, columns: list[str], kinds, n_keys: int) -> dict:
     """The rows of `columns` in CSV file `path`, converted by `kinds`
     (_convert_rows), as a map of each row's key, the tuple of its first
@@ -552,12 +568,8 @@ def _read_keyed(path, columns: list[str], kinds, n_keys: int) -> dict:
     def add(fields):   # the check adds each row it checks
         fields = [f if kind is str else f.tolist()
                   for f, kind in zip(fields, kinds)]
-        repeated = []
-        for key, values in zip(zip(*fields[:n_keys]), zip(*fields[n_keys:])):
-            repeated.append(key in rows)
-            rows[key] = values
-        return [("repeats an earlier row's " + ", ".join(columns[:n_keys]),
-                 repeated)]
+        return [_repeat_check(rows, columns[:n_keys], zip(*fields[:n_keys]),
+                              zip(*fields[n_keys:]))]
 
     for done, chunk in _read_rows(path, columns):
         _convert_rows(path, done, chunk, kinds, add)
@@ -567,15 +579,20 @@ def _read_keyed(path, columns: list[str], kinds, n_keys: int) -> dict:
 def _parse_hourly(path, columns: list[str], checks) -> HourlyRows:
     """kpi.csv or energy.csv (header `columns`) as HourlyRows, read _CHUNK
     rows at a time. A row's hour must lie in 1..24, then it must pass
-    `checks(values)`, `values` mapping value column names to arrays."""
+    `checks(values)`, `values` mapping value column names to arrays, then
+    its (id, day, hour) must repeat no earlier row's."""
     kinds = (str, int, int) + (float,) * (len(columns) - 3)
     empty = np.empty(0, dtype=np.int64)
     tables = [HourlyRows([], empty, empty, np.empty((0, len(columns) - 3)))]
+    seen: dict[tuple, None] = {}
     for done, chunk in _read_rows(path, columns):
         ids, day, hour, *values = _convert_rows(
             path, done, chunk, kinds, lambda fields: [
                 ("hour {2} outside 1..24", (fields[2] < 1) | (fields[2] > 24)),
-                *checks(dict(zip(columns[3:], fields[3:])))])
+                *checks(dict(zip(columns[3:], fields[3:]))),
+                _repeat_check(seen, columns[:3], zip(
+                    fields[0], fields[1].tolist(), fields[2].tolist()),
+                              itertools.repeat(None))])
         # ids repeat every hour: keep one string per distinct id
         tables.append(HourlyRows(list(map(sys.intern, ids)), day, hour,
                                  np.column_stack(values)))

@@ -49,11 +49,12 @@ def fresh_state(cfg, traffic_values, hour=1, seed=0):
 
 
 def run_once(cfg, traffic_values, handover, seed=0, max_steps=400, hour=1,
-             start=None, on_step=None):
+             start=None, on_step=None, record=False):
     tm = make_traffic(cfg, traffic_values)
     abm_cfg = AbmConfig(runs=1, max_steps=max_steps, seed=seed)
     return run_monte_carlo(tm, cfg, handover, abm_cfg, start, hour,
-                           np.random.default_rng(seed), on_step=on_step)
+                           np.random.default_rng(seed), on_step=on_step,
+                           record=record)
 
 
 def cofrequency_network():
@@ -352,9 +353,25 @@ class TestRunMonteCarlo:
         values = {f"c{i + 1}": (5, 18, 7) for i in range(4)}
         values.update({"b1": (8, 20, 5), "b2": (6, 15, 4)})
         for seed in range(20):
-            result = run_once(cfg, values, handover, seed=seed, max_steps=50)
+            result = run_once(cfg, values, handover, seed=seed, max_steps=50,
+                              record=True)
             replayed = replay_log(result.state.replay, result.state.net)
             assert replayed.fingerprint() == result.state.fingerprint()
+
+    def test_unrecorded_run_logs_no_events_and_cannot_be_replayed(self):
+        cfg = _oscillating(4, 2)
+        handover = make_handover(
+            {f"c{i + 1}": {"b1": 0.6, "b2": 0.4} for i in range(4)})
+        values = {f"c{i + 1}": (5, 18, 7) for i in range(4)}
+        values.update({"b1": (8, 20, 5), "b2": (6, 15, 4)})
+        result = run_once(cfg, values, handover, max_steps=50)
+        assert result.steps > 1
+        log = result.state.replay
+        assert log.events is None
+        # the drawn base is kept either way
+        assert log.base_ue.tolist() == result.state.base_ue
+        with pytest.raises(ValueError, match="recorded no replay events"):
+            replay_log(log, result.state.net)
 
 
 class TestRollIn:
@@ -375,7 +392,7 @@ class TestRollIn:
         values = {"c1": (4, 14, 5), "c2": (5, 16, 6), "c3": (3, 9, 4),
                   "b1": (7, 22, 6)}
         result = run_once(cfg, values, make_handover(pmfs), max_steps=5,
-                          start=[False, False, False])
+                          start=[False, False, False], record=True)
         state, net = result.state, result.state.net
         assert (result.steps, result.stable) == (1, True)
         assert dict(zip(net.cap_ids, state.x)) \
@@ -513,6 +530,28 @@ REFERENCE_CASES = {
 }
 
 
+def _assert_counters_are_folds(state, t):
+    """Every active cell's counters are, bit for bit, its drawn base plus the
+    contributions its ledger holds, added in ledger order; a shut-down cell's
+    are zero and it hosts nothing."""
+    net = state.net
+    for g in range(net.n_cells):
+        k = net.cap_of_global[g]
+        if k >= 0 and not state.x[k]:
+            assert not state.contribs.get(g), (t, g)
+            want = (0.0, 0.0, 0.0)
+        else:
+            ue, dl, ul = state.base_ue[g], state.base_dl[g], state.base_ul[g]
+            for _, n, dla, ula in state.contribs.get(g, ()):
+                ue += n
+                dl += dla
+                ul += ula
+            want = (ue, dl, ul)
+        got = (state.ue[g], state.dl[g], state.ul[g])
+        assert [float(v).hex() for v in got] \
+            == [float(v).hex() for v in want], (t, g)
+
+
 class TestIncrementalStepperMatchesReference:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_bit_identical_for_seeds_0_to_49(self, case):
@@ -526,14 +565,24 @@ class TestIncrementalStepperMatchesReference:
         for seed in range(50):
             n_cap = len(cfg.capacity_cells)
             start = np.random.default_rng(1000 + seed).random(n_cap) < 0.4
-            got = run_monte_carlo(tm, cfg, handover, abm_cfg, start, 1,
-                                  np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            got = run_monte_carlo(tm, cfg, handover, abm_cfg, start, 1, rng,
+                                  on_step=_assert_counters_are_folds,
+                                  record=True)
             state, steps, stable, n_cand = reference_run(
                 tm, cfg, handover, abm_cfg, start, 1,
                 np.random.default_rng(seed))
             assert got.state.fingerprint() == state.fingerprint()
             assert got.state.replay.events == state.replay.events
             assert (got.steps, got.stable) == (steps, stable)
+            # recording changes nothing the run computes or draws
+            bare_rng = np.random.default_rng(seed)
+            bare = run_monte_carlo(tm, cfg, handover, abm_cfg, start, 1,
+                                   bare_rng)
+            assert bare.state.replay.events is None
+            assert bare.state.fingerprint() == state.fingerprint()
+            assert (bare.steps, bare.stable) == (steps, stable)
+            assert bare_rng.bit_generator.state == rng.bit_generator.state
             net = state.net
             acted = [e for e in state.replay.events if e[1] > 0]
             seen["ac"] += sum(e[0] == "ac" for e in acted)
@@ -759,6 +808,28 @@ class TestSimulateDay:
             assert np.array_equal(out_a.ues, out_b.ues)
             assert np.array_equal(out_a.dl_prbs, out_b.dl_prbs)
             assert np.array_equal(out_a.cs_minutes, out_b.cs_minutes)
+
+    def test_runs_record_no_replay_events(self, monkeypatch):
+        # through the module global, as a tracer wrapping the name sees it
+        from carriersim import abm
+
+        results, original = [], abm.run_monte_carlo
+
+        def traced(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(abm, "run_monte_carlo", traced)
+        cfg = make_network()
+        tm = make_traffic(cfg, {"c1": (3, 12, 5), "b1": (8, 20, 5)})
+        simulate_day(tm, cfg, make_handover({"c1": {"b1": 1.0}}),
+                     AbmConfig(runs=2, seed=3))
+        assert len(results) == 48
+        assert all(r.state.replay.events is None for r in results)
+        # c1 shuts down in every run, moving its UEs onto b1
+        assert all(r.state.ue[r.state.net.index["b1"]]
+                   > r.state.base_ue[r.state.net.index["b1"]]
+                   for r in results)
 
 
 class TestBenchmark:

@@ -442,10 +442,14 @@ ENERGY_GOOD = dict(zip(ENERGY_COLUMNS, ["ru-c1", "1", "1", "500.0"]))
 
 
 def hourly_text(columns, good, patches):
-    """A header and one row per patch of the `good` row's fields."""
+    """A header and one row per patch of the `good` row's fields, row k on
+    day k unless its patch sets the day, so that no key repeats by chance."""
     return "\n".join([",".join(columns)] + [
-        ",".join({**good, **patch}[c] for c in columns)
-        for patch in patches]) + "\n"
+        ",".join({**good, "day": str(k), **patch}[c] for c in columns)
+        for k, patch in enumerate(patches, start=1)]) + "\n"
+
+
+REPEAT = "repeats an earlier row's "
 
 
 INT = "invalid literal for int() with base 10: "
@@ -497,7 +501,8 @@ class TestColumnWriter:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_hourly_files_match_csv_writer(self, data):
-        ids, floats, ints = draw_pools(data, data.draw(st.booleans()))
+        parseable = data.draw(st.booleans())
+        ids, floats, ints = draw_pools(data, parseable)
         n = data.draw(WRITER_ROWS)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         values = floats[rng.integers(len(floats), size=(n, 25))]
@@ -505,6 +510,9 @@ class TestColumnWriter:
         values[:, 3] = np.fmax(values[:, 3], values[:, 4])
         rows = [ids[k] for k in rng.integers(len(ids), size=n)]
         day, hour = ints[rng.integers(len(ints), size=(2, n))]
+        if parseable:   # a day per row: no (id, day, hour) key repeats
+            day = np.arange(1, n + 1)
+        distinct = len(set(zip(rows, day.tolist(), hour.tolist()))) == n
         with tempfile.TemporaryDirectory() as directory:
             for name, columns, width, parse, write in (
                     ("kpi.csv", KPI_COLUMNS, 25, parse_kpis, write_kpis),
@@ -520,7 +528,8 @@ class TestColumnWriter:
                 kpi_checks = width == 1 or ((v[:, 4] <= v[:, 3]).all()
                                             and (v[:, -1] <= 60).all())
                 if (np.isfinite(v).all() and (v >= 0).all()
-                        and ((hour >= 1) & (hour <= 24)).all() and kpi_checks):
+                        and ((hour >= 1) & (hour <= 24)).all() and kpi_checks
+                        and distinct):
                     assert_same_rows(parse(path), table)
                 else:
                     with pytest.raises(MalformedRowError):
@@ -624,6 +633,14 @@ class TestHourlyFileErrors:
          "29 fields, the header has 28"),
         ([{}] * 1700 + [{"dl_bits": "1,0e8"}], 1702,
          "29 fields, the header has 28"),
+        # a (cell_id, day, hour) that an earlier row has, in or across
+        # chunks, after the row's other checks
+        ([{"day": "1"}], 2, REPEAT + "cell_id, day, hour"),
+        ([{}] * 1799 + [{"day": "1000"}], 1801, REPEAT + "cell_id, day, hour"),
+        ([{"day": "1", "rrc_ues": "-1.0"}], 2, "negative counter"),
+        ([{"day": "1", "hour": "0"}], 2, "hour 0 outside 1..24"),
+        ([{"day": "1", "cell_id": "c2"}, {"day": "1"}], 3,
+         REPEAT + "cell_id, day, hour"),
     ])
     def test_kpi_errors(self, tmp_path, patches, row, message):
         path = tmp_path / "kpi.csv"
@@ -644,6 +661,7 @@ class TestHourlyFileErrors:
         ({"energy_wh": "inf"}, "non-finite value 'inf'"),
         ({"energy_wh": "-1.0"}, "negative energy"),
         ({"energy_wh": "500,5"}, "5 fields, the header has 4"),
+        ({"day": "1"}, REPEAT + "radio_unit, day, hour"),
     ])
     def test_energy_errors(self, tmp_path, patch, message):
         path = tmp_path / "energy.csv"
@@ -833,6 +851,32 @@ def _row_by_row_fit(kpis, sigma_floor=1e-6):
                 mean[hour - 1, k, m], std[hour - 1, k, m] = \
                     mu, max(sd, sigma_floor)
     return tuple(cells), mean, std
+
+
+class TestRepeatedRows:
+    """A generated file with one row written twice is rejected, naming the
+    file and the second row, instead of weighing the row twice or failing
+    in the network's own check."""
+
+    @pytest.mark.parametrize("name, prefix", [
+        ("kpi.csv", "cov001,1,1,"), ("kpi_biased.csv", "cov001,1,1,"),
+        ("energy.csv", "ru-cov001,1,1,"), ("engineering.csv", "cap002,")])
+    def test_a_repeated_row_is_rejected(self, tmp_path, name, prefix):
+        generate_scenario(ScenarioSpec(2, 1, 3), tmp_path, seed=3)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+        path.write_text("\n".join(lines[:k + 1] + lines[k:]) + "\n")
+        parse = {"kpi.csv": parse_kpis, "kpi_biased.csv": parse_kpis,
+                 "energy.csv": parse_energy,
+                 "engineering.csv": parse_engineering}[name]
+        key = {"engineering.csv": "cell_id", "energy.csv":
+               "radio_unit, day, hour"}.get(name, "cell_id, day, hour")
+        with pytest.raises(MalformedRowError) as err:
+            parse(path)
+        assert type(err.value) is MalformedRowError
+        assert (err.value.path, err.value.row_index, err.value.message) \
+            == (str(path), k + 1, REPEAT + key)
 
 
 class TestTrafficFitOnFiles:
