@@ -96,3 +96,7 @@ class KeyMismatchError(SimulatorError):
 
 class UnsupportedVersionError(SimulatorError, ValueError):
     """A saved model file has a format version this code cannot read."""
+
+
+class CorruptModelError(SimulatorError, ValueError):
+    """A saved model file is damaged: unreadable, or its arrays inconsistent."""

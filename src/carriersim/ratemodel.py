@@ -3,9 +3,13 @@ DL PRB load and RRC-connected UE count.
 
 High-load behaviour (load >= 0.1) is captured by gradient-boosted
 regression trees (squared-error loss, stage-wise fit on residuals, 500 trees
-of depth 4 with shrinkage 0.01). Low-load rates are too traffic-dependent to
-regress, so they are modelled as a random variable with an empirical PMF
-(1 Mbps histogram bins, uniform within a bin) learned from the low-load rows.
+of depth 4 with shrinkage 0.01). Over two features an ensemble is constant
+on each cell of the grid its distinct split thresholds make, so training
+compiles it into that grid's exact lookup table (RateGrid) and keeps no
+trees: prediction, the saved bundle and loading see only grids. Low-load
+rates are too traffic-dependent to regress, so they are modelled as a
+random variable with an empirical PMF (1 Mbps histogram bins, uniform
+within a bin) learned from the low-load rows.
 
 Ground-truth targets come from standard counters: the mean rate from the
 RLC volume/time counters, the 5%-tile from the per-range sample counters.
@@ -14,6 +18,7 @@ RLC volume/time counters, the 5%-tile from the per-range sample counters.
 from __future__ import annotations
 
 import base64
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,6 +29,7 @@ import numpy as np
 
 from .datamodel import N_RATE_BINS, HourlyRows, NetworkConfig
 from .errors import (
+    CorruptModelError,
     EmptyCountersError,
     UnknownCellError,
     UnsupportedVersionError,
@@ -34,7 +40,9 @@ LOW_LOAD_CUTOFF = 0.1
 PMF_BIN_MBPS = 1.0
 _SPLIT_GAIN_EPS = 1e-12
 _LOCKSTEP_ENSEMBLES = 256     # ensembles grown together; bounds the arrays
-_BUNDLE_VERSION = 2
+_COMPILE_ENSEMBLES = 16       # ensembles compiled together
+_COMPILE_TREES = 50           # trees of them at a time; bounds the arrays
+_BUNDLE_VERSION = 3
 
 
 # 0, then geometrically spaced edges from 0.5 to 300 Mbps: one bin per
@@ -328,6 +336,139 @@ def _fit_lockstep(data, hyper: RateHyper) -> list[BoostedEnsemble]:
 
 
 # ---------------------------------------------------------------------------
+# Lookup grids
+
+
+@dataclass
+class RateGrid:
+    """A two-feature ensemble compiled into the exact lookup table of the
+    grid that its distinct split thresholds make, per feature (DL PRB load,
+    RRC-connected UEs). Cell (i, j) covers (t0[i-1], t0[i]] x (t1[j-1],
+    t1[j]], the outer cells open to -inf and +inf (NaN and +inf included,
+    as the trees send them right), because `x <= t` goes left. Every point
+    of a cell walks every tree the same way, so `table[i, j]` is the
+    ensemble's prediction on the whole cell."""
+
+    thresholds: tuple[np.ndarray, np.ndarray]
+    table: np.ndarray          # (len(t0) + 1, len(t1) + 1)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        return self.table[tuple(np.searchsorted(t, X[:, f], side="left")
+                                for f, t in enumerate(self.thresholds))]
+
+
+def compile_grids(ensembles: Sequence[BoostedEnsemble]) -> list[RateGrid]:
+    """Each two-feature ensemble as its RateGrid, equal bit for bit to
+    `BoostedEnsemble.predict` at every point.
+
+    Ensembles of one tree shape are compiled _COMPILE_ENSEMBLES at a time,
+    in order of grid size so that a batch pads its grids little (see
+    _grid_tables)."""
+    axes = [tuple(np.unique(e.threshold[e.feature == f]) for f in range(2))
+            for e in ensembles]
+    if not all(np.isfinite(t).all() for pair in axes for t in pair):
+        raise ValueError("an ensemble splits at a threshold that is not "
+                         "finite")
+    order = sorted(range(len(ensembles)), key=lambda k: (
+        ensembles[k].feature.shape, len(axes[k][0]), len(axes[k][1])))
+    grids = [None] * len(ensembles)
+    for _, group in itertools.groupby(
+            order, key=lambda k: ensembles[k].feature.shape):
+        group = list(group)
+        for start in range(0, len(group), _COMPILE_ENSEMBLES):
+            batch = group[start:start + _COMPILE_ENSEMBLES]
+            for k, table in zip(batch, _grid_tables(
+                    [ensembles[k] for k in batch], [axes[k] for k in batch])):
+                grids[k] = RateGrid(axes[k], table)
+    return grids
+
+
+def _grid_tables(batch: Sequence[BoostedEnsemble], axes) -> list[np.ndarray]:
+    """The grid tables of ensembles that share a tree shape: each cell's
+    `lr * leaf` terms (see _tree_terms) added to the initial values tree by
+    tree in fit order, as `predict` adds them, one vectorised addition per
+    tree over the (padded) grids of the batch; _COMPILE_TREES trees at a
+    time, which bounds the arrays.
+
+    On feature f, grid position i stands for t[i], or for the points past
+    t[-1] when i = len(t); so `x <= t[r]` is `i <= r`."""
+    E, T = len(batch), len(batch[0].feature)
+    n = np.array([[len(t) for t in pair] for pair in axes])
+    W = n.max(axis=0) + 1                          # padded grid shape
+    feature = np.stack([e.feature for e in batch], axis=1)    # (T, E, inner)
+    value = np.stack([e.value for e in batch], axis=1)
+    rank = np.zeros(feature.shape, dtype=np.intp)
+    for e, (ens, pair) in enumerate(zip(batch, axes)):
+        for f, t in enumerate(pair):
+            split = ens.feature == f
+            rank[:, e][split] = np.searchsorted(t, ens.threshold[split])
+    lr = np.array([e.learning_rate for e in batch])[:, None]
+    out = np.repeat([e.init_value for e in batch], W.prod()).reshape(E, *W)
+    for start in range(0, T, _COMPILE_TREES):
+        trees = slice(start, start + _COMPILE_TREES)
+        for term, row, col in zip(*_tree_terms(feature[trees], value[trees],
+                                               rank[trees], W, lr)):
+            out += term.take(row[:, :, None] + col[:, None, :])
+    return [np.ascontiguousarray(table[:a + 1, :b + 1])
+            for table, (a, b) in zip(out, n)]
+
+
+def _tree_terms(feature, value, rank, W, lr):
+    """Per tree (T, E stacked): its `lr * leaf` terms over the grid of its
+    own segments, and each grid position's offset into them.
+
+    A tree's own thresholds cut each axis into segments, and position i
+    lies in segment s, the number of them below it. Each bottom slot of the
+    tree covers a box of segments, narrowed level by level down the heap (a
+    pass-through's right child is empty). The boxes tile the segment grid,
+    so painting each box's slot number into a 2-D difference array and
+    summing it along both axes gives every segment pair's slot."""
+    T, E, inner = feature.shape
+    segment, seg_rank = [], np.zeros_like(rank)
+    for f in range(2):
+        cut = np.zeros((T, E, W[f]), dtype=np.intp)
+        on = feature == f
+        at = (*np.nonzero(on)[:2], rank[on])
+        cut[at] = 1
+        segment.append(cut.cumsum(axis=2) - cut)
+        seg_rank[on] = segment[f][at]
+    K = np.array([s[..., -1].max(initial=0) + 1 for s in segment])
+    axis = feature[..., None] == np.arange(2)               # split axis
+    cut_hi = np.where(axis, seg_rank[..., None], K.sum())  # left: s <= r
+    cut_lo = np.where(axis, seg_rank[..., None] + 1,       # right: s > r
+                      np.where(feature[..., None] < 0, K.sum(), 0))
+    lo = np.zeros((T, E, 2 * inner + 1, 2), dtype=np.intp)
+    hi = np.empty_like(lo)
+    hi[:, :, 0] = K - 1
+    for first in (2 ** d - 1 for d in range(inner.bit_length())):
+        up = slice(first, 2 * first + 1)
+        left = slice(2 * first + 1, 4 * first + 3, 2)
+        right = slice(2 * first + 2, 4 * first + 3, 2)
+        lo[:, :, left], hi[:, :, right] = lo[:, :, up], hi[:, :, up]
+        hi[:, :, left] = np.minimum(hi[:, :, up], cut_hi[:, :, up])
+        lo[:, :, right] = np.maximum(lo[:, :, up], cut_lo[:, :, up])
+    lo, hi = lo[:, :, inner:], hi[:, :, inner:] + 1          # bottom slots
+    box = (lo < hi).all(-1, keepdims=True)
+    lo, hi = lo * box, hi * box                    # empty boxes paint nothing
+    slot = np.where(box[..., 0], np.arange(inner, 2 * inner + 1), 0)
+    # box [lo, hi): +slot at (lo0, lo1) and (hi0, hi1), -slot at the others
+    corners = [(lo[..., 0], lo[..., 1], slot), (hi[..., 0], hi[..., 1], slot),
+               (lo[..., 0], hi[..., 1], -slot), (hi[..., 0], lo[..., 1], -slot)]
+    D = K + 1                                      # difference array shape
+    base = np.arange(T * E).reshape(T, E, 1) * D.prod()
+    painted = np.bincount(
+        np.concatenate([(base + a * D[1] + b).ravel() for a, b, _ in corners]),
+        np.concatenate([w.ravel() for _, _, w in corners]),
+        minlength=T * E * D.prod()).reshape(T * E, *D)
+    slots = painted.cumsum(1).cumsum(2)[:, :-1, :-1].astype(np.intp)
+    terms = lr * np.take_along_axis(value, slots.reshape(T, E, K.prod()),
+                                    axis=2)
+    rows = np.arange(E)[:, None] * K.prod() + segment[0] * K[1]
+    return terms, rows, segment[1]
+
+
+# ---------------------------------------------------------------------------
 # Low-load PMF
 
 
@@ -380,7 +521,7 @@ class RateSample:
 
 @dataclass
 class CellRateModel:
-    ensemble: BoostedEnsemble | None
+    grid: RateGrid | None
     pmf: RatePmf | None
 
 
@@ -391,7 +532,6 @@ class RateModel:
     avg: dict[str, CellRateModel]
     ce: dict[str, CellRateModel]
     cutoff: float = LOW_LOAD_CUTOFF
-    bin_edges: tuple[float, ...] = DEFAULT_BIN_EDGES
 
     @property
     def cells(self) -> set[str]:
@@ -402,8 +542,9 @@ def train_rate_model(avg_samples: Mapping[str, Sequence[RateSample]],
                      ce_samples: Mapping[str, Sequence[RateSample]],
                      hyper: RateHyper = RateHyper()) -> RateModel:
     """Fit both targets per cell: a PMF of the rows below the load cutoff and
-    an ensemble of the rest, all ensembles in one `fit_boosted_many` call.
-    Cells whose rows all sit below the cutoff end up PMF-only (no ensemble);
+    an ensemble of the rest, all ensembles in one `fit_boosted_many` call,
+    each then compiled into its lookup grid; the model keeps no trees.
+    Cells whose rows all sit below the cutoff end up PMF-only (no grid);
     that is a degraded mode, not an error."""
     model = RateModel(avg={}, ce={})
     fits = []
@@ -420,11 +561,11 @@ def train_rate_model(avg_samples: Mapping[str, Sequence[RateSample]],
                 None, RatePmf.from_values(low) if low else None)
             if high:
                 fits.append((table[cell], high))
-    ensembles = fit_boosted_many(
+    grids = compile_grids(fit_boosted_many(
         [(np.array([[s.dl_prb_load, s.rrc_ues] for s in high]),
-          np.array([s.rate_mbps for s in high])) for _, high in fits], hyper)
-    for (cm, _), ensemble in zip(fits, ensembles):
-        cm.ensemble = ensemble
+          np.array([s.rate_mbps for s in high])) for _, high in fits], hyper))
+    for (cm, _), grid in zip(fits, grids):
+        cm.grid = grid
     return model
 
 
@@ -433,8 +574,8 @@ def predict_rates(model: RateModel, cells: Sequence[str], dl_prb_loads,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(mean rates, 5%-tile rates) in Mbps for rows (cell, load, UEs).
 
-    Loads at or above the cutoff use the ensembles (clamped at 0), one batch
-    per (target, cell); lower loads, and cells without an ensemble, draw
+    Loads at or above the cutoff look up the grids (clamped at 0), one batch
+    per (target, cell); lower loads, and cells without a grid, draw
     from the PMFs row by row, mean before 5%-tile, as a loop of
     `predict_rate` would. A target without a model predicts 0."""
     X = np.column_stack([dl_prb_loads, rrc_ues]).astype(float)
@@ -448,13 +589,13 @@ def predict_rates(model: RateModel, cells: Sequence[str], dl_prb_loads,
         for target, cm in enumerate((model.avg.get(cell), model.ce.get(cell))):
             if cm is None:
                 continue
-            if cm.ensemble is not None and (X[i, 0] >= model.cutoff
-                                            or cm.pmf is None):
+            if cm.grid is not None and (X[i, 0] >= model.cutoff
+                                        or cm.pmf is None):
                 batches.setdefault((target, cell), []).append(i)
             elif cm.pmf is not None:
                 draws.append((target, i, cm.pmf))
     for (target, cell), rows in batches.items():
-        value = (model.avg, model.ce)[target][cell].ensemble.predict(X[rows])
+        value = (model.avg, model.ce)[target][cell].grid.predict(X[rows])
         out[target, rows] = np.where(value < 0.0, 0.0, value)
     for target, i, pmf in draws:
         out[target, i] = pmf.sample(rng)
@@ -511,20 +652,18 @@ def mean_rate_by_cell(avg_samples: Mapping[str, Sequence[RateSample]],
 # Model bundle file
 
 
-# Version 2 stores each ensemble's stacked tree arrays as base64 of their
-# little-endian bytes; loading decodes them without per-node objects.
-_ARRAY_DTYPES = {"feature": "<i2", "threshold": "<f8", "value": "<f8"}
+# Version 3 stores each cell's grid: its two threshold arrays and its table,
+# base64 of their little-endian float64 bytes.
+def _array_text(a: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(a, "<f8").tobytes()).decode("ascii")
 
 
 def _cell_payload(cm: CellRateModel):
     out = {}
-    if (e := cm.ensemble) is not None:
-        out["ensemble"] = {
-            "init_value": e.init_value, "learning_rate": e.learning_rate,
-            "n_trees": len(e.value), "inner_slots": e.feature.shape[1],
-            **{name: base64.b64encode(np.asarray(getattr(e, name), dtype)
-                                      .tobytes()).decode("ascii")
-               for name, dtype in _ARRAY_DTYPES.items()}}
+    if cm.grid is not None:
+        out["grid"] = {"thresholds": [_array_text(t)
+                                      for t in cm.grid.thresholds],
+                       "table": _array_text(cm.grid.table)}
     if cm.pmf is not None:
         out["pmf"] = {"bin_mbps": cm.pmf.bin_mbps,
                       "first_bin": cm.pmf.first_bin,
@@ -532,28 +671,37 @@ def _cell_payload(cm: CellRateModel):
     return out
 
 
+def _array(text, length=None) -> np.ndarray:
+    data = base64.b64decode(text, validate=True)
+    n = len(data) // 8 if length is None else length
+    if len(data) != 8 * n:
+        raise ValueError(f"an array of {len(data)} bytes, not {8 * n}")
+    return np.frombuffer(data, "<f8")
+
+
 def _cell_from_payload(payload) -> CellRateModel:
-    ensemble = None
-    if "ensemble" in payload:
-        e = payload["ensemble"]
-        inner = e["inner_slots"]
-        ensemble = BoostedEnsemble(e["init_value"], e["learning_rate"], **{
-            name: np.frombuffer(base64.b64decode(e[name]), dtype).reshape(
-                e["n_trees"], 2 * inner + 1 if name == "value" else inner)
-            for name, dtype in _ARRAY_DTYPES.items()})
+    grid = None
+    if "grid" in payload:
+        t0, t1 = (_array(t) for t in payload["grid"]["thresholds"])
+        for t in (t0, t1):
+            if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+                raise ValueError("thresholds not finite and increasing")
+        table = _array(payload["grid"]["table"], (len(t0) + 1) * (len(t1) + 1))
+        if not np.isfinite(table).all():
+            raise ValueError("table not finite")
+        grid = RateGrid((t0, t1), table.reshape(len(t0) + 1, len(t1) + 1))
     pmf = None
     if "pmf" in payload:
         p = payload["pmf"]
         pmf = RatePmf(bin_mbps=p["bin_mbps"], first_bin=p["first_bin"],
                       counts=np.array(p["counts"]))
-    return CellRateModel(ensemble=ensemble, pmf=pmf)
+    return CellRateModel(grid=grid, pmf=pmf)
 
 
 def save_rate_model(path, model: RateModel) -> None:
     payload = {
         "version": _BUNDLE_VERSION,
         "cutoff": model.cutoff,
-        "bin_edges": list(model.bin_edges),
         "avg": {cell: _cell_payload(cm) for cell, cm in sorted(model.avg.items())},
         "ce": {cell: _cell_payload(cm) for cell, cm in sorted(model.ce.items())},
     }
@@ -561,14 +709,23 @@ def save_rate_model(path, model: RateModel) -> None:
 
 
 def load_rate_model(path) -> RateModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("version") != _BUNDLE_VERSION:
+    """The model `save_rate_model` wrote. A bundle of an older version
+    raises UnsupportedVersionError, a damaged one CorruptModelError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        version = payload.get("version")
+    except (ValueError, AttributeError) as exc:
+        raise CorruptModelError(f"{path}: not a rate model ({exc})")
+    if version != _BUNDLE_VERSION:
         raise UnsupportedVersionError(
-            f"{path}: unsupported bundle version {payload.get('version')} "
+            f"{path}: unsupported bundle version {version} "
             f"(expected {_BUNDLE_VERSION}; retrain the models)")
-    return RateModel(
-        avg={cell: _cell_from_payload(p) for cell, p in payload["avg"].items()},
-        ce={cell: _cell_from_payload(p) for cell, p in payload["ce"].items()},
-        cutoff=payload["cutoff"],
-        bin_edges=tuple(payload["bin_edges"]),
-    )
+    try:
+        return RateModel(
+            **{target: {cell: _cell_from_payload(p)
+                        for cell, p in payload[target].items()}
+               for target in ("avg", "ce")},
+            cutoff=float(payload["cutoff"]))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptModelError(f"{path}: corrupt rate model ({exc!r}); "
+                                "retrain the models")

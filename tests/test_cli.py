@@ -227,6 +227,31 @@ class TestSimulate:
         assert isinstance(r.exception, SystemExit)
         assert "error:" in r.output and "retrain" in r.output
 
+    def test_corrupt_rate_bundle_fails_cleanly(self, pipeline, tmp_path):
+        models = copy_dir(pipeline / "models", tmp_path / "models")
+        payload = json.loads((models / "rate_model.json").read_text())
+
+        def truncate_first_string(node):
+            """Cut 4 characters off the first string in key order."""
+            for key in sorted(node) if isinstance(node, dict) \
+                    else range(len(node)):
+                if isinstance(node[key], str):
+                    node[key] = node[key][:-4]
+                    return True
+                if isinstance(node[key], (dict, list)) and \
+                        truncate_first_string(node[key]):
+                    return True
+            return False
+
+        assert truncate_first_string(payload)
+        (models / "rate_model.json").write_text(json.dumps(payload))
+        r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, "simulate",
+                    "--data", pipeline / "data", "--models", models,
+                    "--out", tmp_path / "o")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert "error:" in r.output and "rate_model.json" in r.output
+
     def test_same_seed_byte_identical_outputs(self, pipeline, tmp_path):
         outs = []
         for name in ("r1", "r2"):

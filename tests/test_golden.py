@@ -17,21 +17,27 @@ campaigns, and on a 40 + 30-cell, 1-day spec (seed 404) whose files span
 several of the CSV writers' chunks. The report files of the what-if
 network's pinned day and baseline are pinned too: the hourly reports, the
 truth tables of the day's runs, and compare's report.json and profiles.csv
-of both estimators' means against them.
+of both estimators' means against them. The CLI's model outputs are pinned
+on whatif's spec and on the default ScenarioSpec (seed 7, the stages as
+perfbench's whatif workload runs them): train's held-out metrics and
+simulate's predictions.csv, with and without an overrides file.
 A change to the ABM, the baseline or the generator that is meant to keep the
 outputs must keep these digests; a change that is meant to move them updates
 them and says why.
 """
 
 import hashlib
+import json
 
 import pytest
+from click.testing import CliRunner
 
 from carriersim import (AbmConfig, ScenarioSpec, build_handover_model_for_hours,
                         fit_traffic_model, generate_scenario, parse_datasets,
                         run_benchmark, simulate_day)
 from carriersim.abm import mean_tables, write_hourly_report
 from carriersim.datamodel import _CHUNK, parse_kpis, parse_mrs, write_kpis
+from carriersim.cli import main
 from carriersim.harness import (compare, truth_tables_from_outputs,
                                 write_eval_report, write_truth)
 
@@ -119,6 +125,28 @@ CHUNKED_GENERATOR_SHA256 = {
         "76a99f19281271ac2b375229fbac7048ecadb12214a739fd9b0ca64a6ae8da5d",
     "scenario.json":
         "2ee21ee0f7d19672df0667709561fb73a3a78850ff6e76de6a94cc01d503cb47",
+}
+
+# `generate --runs 2`, `train`, then `simulate --runs 20 --max-steps 400`
+# without (q0) and with (q1) CLI_OVERRIDES, all at --seed 7
+CLI_SPECS = {"whatif": {"n_capacity": 2, "n_coverage": 1, "n_days": 3},
+             "default": {}}
+CLI_OVERRIDES = {"thresholds": {"cap001": {"entry_dl_prb": 104.0,
+                                           "leave_dl_prb": 78.0}},
+                 "a4": {"cap001": {"threshold_dbm": -97.5}}}
+CLI_SHA256 = {
+    ("whatif", "models/train_metrics.json"):
+        "d6115b06e047e9f60064da7f77205cd70710f394a4aa8bbfbd5b87f4f688e697",
+    ("whatif", "q0/predictions.csv"):
+        "99d2f9369127d8dd46993b7caa87078fb9a4a4ffb4ecdc86dcd38cf304c94c95",
+    ("whatif", "q1/predictions.csv"):
+        "7a6969596b0328c026401674bef6bfbbdb92a8bf1e49f385806857d07a027b04",
+    ("default", "models/train_metrics.json"):
+        "ac9e0b5f87c0a8dc87cb1706076da3492365bf7420c7064be35c965f144b820d",
+    ("default", "q0/predictions.csv"):
+        "e9cda4a12907df49dcd6782c1a5fef210b6b8c39d431a743efc89a9ea71aacd4",
+    ("default", "q1/predictions.csv"):
+        "3c8980883ce29c6452ccd176509b14d8188a6580de238dbcad46da7140c3f98f",
 }
 
 
@@ -260,3 +288,29 @@ def whatif_reports(whatif_network, tmp_path_factory):
 def test_report_files_are_pinned(whatif_reports, name):
     assert hashlib.sha256((whatif_reports / name).read_bytes()).hexdigest() \
         == REPORT_SHA256[name]
+
+
+@pytest.fixture(scope="module", params=sorted(CLI_SPECS))
+def cli_outputs(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp(request.param)
+    (out / "spec.json").write_text(json.dumps(CLI_SPECS[request.param]))
+    (out / "overrides.json").write_text(json.dumps(CLI_OVERRIDES))
+    query = ["--seed", 7, "--runs", 20, "--max-steps", 400, "simulate",
+             "--data", out / "data", "--models", out / "models", "--out"]
+    for args in (["--seed", 7, "--runs", 2, "generate", "--spec",
+                  out / "spec.json", "--out", out / "data"],
+                 ["--seed", 7, "train", "--data", out / "data", "--out",
+                  out / "models"],
+                 query + [out / "q0"],
+                 query + [out / "q1", "--overrides", out / "overrides.json"]):
+        r = CliRunner().invoke(main, [str(a) for a in args])
+        assert r.exit_code == 0, r.output
+    return request.param, out
+
+
+@pytest.mark.parametrize("name", ["models/train_metrics.json",
+                                  "q0/predictions.csv", "q1/predictions.csv"])
+def test_cli_model_outputs_are_pinned(cli_outputs, name):
+    spec, out = cli_outputs
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+        == CLI_SHA256[(spec, name)]

@@ -32,7 +32,7 @@ def test_every_error_survives_a_pickle_round_trip():
             errors.NoSamplesError: ("c1", 3)}
     classes = [c for c in vars(errors).values() if isinstance(c, type)
                and c.__module__ == errors.__name__]
-    assert len(classes) == 20
+    assert len(classes) == 21
     for cls in classes:
         err = cls(*args.get(cls, ("something went wrong",)))
         back = pickle.loads(pickle.dumps(err))

@@ -1,17 +1,24 @@
+import base64
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carriersim.ratemodel import (
     DEFAULT_BIN_EDGES,
     BoostedEnsemble,
+    CellRateModel,
+    RateGrid,
     RateHyper,
+    RateModel,
     RateSample,
     RegressionTree,
     avg_rate_from_kpis,
     build_rate_samples,
+    compile_grids,
     fit_boosted,
     fit_boosted_many,
     load_rate_model,
@@ -23,6 +30,7 @@ from carriersim.ratemodel import (
     train_rate_model,
 )
 from carriersim.errors import (
+    CorruptModelError,
     EmptyCountersError,
     UnknownCellError,
     UnsupportedVersionError,
@@ -222,6 +230,17 @@ def frozen_grid():
     return np.column_stack([load.ravel(), ues.ravel()])
 
 
+def assert_bundle_predicts(ensemble, frozen, X, tmp_path):
+    """The ensemble's grid, saved and loaded, predicts the frozen values."""
+    model = RateModel(avg={"c1": CellRateModel(compile_grids([ensemble])[0],
+                                               None)}, ce={})
+    save_rate_model(tmp_path / "rate.json", model)
+    loaded = load_rate_model(tmp_path / "rate.json").avg["c1"].grid
+    assert loaded.predict(frozen_grid()).tolist() == \
+        frozen["grid_predictions"]
+    assert loaded.predict(X).tolist() == frozen["train_predictions"]
+
+
 class TestFrozenEnsemble:
     """50 trees of depth 4 fitted by the node-list implementation that the
     heap layout replaced; its outputs are stored as float.hex strings, and
@@ -253,16 +272,7 @@ class TestFrozenEnsemble:
         assert ensemble.predict(X).tolist() == frozen["train_predictions"]
 
     def test_loaded_bundle_bit_identical(self, ensemble, frozen, tmp_path):
-        from carriersim.ratemodel import CellRateModel, RateModel
-
-        model = RateModel(avg={"c1": CellRateModel(ensemble, None)}, ce={})
-        save_rate_model(tmp_path / "rate.json", model)
-        loaded = load_rate_model(tmp_path / "rate.json").avg["c1"].ensemble
-        for name in ("feature", "threshold", "value"):
-            assert np.array_equal(getattr(loaded, name),
-                                  getattr(ensemble, name))
-        assert loaded.predict(frozen_grid()).tolist() == \
-            frozen["grid_predictions"]
+        assert_bundle_predicts(ensemble, frozen, frozen_data()[0], tmp_path)
 
 
 def frozen_large_data():
@@ -303,6 +313,10 @@ class TestFrozenLargeEnsemble:
     def test_training_predictions_bit_identical(self, ensemble, frozen):
         X, _ = frozen_large_data()
         assert ensemble.predict(X).tolist() == frozen["train_predictions"]
+
+    def test_loaded_bundle_bit_identical(self, ensemble, frozen, tmp_path):
+        assert_bundle_predicts(ensemble, frozen, frozen_large_data()[0],
+                               tmp_path)
 
 
 def assert_same_ensemble(a: BoostedEnsemble, b: BoostedEnsemble):
@@ -390,6 +404,85 @@ class TestLockstepFit:
         assert fit_boosted_many([], RateHyper(n_estimators=5)) == []
 
 
+def grid_points(grid: RateGrid, rng) -> np.ndarray:
+    """Random points, every cell's representative point, every threshold
+    and the floats either side of it, signed zeros, and NaN and infinite
+    UE counts."""
+    axes = []
+    for t in grid.thresholds:
+        reps = np.append(t, np.nextafter(t[-1], np.inf) if len(t) else 0.0)
+        axes.append(np.concatenate([reps, np.nextafter(t, -np.inf),
+                                    np.nextafter(t, np.inf), [0.0, -0.0],
+                                    rng.uniform(-1.0, 12.0, 20)]))
+    axes[1] = np.append(axes[1], [np.nan, np.inf, -np.inf])
+    load, ues = np.meshgrid(*axes)
+    return np.column_stack([load.ravel(), ues.ravel()])
+
+
+@st.composite
+def training_sets(draw):
+    """(X, y) with two features: few distinct values (ties), sometimes a
+    constant feature, sometimes a single row."""
+    n = draw(st.integers(1, 30))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    load = rng.integers(0, draw(st.integers(1, 12)), n) / 10.0
+    ues = rng.integers(0, draw(st.integers(1, 8)), n).astype(float)
+    y = rng.normal(20.0, 10.0, n).round(draw(st.integers(0, 3)))
+    return np.column_stack([load, ues]), y
+
+
+class TestRateGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(training_sets(), min_size=1, max_size=4),
+           st.integers(1, 25), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    def test_grid_equals_predict_bit_for_bit(self, sets, n_trees, depth, seed):
+        ensembles = fit_boosted_many(sets, RateHyper(n_trees, depth, 0.1))
+        ensembles += fit_boosted_many(sets[:1], RateHyper(3, 2, 0.05))
+        ensembles.append(BoostedEnsemble(init_value=7.25, learning_rate=0.1))
+        rng = np.random.default_rng(seed)
+        for ensemble, grid in zip(ensembles, compile_grids(ensembles),
+                                  strict=True):
+            X = grid_points(grid, rng)
+            assert grid.predict(X).tobytes() == ensemble.predict(X).tobytes()
+
+    def test_grid_shape_and_cell_boundaries(self):
+        X, y = frozen_data()
+        ensemble = fit_boosted(X, y, RateHyper(n_estimators=50))
+        grid, = compile_grids([ensemble])
+        t0, t1 = grid.thresholds
+        assert t0.tolist() == np.unique(
+            ensemble.threshold[ensemble.feature == 0]).tolist()
+        assert grid.table.shape == (len(t0) + 1, len(t1) + 1)
+        # x <= t goes left: a threshold belongs to the cell below it
+        at = np.column_stack([t0, np.full(len(t0), t1[0])])
+        assert grid.predict(at).tolist() == grid.table[:-1, 0].tolist()
+
+    def test_batches_equal_one_batch(self, monkeypatch):
+        from carriersim import ratemodel
+
+        sets = TestLockstepFit.training_sets()
+        ensembles = fit_boosted_many(sets, RateHyper(n_estimators=20))
+        whole = compile_grids(ensembles)
+        monkeypatch.setattr(ratemodel, "_COMPILE_ENSEMBLES", 2)
+        monkeypatch.setattr(ratemodel, "_COMPILE_TREES", 7)
+        for a, b in zip(whole, compile_grids(ensembles), strict=True):
+            assert a.table.tobytes() == b.table.tobytes()
+            assert all(np.array_equal(s, t) for s, t in
+                       zip(a.thresholds, b.thresholds))
+
+    def test_non_finite_threshold_rejected(self):
+        ensemble = fit_boosted(np.array([[0.2, 1.0], [0.6, 2.0]]),
+                               np.array([10.0, 30.0]),
+                               RateHyper(n_estimators=2))
+        ensemble.threshold[ensemble.feature >= 0] = np.inf
+        with pytest.raises(ValueError, match="not finite"):
+            compile_grids([ensemble])
+
+    def test_no_ensembles(self):
+        assert compile_grids([]) == []
+
+
 def make_rate_samples(cell="c1", n_high=60, n_low=20, seed=0):
     rng = np.random.default_rng(seed)
     rows = []
@@ -430,17 +523,16 @@ class TestRateModel:
         rows = [RateSample(cell_id="c1", hour=1, dl_prb_load=0.01,
                            rrc_ues=1.0, rate_mbps=25.0) for _ in range(5)]
         model = train_rate_model({"c1": rows}, {}, RateHyper(n_estimators=5))
-        assert model.avg["c1"].ensemble is None
+        assert model.avg["c1"].grid is None
         assert model.avg["c1"].pmf is not None
         # high-load queries fall back to the PMF rather than failing
         avg, _ = predict_rate(model, "c1", 0.5, 3.0, np.random.default_rng(0))
         assert 25.0 <= avg < 26.0
 
     def test_negative_ensemble_output_clamped(self):
-        ens = BoostedEnsemble(init_value=-4.0, learning_rate=0.01)
-        from carriersim.ratemodel import CellRateModel, RateModel
-
-        model = RateModel(avg={"c1": CellRateModel(ensemble=ens, pmf=None)},
+        grid, = compile_grids([BoostedEnsemble(init_value=-4.0,
+                                                learning_rate=0.01)])
+        model = RateModel(avg={"c1": CellRateModel(grid=grid, pmf=None)},
                           ce={})
         avg, ce = predict_rate(model, "c1", 0.5, 2.0, np.random.default_rng(0))
         assert avg == 0.0
@@ -501,7 +593,7 @@ class TestBatchedPrediction:
                     for v in (12.5, 14.0, 19.9)]
         model = train_rate_model({"c1": c1, "c2": pmf_only}, {"c1": c1},
                                  RateHyper(n_estimators=25))
-        assert model.avg["c2"].ensemble is None and "c2" not in model.ce
+        assert model.avg["c2"].grid is None and "c2" not in model.ce
         rng = np.random.default_rng(9)
         cells = list(rng.choice(["c1", "c2"], size=40))
         loads = rng.uniform(0.0, 0.4, size=40)    # both sides of the cutoff
@@ -531,6 +623,52 @@ class TestBatchedPrediction:
                           [2.0, 2.0], rng)
         with pytest.raises(UnknownCellError):
             predict_rates(model, ["c1", "zz"], [0.5, 0.5], [2.0, 2.0], rng)
+
+    def test_trained_model_holds_grids_and_its_bundle_no_trees(self,
+                                                               tmp_path):
+        rows = make_rate_samples()
+        model = train_rate_model({"c1": rows}, {"c1": rows},
+                                 RateHyper(n_estimators=20))
+        assert isinstance(model.ce["c1"].grid, RateGrid)
+        save_rate_model(tmp_path / "rate.json", model)
+        payload = json.loads((tmp_path / "rate.json").read_text())
+        assert payload["version"] == 3 and "bin_edges" not in payload
+        assert set(payload["avg"]["c1"]) == {"grid", "pmf"}
+        assert set(payload["avg"]["c1"]["grid"]) == {"thresholds", "table"}
+
+    def test_version_2_bundle_rejected(self, tmp_path):
+        path = tmp_path / "rate.json"
+        path.write_text(json.dumps({"version": 2, "cutoff": 0.1,
+                                    "bin_edges": [], "avg": {}, "ce": {}}))
+        with pytest.raises(UnsupportedVersionError, match="retrain"):
+            load_rate_model(path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda g: {**g, "table": g["table"][:-4]},           # a short array
+        lambda g: {**g, "table": g["table"][:-1]},           # bad base64
+        lambda g: {**g, "thresholds": g["thresholds"][:1]},
+        lambda g: {**g, "thresholds": [
+            base64.b64encode(np.array([0.5, 0.2], "<f8").tobytes()).decode(),
+            g["thresholds"][1]]},                          # not increasing
+        lambda g: {**g, "table": base64.b64encode(np.full(
+            len(base64.b64decode(g["table"])) // 8, np.nan).tobytes())
+            .decode()},
+        lambda g: {"table": g["table"]},
+    ])
+    def test_corrupt_bundle_rejected(self, tmp_path, damage):
+        rows = make_rate_samples()
+        save_rate_model(tmp_path / "rate.json", train_rate_model(
+            {"c1": rows}, {}, RateHyper(n_estimators=5)))
+        payload = json.loads((tmp_path / "rate.json").read_text())
+        payload["avg"]["c1"]["grid"] = damage(payload["avg"]["c1"]["grid"])
+        (tmp_path / "rate.json").write_text(json.dumps(payload))
+        with pytest.raises(CorruptModelError, match="rate.json: corrupt"):
+            load_rate_model(tmp_path / "rate.json")
+
+    def test_unreadable_bundle_rejected(self, tmp_path):
+        (tmp_path / "rate.json").write_text('{"version": 3, "avg": {')
+        with pytest.raises(CorruptModelError, match="rate.json"):
+            load_rate_model(tmp_path / "rate.json")
 
     def test_old_bundle_version_rejected(self, tmp_path):
         path = tmp_path / "rate.json"
