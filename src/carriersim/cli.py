@@ -67,14 +67,29 @@ _DEFAULTS = {"seed": 0, "runs": 100, "max_steps": 400}
 
 
 def _resolve_settings(ctx_params, config_path):
-    settings = dict(_DEFAULTS)
+    """The global settings: each flag given, else the config file's value,
+    else the default. A config file that is not a JSON object, a value that
+    is not an integer, a negative seed and runs or steps below 1 raise
+    ConfigError naming the file or flag."""
+    settings, source = dict(_DEFAULTS), {}
     if config_path:
-        settings.update({k: v for k, v in
-                         json.loads(Path(config_path).read_text()).items()
-                         if k in _DEFAULTS})
+        try:
+            config = json.loads(Path(config_path).read_text())
+        except ValueError as exc:
+            raise ConfigError(f"{config_path}: not valid JSON ({exc})")
+        if not isinstance(config, dict):
+            raise ConfigError(f"{config_path}: not a JSON object")
+        for key in _DEFAULTS.keys() & config.keys():
+            settings[key], source[key] = config[key], f"{config_path}: {key}"
     for key in _DEFAULTS:
         if ctx_params.get(key) is not None:
             settings[key] = ctx_params[key]
+            source[key] = "--" + key.replace("_", "-")
+    for key, value in settings.items():
+        least = 0 if key == "seed" else 1
+        if type(value) is not int or value < least:
+            raise ConfigError(f"{source[key]}: {value!r} is not an integer "
+                              f"of at least {least}")
     return settings
 
 
@@ -91,8 +106,11 @@ def _resolve_settings(ctx_params, config_path):
 @click.pass_context
 def main(ctx, seed, runs, max_steps, config):
     """Carrier-shutdown energy/throughput modelling pipeline."""
-    ctx.obj = _resolve_settings(
-        {"seed": seed, "runs": runs, "max_steps": max_steps}, config)
+    try:
+        ctx.obj = _resolve_settings(
+            {"seed": seed, "runs": runs, "max_steps": max_steps}, config)
+    except ConfigError as exc:
+        _fail(exc)
 
 
 def _abm_config(settings) -> AbmConfig:

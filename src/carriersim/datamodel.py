@@ -192,13 +192,9 @@ class NetworkConfig:
     def cell(self, cell_id: str) -> Cell:
         return self._cell_index[cell_id]
 
-    @property
+    @functools.cached_property
     def _cell_index(self) -> dict[str, Cell]:
-        idx = getattr(self, "_cell_index_cache", None)
-        if idx is None:
-            idx = {c.id: c for c in self.cells}
-            object.__setattr__(self, "_cell_index_cache", idx)
-        return idx
+        return {c.id: c for c in self.cells}
 
     def _prb_capacity(self, cell_ids: tuple[str, ...]) -> np.ndarray:
         """The cells' (DL, UL) PRB counts as a float array, built once per
@@ -214,15 +210,16 @@ class NetworkConfig:
                                         "is not in the network") from None
         return cache[cell_ids]
 
+    @functools.cached_property
+    def _frequency_index(self) -> dict[float, list[str]]:
+        index: dict[float, list[str]] = {}
+        for c in self.cells:
+            index.setdefault(c.frequency_mhz, []).append(c.id)
+        return index
+
     def cells_on_frequency(self, frequency_mhz: float) -> tuple[str, ...]:
         """Ids of the cells on `frequency_mhz` in cell order, indexed once."""
-        index = self.__dict__.get("_frequency_index")
-        if index is None:
-            index = {}
-            for c in self.cells:
-                index.setdefault(c.frequency_mhz, []).append(c.id)
-            object.__setattr__(self, "_frequency_index", index)
-        return tuple(index.get(frequency_mhz, ()))
+        return tuple(self._frequency_index.get(frequency_mhz, ()))
 
 
 @dataclass(frozen=True, eq=False)

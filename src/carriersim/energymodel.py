@@ -33,6 +33,7 @@ from .datamodel import (
     RadioUnit,
 )
 from .errors import (
+    CorruptModelError,
     EmptyTrainingSetError,
     NonPositiveSigmaError,
     TooManyCarriersError,
@@ -284,13 +285,17 @@ class _Adam:
             w -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def _init_weights(n_in: int, rng: np.random.Generator) -> list[np.ndarray]:
-    def he(fan_in, fan_out):
-        return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+def _layer_shapes(n_in: int) -> list[tuple[int, ...]]:
+    """(w1, b1, w2, b2, w3, b3) shapes of the network on n_in inputs."""
+    return [(n_in, N_HIDDEN_1), (N_HIDDEN_1,), (N_HIDDEN_1, N_HIDDEN_2),
+            (N_HIDDEN_2,), (N_HIDDEN_2, 2), (2,)]
 
-    return [he(n_in, N_HIDDEN_1), np.zeros(N_HIDDEN_1),
-            he(N_HIDDEN_1, N_HIDDEN_2), np.zeros(N_HIDDEN_2),
-            he(N_HIDDEN_2, 2), np.zeros(2)]
+
+def _init_weights(n_in: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """He-normal weight matrices, in layer order, and zero biases."""
+    return [rng.normal(0.0, math.sqrt(2.0 / shape[0]), size=shape)
+            if len(shape) == 2 else np.zeros(shape)
+            for shape in _layer_shapes(n_in)]
 
 
 def train_energy_model(samples, hyper: EnergyHyper = EnergyHyper(),
@@ -394,18 +399,43 @@ def save_energy_model(path, model: EnergyModel) -> None:
 
 
 def load_energy_model(path) -> EnergyModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("version") != _SCHEMA_VERSION:
+    """The model `save_energy_model` wrote. A checkpoint of another version
+    raises UnsupportedVersionError, a damaged one CorruptModelError."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        version = payload.get("version")
+    except (ValueError, AttributeError) as exc:
+        raise CorruptModelError(f"{path}: not an energy model ({exc})")
+    if version != _SCHEMA_VERSION:
         raise UnsupportedVersionError(
-            f"{path}: unsupported checkpoint version {payload.get('version')}")
+            f"{path}: unsupported checkpoint version {version}")
+    try:
+        return _model_from_payload(payload)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptModelError(f"{path}: corrupt energy model ({exc!r}); "
+                                "retrain the models")
+
+
+def _model_from_payload(payload) -> EnergyModel:
+    """The checkpoint's model; ValueError unless its weights have the shapes
+    its `layer_shapes` and its schema imply and every number is finite."""
+    s = payload["schema"]
     schema = EnergyFeatureSchema(
-        radio_types=tuple(payload["schema"]["radio_types"]),
-        tx_modes=tuple(payload["schema"]["tx_modes"]),
-        max_carriers=payload["schema"]["max_carriers"],
-        lo=np.array(payload["schema"]["lo"]),
-        hi=np.array(payload["schema"]["hi"]),
-    )
-    weights = [np.array(w) for w in payload["weights"]]
-    return EnergyModel(weights=weights, y_max=payload["y_max"],
-                       sigma_floor_fraction=payload["sigma_floor_fraction"],
-                       schema=schema)
+        radio_types=tuple(s["radio_types"]), tx_modes=tuple(s["tx_modes"]),
+        max_carriers=s["max_carriers"], lo=np.array(s["lo"], dtype=float),
+        hi=np.array(s["hi"], dtype=float))
+    weights = [np.array(w, dtype=float) for w in payload["weights"]]
+    shapes = [w.shape for w in weights]
+    if shapes != [tuple(x) for x in payload["layer_shapes"]] \
+            or shapes != _layer_shapes(schema.n_features):
+        raise ValueError(f"weight shapes {shapes} do not fit the schema")
+    if not schema.lo.shape == schema.hi.shape == (
+            CARRIER_SLOT_WIDTH * schema.max_carriers,):
+        raise ValueError("scaling statistics do not fit the schema")
+    y_max = float(payload["y_max"])
+    floor = float(payload["sigma_floor_fraction"])
+    if not all(np.isfinite(a).all() for a in
+               (*weights, schema.lo, schema.hi, y_max, floor)):
+        raise ValueError("a weight or scaling number is not finite")
+    return EnergyModel(weights=weights, y_max=y_max,
+                       sigma_floor_fraction=floor, schema=schema)

@@ -90,11 +90,16 @@ def p5_rate_from_bins(counters: Sequence[float],
 
 
 def _walk(feature: np.ndarray, threshold: np.ndarray, X) -> np.ndarray:
-    """Bottom slot per (tree, row), with one vectorised gather per level."""
-    tree = np.arange(len(feature))[:, None]
-    node = np.zeros((len(feature), len(X)), dtype=np.intp)
-    for _ in range(feature.shape[1].bit_length()):
-        left = X[np.arange(len(X)), feature[tree, node]] <= threshold[tree, node]
+    """Bottom slot per (tree, row), with one vectorised gather per level on
+    the flat arrays; a pass-through (feature -1) reads the last feature."""
+    T, inner = feature.shape
+    first = np.arange(T)[:, None] * inner         # each tree's flat offset
+    row, x = np.arange(len(X)) * X.shape[1], X.ravel()
+    feature, threshold = feature.ravel() % X.shape[1], threshold.ravel()
+    node = np.zeros((T, len(X)), dtype=np.intp)
+    for _ in range(inner.bit_length()):
+        at = first + node
+        left = x.take(row + feature.take(at)) <= threshold.take(at)
         node = 2 * node + 2 - left
     return node
 
@@ -386,10 +391,11 @@ def compile_grids(ensembles: Sequence[BoostedEnsemble]) -> list[RateGrid]:
 
 def _grid_tables(batch: Sequence[BoostedEnsemble], axes) -> list[np.ndarray]:
     """The grid tables of ensembles that share a tree shape: each cell's
-    `lr * leaf` terms (see _tree_terms) added to the initial values tree by
-    tree in fit order, as `predict` adds them, one vectorised addition per
-    tree over the (padded) grids of the batch; _COMPILE_TREES trees at a
-    time, which bounds the arrays.
+    `lr * leaf` terms, found by walking the trees on segment numbers (see
+    _tree_terms), added to the initial values tree by tree in fit order, as
+    `predict` adds them, one vectorised addition per tree over the (padded)
+    grids of the batch; _COMPILE_TREES trees at a time, which bounds the
+    arrays.
 
     On feature f, grid position i stands for t[i], or for the points past
     t[-1] when i = len(t); so `x <= t[r]` is `i <= r`."""
@@ -419,13 +425,12 @@ def _tree_terms(feature, value, rank, W, lr):
     own segments, and each grid position's offset into them.
 
     A tree's own thresholds cut each axis into segments, and position i
-    lies in segment s, the number of them below it. Each bottom slot of the
-    tree covers a box of segments, narrowed level by level down the heap (a
-    pass-through's right child is empty). The boxes tile the segment grid,
-    so painting each box's slot number into a 2-D difference array and
-    summing it along both axes gives every segment pair's slot."""
-    T, E, inner = feature.shape
-    segment, seg_rank = [], np.zeros_like(rank)
+    lies in segment s, the number of them below it; so `i <= r` is `s <=`
+    the segment of r. One `_walk` of every segment pair, each split's
+    threshold its segment and a pass-through's a number above every
+    segment, gives each pair's bottom slot."""
+    T, E, _ = feature.shape
+    segment, seg_rank = [], np.full(rank.shape, W.sum())
     for f in range(2):
         cut = np.zeros((T, E, W[f]), dtype=np.intp)
         on = feature == f
@@ -434,34 +439,8 @@ def _tree_terms(feature, value, rank, W, lr):
         segment.append(cut.cumsum(axis=2) - cut)
         seg_rank[on] = segment[f][at]
     K = np.array([s[..., -1].max(initial=0) + 1 for s in segment])
-    axis = feature[..., None] == np.arange(2)               # split axis
-    cut_hi = np.where(axis, seg_rank[..., None], K.sum())  # left: s <= r
-    cut_lo = np.where(axis, seg_rank[..., None] + 1,       # right: s > r
-                      np.where(feature[..., None] < 0, K.sum(), 0))
-    lo = np.zeros((T, E, 2 * inner + 1, 2), dtype=np.intp)
-    hi = np.empty_like(lo)
-    hi[:, :, 0] = K - 1
-    for first in (2 ** d - 1 for d in range(inner.bit_length())):
-        up = slice(first, 2 * first + 1)
-        left = slice(2 * first + 1, 4 * first + 3, 2)
-        right = slice(2 * first + 2, 4 * first + 3, 2)
-        lo[:, :, left], hi[:, :, right] = lo[:, :, up], hi[:, :, up]
-        hi[:, :, left] = np.minimum(hi[:, :, up], cut_hi[:, :, up])
-        lo[:, :, right] = np.maximum(lo[:, :, up], cut_lo[:, :, up])
-    lo, hi = lo[:, :, inner:], hi[:, :, inner:] + 1          # bottom slots
-    box = (lo < hi).all(-1, keepdims=True)
-    lo, hi = lo * box, hi * box                    # empty boxes paint nothing
-    slot = np.where(box[..., 0], np.arange(inner, 2 * inner + 1), 0)
-    # box [lo, hi): +slot at (lo0, lo1) and (hi0, hi1), -slot at the others
-    corners = [(lo[..., 0], lo[..., 1], slot), (hi[..., 0], hi[..., 1], slot),
-               (lo[..., 0], hi[..., 1], -slot), (hi[..., 0], lo[..., 1], -slot)]
-    D = K + 1                                      # difference array shape
-    base = np.arange(T * E).reshape(T, E, 1) * D.prod()
-    painted = np.bincount(
-        np.concatenate([(base + a * D[1] + b).ravel() for a, b, _ in corners]),
-        np.concatenate([w.ravel() for _, _, w in corners]),
-        minlength=T * E * D.prod()).reshape(T * E, *D)
-    slots = painted.cumsum(1).cumsum(2)[:, :-1, :-1].astype(np.intp)
+    slots = _walk(feature.reshape(T * E, -1), seg_rank.reshape(T * E, -1),
+                  np.indices(K).reshape(2, -1).T)
     terms = lr * np.take_along_axis(value, slots.reshape(T, E, K.prod()),
                                     axis=2)
     rows = np.arange(E)[:, None] * K.prod() + segment[0] * K[1]

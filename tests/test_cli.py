@@ -27,6 +27,33 @@ SPEC = {"n_capacity": 3, "n_coverage": 2, "n_days": 3,
         "reports_per_cell_hour": 6}
 
 
+ENERGY_DAMAGE = ["half the file", "a missing key", "w1 a row short",
+                 "w1 and its layer shape a row short", "a NaN weight",
+                 "an infinite y_max", "a NaN lo", "an infinite hi"]
+
+
+def damage_energy_checkpoint(text, damage):
+    """The energy_model.json text with one of ENERGY_DAMAGE done to it."""
+    if damage == "half the file":
+        return text[:len(text) // 2]
+    payload = json.loads(text)
+    if damage == "a missing key":
+        del payload["schema"]["tx_modes"]
+    elif damage.startswith("w1"):
+        payload["weights"][0].pop()
+        if "layer shape" in damage:     # the shapes agree, the schema not
+            payload["layer_shapes"][0][0] -= 1
+    elif damage == "a NaN weight":
+        payload["weights"][2][0][0] = float("nan")
+    elif damage == "an infinite y_max":
+        payload["y_max"] = float("inf")
+    elif damage == "a NaN lo":
+        payload["schema"]["lo"][0] = float("nan")
+    else:
+        payload["schema"]["hi"][-1] = float("-inf")
+    return json.dumps(payload)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One generated scenario with trained models, shared across tests."""
@@ -252,6 +279,21 @@ class TestSimulate:
         assert isinstance(r.exception, SystemExit)
         assert "error:" in r.output and "rate_model.json" in r.output
 
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    @pytest.mark.parametrize("damage", ENERGY_DAMAGE)
+    def test_damaged_energy_checkpoint_fails_cleanly(self, pipeline, tmp_path,
+                                                     command, damage):
+        models = copy_dir(pipeline / "models", tmp_path / "models")
+        path = models / "energy_model.json"
+        path.write_text(damage_energy_checkpoint(path.read_text(), damage))
+        r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, command,
+                    "--data", pipeline / "data", "--models", models,
+                    "--out", tmp_path / "o")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert "error:" in r.output and "energy_model.json" in r.output
+        assert not (tmp_path / "o").exists()
+
     def test_same_seed_byte_identical_outputs(self, pipeline, tmp_path):
         outs = []
         for name in ("r1", "r2"):
@@ -471,6 +513,33 @@ class TestConfigFile:
         assert r.exit_code == 0, r.output
         assert dir_bytes(tmp_path / "via_config") == \
             dir_bytes(tmp_path / "via_flags")
+
+    @pytest.mark.parametrize("config, flags, named", [
+        ('{"runs": 3', [], "config.json"),
+        ("[3, 60]", [], "config.json"),
+        ('{"runs": "ten"}', [], "config.json: runs"),
+        ('{"max_steps": true}', [], "config.json: max_steps"),
+        ('{"seed": 1.5}', [], "config.json: seed"),
+        ('{"runs": 0}', [], "config.json: runs"),
+        ('{"max_steps": -4}', [], "config.json: max_steps"),
+        ('{"seed": -1}', [], "config.json: seed"),
+        ('{"runs": 3}', ["--runs", 0], "--runs"),
+        (None, ["--max-steps", 0], "--max-steps"),
+        (None, ["--seed", -2], "--seed"),
+    ])
+    def test_bad_settings_fail_cleanly(self, tmp_path, config, flags, named):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_capacity": 2, "n_coverage": 1,
+                                    "n_days": 1, "reports_per_cell_hour": 4}))
+        if config is not None:
+            (tmp_path / "config.json").write_text(config)
+            flags = ["--config", tmp_path / "config.json", *flags]
+        r = run_cli(*flags, "generate", "--spec", spec,
+                    "--out", tmp_path / "o")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert "error:" in r.output and named in r.output
+        assert not (tmp_path / "o").exists()
 
     def test_env_var_points_at_config(self, tmp_path, monkeypatch):
         spec = tmp_path / "spec.json"

@@ -19,8 +19,9 @@ network's pinned day and baseline are pinned too: the hourly reports, the
 truth tables of the day's runs, and compare's report.json and profiles.csv
 of both estimators' means against them. The CLI's model outputs are pinned
 on whatif's spec and on the default ScenarioSpec (seed 7, the stages as
-perfbench's whatif workload runs them): train's held-out metrics and
-simulate's predictions.csv, with and without an overrides file.
+perfbench's whatif workload runs them): train's rate and energy model
+files and held-out metrics, and simulate's predictions.csv, with and
+without an overrides file.
 A change to the ABM, the baseline or the generator that is meant to keep the
 outputs must keep these digests; a change that is meant to move them updates
 them and says why.
@@ -135,12 +136,20 @@ CLI_OVERRIDES = {"thresholds": {"cap001": {"entry_dl_prb": 104.0,
                                            "leave_dl_prb": 78.0}},
                  "a4": {"cap001": {"threshold_dbm": -97.5}}}
 CLI_SHA256 = {
+    ("whatif", "models/rate_model.json"):
+        "4ab9fe8c7921d7d590fa6f930e1ee54ffc68eb13eb8382a6a7ac1dbe3be9895e",
+    ("whatif", "models/energy_model.json"):
+        "bf31d47f14cc4c548fbe04012ac2c703f2d9372d72292c375221c49bd0837fc2",
     ("whatif", "models/train_metrics.json"):
         "d6115b06e047e9f60064da7f77205cd70710f394a4aa8bbfbd5b87f4f688e697",
     ("whatif", "q0/predictions.csv"):
         "99d2f9369127d8dd46993b7caa87078fb9a4a4ffb4ecdc86dcd38cf304c94c95",
     ("whatif", "q1/predictions.csv"):
         "7a6969596b0328c026401674bef6bfbbdb92a8bf1e49f385806857d07a027b04",
+    ("default", "models/rate_model.json"):
+        "3ea3eda2e856510ec4e74048ef219bea1ea1c057c621545c0164ff015f10fb77",
+    ("default", "models/energy_model.json"):
+        "66bce060d456d07bc66fa2d5b4dbbff049facfd235bb3aade24b1da77685a60e",
     ("default", "models/train_metrics.json"):
         "ac9e0b5f87c0a8dc87cb1706076da3492365bf7420c7064be35c965f144b820d",
     ("default", "q0/predictions.csv"):
@@ -308,7 +317,9 @@ def cli_outputs(request, tmp_path_factory):
     return request.param, out
 
 
-@pytest.mark.parametrize("name", ["models/train_metrics.json",
+@pytest.mark.parametrize("name", ["models/rate_model.json",
+                                  "models/energy_model.json",
+                                  "models/train_metrics.json",
                                   "q0/predictions.csv", "q1/predictions.csv"])
 def test_cli_model_outputs_are_pinned(cli_outputs, name):
     spec, out = cli_outputs
