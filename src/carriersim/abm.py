@@ -188,7 +188,8 @@ class RunState:
     contribution ledger and replay log. Configuration and counters are
     lists; the frozen entry checks and margins are arrays. The ledger maps a
     cell to the contributions it hosts and gets a list at its first one;
-    `origin_hosts` lists per capacity cell the set of cells hosting its UEs.
+    `origin_hosts` maps a capacity cell to the set of cells hosting its UEs
+    and gets a set at its first move.
     The replay log shares the drawn base arrays, which nothing mutates, and
     records the events only when `record` is true."""
 
@@ -212,7 +213,7 @@ class RunState:
             base_ul[paired], net.th)
         self.sd_margin = net.th.entry_dl_prb - (base_dl[cap] + base_dl[paired])
         self.contribs: dict[int, list] = defaultdict(list)
-        self.origin_hosts = [set() for _ in range(net.n_cap)]
+        self.origin_hosts: dict[int, set] = defaultdict(set)
         self.replay = ReplayLog(hour, base_ue, base_dl, base_ul,
                                 [] if record else None)
 
@@ -347,7 +348,7 @@ def _apply_shutdown(state: RunState, a: int, moves, step: int) -> set[int]:
 def _reactivate(state: RunState, a: int, step: int) -> Iterable[int]:
     """Bring `a` back; returns the cells that hosted its UEs."""
     g = state.net.cap_cell[a]
-    hosts, state.origin_hosts[a] = state.origin_hosts[a], set()
+    hosts = state.origin_hosts.pop(a, ())
     for h in hosts:
         state.contribs[h] = [e for e in state.contribs[h] if e[0] != a]
         state._refold(h)

@@ -7,6 +7,7 @@ explicit flags win. Every command is deterministic given its inputs and seed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -66,6 +67,18 @@ from .rules import build_handover_model_for_hours
 _DEFAULTS = {"seed": 0, "runs": 100, "max_steps": 400}
 
 
+def _json_object(path) -> dict:
+    """The JSON object in `path`; ConfigError naming the file if it is not
+    valid JSON or not an object."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    return value
+
+
 def _resolve_settings(ctx_params, config_path):
     """The global settings: each flag given, else the config file's value,
     else the default. A config file that is not a JSON object, a value that
@@ -73,12 +86,7 @@ def _resolve_settings(ctx_params, config_path):
     ConfigError naming the file or flag."""
     settings, source = dict(_DEFAULTS), {}
     if config_path:
-        try:
-            config = json.loads(Path(config_path).read_text())
-        except ValueError as exc:
-            raise ConfigError(f"{config_path}: not valid JSON ({exc})")
-        if not isinstance(config, dict):
-            raise ConfigError(f"{config_path}: not a JSON object")
+        config = _json_object(config_path)
         for key in _DEFAULTS.keys() & config.keys():
             settings[key], source[key] = config[key], f"{config_path}: {key}"
     for key in _DEFAULTS:
@@ -91,6 +99,27 @@ def _resolve_settings(ctx_params, config_path):
             raise ConfigError(f"{source[key]}: {value!r} is not an integer "
                               f"of at least {least}")
     return settings
+
+
+def _read_spec(spec_path) -> ScenarioSpec:
+    """The scenario spec in `spec_path`, defaults for the fields it omits.
+    A file that is not a JSON object, an unknown field, an int field that is
+    not an integer (a bool or float included) and a float field that is not
+    a finite number raise ConfigError naming the file and field."""
+    fields = _json_object(spec_path)
+    kinds = {f.name: type(f.default) for f in dataclasses.fields(ScenarioSpec)}
+    for key, value in fields.items():
+        if key not in kinds:
+            raise ConfigError(f"{spec_path}: unknown scenario field {key!r}")
+        if kinds[key] is int:
+            if type(value) is not int:
+                raise ConfigError(f"{spec_path}: {key}: {value!r} is not an "
+                                  "integer")
+        elif type(value) not in (int, float) \
+                or not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{spec_path}: {key}: {value!r} is not a finite "
+                              "number")
+    return ScenarioSpec(**fields)
 
 
 @click.group()
@@ -133,12 +162,8 @@ def _fail(exc) -> None:
 @click.pass_obj
 def generate(settings, spec_path, out, truth):
     """Generate a synthetic scenario with known ground-truth laws."""
-    fields = json.loads(Path(spec_path).read_text()) if spec_path else {}
     try:
-        spec = ScenarioSpec(**fields)
-    except TypeError as exc:
-        _fail(f"bad scenario spec: {exc}")
-    try:
+        spec = _read_spec(spec_path) if spec_path else ScenarioSpec()
         scenario = generate_scenario(spec, out, seed=settings["seed"])
         if truth:
             tables = ground_truth_replay(scenario, _abm_config(settings))

@@ -3,10 +3,13 @@ the mean and standard deviation of a Gaussian over the measured energy.
 
 The network is trained by minimizing the Gaussian negative log-likelihood
     l(y, mu, sigma) = log(sigma) + (y - mu)^2 / (2 sigma^2)
-with adaptive-moment gradient descent and early stopping on a held-out
-validation split. Targets are scaled to [0, 1] by the training maximum so the
-sigmoid output layer can cover them; predictions are scaled back and the
-sigma output is floored at a small fraction of the target scale.
+with Adam (adaptive-moment gradient descent) over one flat parameter vector,
+whose views are the six weight and bias arrays, and early stopping on a
+held-out validation split. `nll_loss` and `nll_gradient`, elementwise over
+scalars or arrays, are the one definition of the loss and its gradient.
+Targets are scaled to [0, 1] by the training maximum so the sigmoid output
+layer can cover them; predictions are scaled back and the sigma output is
+floored at a small fraction of the target scale.
 
 Inputs are one vector per radio unit and hour: a one-hot over radio types
 followed by fixed-width per-carrier slots (TRX count, transmission-mode code,
@@ -45,6 +48,9 @@ CARRIER_SLOT_WIDTH = 10
 N_HIDDEN_1 = 40
 N_HIDDEN_2 = 15
 SIGMA_FLOOR_FRACTION = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 _SCHEMA_VERSION = 1
 
@@ -53,17 +59,23 @@ _SCHEMA_VERSION = 1
 # Loss
 
 
-def nll_loss(y: float, mu: float, sigma: float) -> float:
-    """Gaussian negative log-likelihood up to the constant log(sqrt(2 pi))."""
-    if sigma <= 0:
-        raise NonPositiveSigmaError(f"sigma must be positive, got {sigma}")
-    return math.log(sigma) + (y - mu) ** 2 / (2.0 * sigma ** 2)
+def _check_sigma(sigma) -> None:
+    if np.any(sigma <= 0):
+        raise NonPositiveSigmaError(
+            f"sigma must be positive, got {np.min(sigma)}")
 
 
-def nll_gradient(y: float, mu: float, sigma: float) -> tuple[float, float]:
-    """Analytic (d l / d mu, d l / d sigma)."""
-    if sigma <= 0:
-        raise NonPositiveSigmaError(f"sigma must be positive, got {sigma}")
+def nll_loss(y, mu, sigma):
+    """Gaussian negative log-likelihood up to the constant log(sqrt(2 pi)),
+    elementwise over scalars or arrays."""
+    _check_sigma(sigma)
+    return np.log(sigma) + (y - mu) ** 2 / (2.0 * sigma ** 2)
+
+
+def nll_gradient(y, mu, sigma):
+    """Analytic (d l / d mu, d l / d sigma), elementwise over scalars or
+    arrays."""
+    _check_sigma(sigma)
     dmu = (mu - y) / sigma ** 2
     dsigma = 1.0 / sigma - (y - mu) ** 2 / sigma ** 3
     return dmu, dsigma
@@ -235,54 +247,17 @@ def _forward(weights, X, floor):
     return mu, sigma, (X, h1, h2, s)
 
 
-def _loss_value(weights, X, y, floor) -> float:
-    mu, sigma, _ = _forward(weights, X, floor)
-    return float(np.mean(np.log(sigma) + (y - mu) ** 2 / (2.0 * sigma ** 2)))
-
-
-def _loss_and_grads(weights, X, y, floor):
-    w1, b1, w2, b2, w3, b3 = weights
+def _gradient(weights, X, y, floor) -> np.ndarray:
+    """The flat gradient of the mean NLL over the rows of X, in the layout
+    of `_init_weights`' parameter vector."""
+    w2, w3 = weights[2], weights[4]
     mu, sigma, (X0, h1, h2, s) = _forward(weights, X, floor)
-    n = len(y)
-    loss = float(np.mean(np.log(sigma) + (y - mu) ** 2 / (2.0 * sigma ** 2)))
-    dmu = (mu - y) / sigma ** 2 / n
-    dsigma = (1.0 / sigma - (y - mu) ** 2 / sigma ** 3) / n
-    dz3 = np.empty((n, 2))
-    dz3[:, 0] = dmu * s[:, 0] * (1.0 - s[:, 0])
-    dz3[:, 1] = dsigma * s[:, 1] * (1.0 - s[:, 1])
-    gw3 = h2.T @ dz3
-    gb3 = dz3.sum(axis=0)
-    dh2 = dz3 @ w3.T
-    dz2 = dh2 * (h2 > 0)
-    gw2 = h1.T @ dz2
-    gb2 = dz2.sum(axis=0)
-    dh1 = dz2 @ w2.T
-    dz1 = dh1 * (h1 > 0)
-    gw1 = X0.T @ dz1
-    gb1 = dz1.sum(axis=0)
-    return loss, [gw1, gb1, gw2, gb2, gw3, gb3]
-
-
-class _Adam:
-    def __init__(self, shapes, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self.t = 0
-
-    def step(self, weights, grads):
-        self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
-        for w, g, m, v in zip(weights, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            w -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+    dz3 = np.stack(nll_gradient(y, mu, sigma), axis=1) / len(y) * s * (1.0 - s)
+    dz2 = (dz3 @ w3.T) * (h2 > 0)
+    dz1 = (dz2 @ w2.T) * (h1 > 0)
+    return np.concatenate([
+        (X0.T @ dz1).ravel(), dz1.sum(axis=0), (h1.T @ dz2).ravel(),
+        dz2.sum(axis=0), (h2.T @ dz3).ravel(), dz3.sum(axis=0)])
 
 
 def _layer_shapes(n_in: int) -> list[tuple[int, ...]]:
@@ -291,11 +266,24 @@ def _layer_shapes(n_in: int) -> list[tuple[int, ...]]:
             (N_HIDDEN_2,), (N_HIDDEN_2, 2), (2,)]
 
 
-def _init_weights(n_in: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """He-normal weight matrices, in layer order, and zero biases."""
-    return [rng.normal(0.0, math.sqrt(2.0 / shape[0]), size=shape)
-            if len(shape) == 2 else np.zeros(shape)
-            for shape in _layer_shapes(n_in)]
+def _layers(theta: np.ndarray, n_in: int) -> list[np.ndarray]:
+    """The (w1, b1, w2, b2, w3, b3) views of the parameter vector theta."""
+    layers, start = [], 0
+    for shape in _layer_shapes(n_in):
+        size = math.prod(shape)
+        layers.append(theta[start:start + size].reshape(shape))
+        start += size
+    return layers
+
+
+def _init_weights(n_in: int, rng: np.random.Generator) -> np.ndarray:
+    """The parameter vector: He-normal weight matrices, in layer order, and
+    zero biases."""
+    theta = np.zeros(sum(math.prod(shape) for shape in _layer_shapes(n_in)))
+    for w in _layers(theta, n_in):
+        if w.ndim == 2:
+            w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+    return theta
 
 
 def train_energy_model(samples, hyper: EnergyHyper = EnergyHyper(),
@@ -328,24 +316,34 @@ def train_energy_model(samples, hyper: EnergyHyper = EnergyHyper(),
     X_tr, y_tr = X[train_idx], y_n[train_idx]
     X_val, y_val = X[val_idx], y_n[val_idx]
 
-    weights = _init_weights(X.shape[1], rng)
-    adam = _Adam([w.shape for w in weights], hyper.learning_rate)
-    best = [math.inf, 0, [w.copy() for w in weights]]
+    n_in = X.shape[1]
+    theta = _init_weights(n_in, rng)
+    weights = _layers(theta, n_in)
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    t = 0
+    best = [math.inf, 0, theta.copy()]
     history: list[tuple[int, float]] = []
     n_tr = len(y_tr)
     for epoch in range(1, hyper.max_epochs + 1):
         perm = rng.permutation(n_tr)
         for start in range(0, n_tr, hyper.batch_size):
             batch = perm[start:start + hyper.batch_size]
-            _, grads = _loss_and_grads(weights, X_tr[batch], y_tr[batch], floor)
-            adam.step(weights, grads)
-        val_loss = _loss_value(weights, X_val, y_val, floor)
+            g = _gradient(weights, X_tr[batch], y_tr[batch], floor)
+            t += 1
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            theta -= hyper.learning_rate * (m / (1.0 - ADAM_BETA1 ** t)) / (
+                np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
+        mu, sigma, _ = _forward(weights, X_val, floor)
+        val_loss = float(np.mean(nll_loss(y_val, mu, sigma)))
         if val_loss < best[0]:
-            best = [val_loss, epoch, [w.copy() for w in weights]]
+            best = [val_loss, epoch, theta.copy()]
             history.append((epoch, val_loss))
         elif epoch - best[1] >= hyper.patience:
             break
-    return EnergyModel(weights=best[2], y_max=y_max,
+    return EnergyModel(weights=_layers(best[2], n_in), y_max=y_max,
                        sigma_floor_fraction=floor, schema=schema,
                        history=history)
 

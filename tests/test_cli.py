@@ -97,6 +97,35 @@ class TestGenerate:
         r = run_cli("generate", "--spec", spec, "--out", tmp_path / "o")
         assert r.exit_code == 1
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"n_capacity": 2', "spec.json: not valid JSON"),
+        ("[2, 1]", "spec.json: not a JSON object"),
+        ('{"n_capacity": "two"}', "spec.json: n_capacity"),
+        ('{"n_capacity": true, "n_coverage": 1, "n_days": 1}',
+         "spec.json: n_capacity"),
+        ('{"n_capacity": 2, "n_coverage": 1, "n_days": 1.0}',
+         "spec.json: n_days"),
+        ('{"n_capacity": 2, "n_coverage": 1, "n_days": 1, '
+         '"reports_per_cell_hour": "4"}', "spec.json: reports_per_cell_hour"),
+        ('{"n_capacity": 2, "n_coverage": 1, "n_days": 1, '
+         '"traffic_noise": false}', "spec.json: traffic_noise"),
+        ('{"n_capacity": 2, "n_coverage": 1, "n_days": 1, '
+         '"entry_ue": "12"}', "spec.json: entry_ue"),
+        ('{"n_capacity": 2, "n_coverage": 1, "n_days": 1, '
+         '"a4_threshold_dbm": NaN}', "spec.json: a4_threshold_dbm"),
+        ('{"n_capacity": 2, "n_coverage": 1, "n_days": 1, '
+         '"energy_noise_wh": 1e400}', "spec.json: energy_noise_wh"),
+    ])
+    def test_bad_spec_file_fails_cleanly(self, tmp_path, text, named):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        r = run_cli("generate", "--no-truth", "--spec", spec,
+                    "--out", tmp_path / "o")
+        assert r.exit_code == 1
+        assert isinstance(r.exception, SystemExit)
+        assert "error:" in r.output and named in r.output
+        assert not (tmp_path / "o").exists()
+
     def test_same_seed_identical_output_dirs(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_capacity": 2, "n_coverage": 1,

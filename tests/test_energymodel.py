@@ -5,8 +5,10 @@ import pytest
 
 from carriersim.energymodel import (
     EnergyHyper,
-    _loss_and_grads,
-    _loss_value,
+    _forward,
+    _gradient,
+    _init_weights,
+    _layers,
     build_energy_samples,
     carrier_order,
     encode_features,
@@ -29,6 +31,12 @@ from carriersim.errors import (
 from conftest import make_network
 
 
+def array_points(n=40):
+    rng = np.random.default_rng(5)
+    return (rng.uniform(-5, 5, n), rng.uniform(-5, 5, n),
+            rng.uniform(0.1, 3.0, n))
+
+
 class TestNllLoss:
     def test_zero_error_unit_sigma(self):
         assert nll_loss(1.0, 1.0, 1.0) == 0.0
@@ -44,6 +52,22 @@ class TestNllLoss:
             nll_loss(0.0, 0.0, 0.0)
         with pytest.raises(NonPositiveSigmaError):
             nll_gradient(0.0, 0.0, -1.0)
+
+    def test_elementwise_equals_scalar_calls(self):
+        y, mu, sigma = array_points()
+        losses = nll_loss(y, mu, sigma)
+        assert losses.shape == y.shape
+        for k, point in enumerate(zip(y.tolist(), mu.tolist(), sigma.tolist())):
+            assert losses[k] == nll_loss(*point)
+
+    def test_one_nonpositive_sigma_in_an_array_rejected(self):
+        y, mu, sigma = array_points()
+        for bad in (0.0, -1e-12):
+            sigma[17] = bad
+            with pytest.raises(NonPositiveSigmaError):
+                nll_loss(y, mu, sigma)
+            with pytest.raises(NonPositiveSigmaError):
+                nll_gradient(y, mu, sigma)
 
 
 class TestNllGradient:
@@ -68,6 +92,12 @@ class TestNllGradient:
             fd_sigma = (nll_loss(y, mu, sigma + h) - nll_loss(y, mu, sigma - h)) / (2 * h)
             assert dmu == pytest.approx(fd_mu, rel=1e-6, abs=1e-8)
             assert dsigma == pytest.approx(fd_sigma, rel=1e-6, abs=1e-8)
+
+    def test_elementwise_equals_scalar_calls(self):
+        y, mu, sigma = array_points()
+        dmu, dsigma = nll_gradient(y, mu, sigma)
+        for k, point in enumerate(zip(y.tolist(), mu.tolist(), sigma.tolist())):
+            assert (dmu[k], dsigma[k]) == nll_gradient(*point)
 
 
 def schema_fixture(n_capacity=2, n_coverage=1):
@@ -169,13 +199,17 @@ class TestNetworkGradients:
     def test_full_network_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         n_in, n = 7, 12
-        from carriersim.energymodel import _init_weights
-
-        weights = _init_weights(n_in, rng)
+        theta = _init_weights(n_in, rng)
+        weights = _layers(theta, n_in)
         X = rng.normal(size=(n, n_in))
         y = rng.uniform(0.2, 0.8, size=n)
         floor = 1e-3
-        _, grads = _loss_and_grads(weights, X, y, floor)
+
+        def loss():
+            mu, sigma, _ = _forward(weights, X, floor)
+            return np.mean(nll_loss(y, mu, sigma))
+
+        grads = _layers(_gradient(weights, X, y, floor), n_in)
         h = 1e-5
         for wi in range(len(weights)):
             flat = weights[wi].reshape(-1)
@@ -183,9 +217,9 @@ class TestNetworkGradients:
             for j in range(0, flat.size, max(1, flat.size // 5)):
                 orig = flat[j]
                 flat[j] = orig + h
-                up = _loss_value(weights, X, y, floor)
+                up = loss()
                 flat[j] = orig - h
-                down = _loss_value(weights, X, y, floor)
+                down = loss()
                 flat[j] = orig
                 fd = (up - down) / (2 * h)
                 assert gflat[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
