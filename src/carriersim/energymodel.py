@@ -205,6 +205,23 @@ def build_energy_samples(cfg: NetworkConfig, kpis: HourlyRows,
     return samples
 
 
+def samples_from_means(cfg: NetworkConfig, dl_load: Mapping[tuple, float],
+                       cs_minutes: Mapping[tuple, float],
+                       ) -> dict[tuple[str, int], RadioHourSample]:
+    """Each radio unit's row per hour 1-24, keyed (radio id, hour), from its
+    carriers' hourly means keyed (cell id, hour): DL PRB load clamped to
+    [0, 1] and shutdown minutes over 60."""
+    out = {}
+    for radio in cfg.radio_units:
+        cells = tuple(cfg.cell(cid) for cid in radio.cell_ids)
+        for hour in range(1, 25):
+            out[radio.id, hour] = RadioHourSample(
+                radio, cells,
+                {c.id: min(max(dl_load[c.id, hour], 0.0), 1.0) for c in cells},
+                {c.id: cs_minutes[c.id, hour] / 60.0 for c in cells})
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Network
 
@@ -357,6 +374,15 @@ def predict_energy(model: EnergyModel, features: np.ndarray,
     X = np.asarray(features, dtype=float).reshape(1, -1)
     mu, sigma, _ = _forward(model.weights, X, model.sigma_floor_fraction)
     return float(mu[0] * model.y_max), float(sigma[0] * model.y_max)
+
+
+def predict_mean_energy(model: EnergyModel,
+                        rows: Sequence[RadioHourSample]) -> list[float]:
+    """Predicted mu in Wh of each row, one `predict_energy` call per row: a
+    batched forward pass would round differently."""
+    return [predict_energy(model, encode_features(
+        model.schema, r.radio, r.cells, r.dl_loads, r.cs_fractions))[0]
+        for r in rows]
 
 
 def fit_radio_energy_model(cfg: NetworkConfig, kpis: HourlyRows,

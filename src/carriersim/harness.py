@@ -23,31 +23,21 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .abm import AbmConfig, HourlyOutputs, simulate_day
+from .abm import AbmConfig, HourlyOutputs, mean_tables, simulate_day
 from .datamodel import (
-    A4Params,
-    Cell,
-    N_RATE_BINS,
-    HourlyRows,
-    MeasurementReports,
-    NetworkConfig,
-    RadioUnit,
-    ShutdownThresholds,
-    TrafficModel,
-    _read_keyed,
-    _write_rows,
-    write_datasets,
-    write_energy,
-    write_kpis,
-)
-from .errors import (
-    EmptySeriesError,
-    InvalidSpecError,
-    KeyMismatchError,
-    LengthMismatchError,
-)
-from .ratemodel import DEFAULT_BIN_EDGES
-from .rules import build_handover_model_for_hours
+    A4Params, Cell, N_RATE_BINS, HourlyRows, MeasurementReports, NetworkConfig,
+    RadioUnit, ShutdownThresholds, TrafficModel, _read_keyed, _write_rows,
+    apply_overrides, fit_traffic_model, write_datasets, write_energy,
+    write_kpis)
+from .energymodel import (EnergyHyper, EnergyModel, build_energy_samples,
+                          fit_radio_energy_model, predict_mean_energy,
+                          samples_from_means)
+from .errors import (EmptySeriesError, InvalidSpecError, KeyMismatchError,
+                     LengthMismatchError)
+from .ratemodel import (DEFAULT_BIN_EDGES, RateModel, build_rate_samples,
+                        mean_rate_by_cell, predict_mean_rates,
+                        train_rate_model)
+from .rules import HandoverModel, build_handover_model_for_hours
 
 REFERENCE_RUNS_FACTOR = 10
 REFERENCE_SEED_OFFSET = 1_000_003
@@ -544,6 +534,92 @@ def read_truth(path) -> dict[str, KpiTable]:
 
 
 # ---------------------------------------------------------------------------
+# Pipeline stages: `train`, `simulate` and `benchmark` on parsed files
+
+
+TRAIN_DAYS_FRACTION = 0.8
+
+
+def chronological_split(rows: HourlyRows) -> tuple[HourlyRows, HourlyRows]:
+    """The rows of the first 80% of the days (at least one), and the rest."""
+    days = np.unique(rows.day)
+    cut = max(1, int(round(TRAIN_DAYS_FRACTION * len(days))))
+    train = np.isin(rows.day, days[:cut])
+    return rows.select(train), rows.select(~train)
+
+
+def train_models(cfg: NetworkConfig, kpis: HourlyRows, energies: HourlyRows,
+                 seed: int) -> tuple[EnergyModel, RateModel, dict]:
+    """The energy and rate models fitted on the training days (see
+    chronological_split), and their errors on the later days, None where
+    no row is left: energy MAE and MAPE, and the mean-rate MAE."""
+    kpi_train, kpi_test = chronological_split(kpis)
+    energy_train, energy_test = chronological_split(energies)
+    energy_model = fit_radio_energy_model(cfg, kpi_train, energy_train,
+                                          EnergyHyper(seed=seed))
+    rate_model = train_rate_model(*build_rate_samples(cfg, kpi_train))
+    metrics = dict.fromkeys(["energy_test_mae_wh", "energy_test_mape_percent",
+                             "rate_test_mae_mbps"])
+    rows = build_energy_samples(cfg, kpi_test, energy_test)
+    if rows:
+        r = mae_mape(predict_mean_energy(energy_model, rows),
+                     [row.energy_wh for row in rows])
+        metrics.update(energy_test_mae_wh=r.mae,
+                       energy_test_mape_percent=r.mape)
+    samples = {(cell, k): s for cell, cell_rows in build_rate_samples(
+        cfg, kpi_test)[0].items() for k, s in enumerate(cell_rows)}
+    rates = predict_mean_rates(
+        rate_model, {key: s.dl_prb_load for key, s in samples.items()},
+        {key: s.rrc_ues for key, s in samples.items()},
+        np.random.default_rng(0))
+    if rates:
+        metrics["rate_test_mae_mbps"] = mae_mape(
+            list(rates.values()), [samples[k].rate_mbps for k in rates]).mae
+    return energy_model, rate_model, metrics
+
+
+def prepare_network(cfg: NetworkConfig, kpis: HourlyRows,
+                    mrs: MeasurementReports, overrides: Mapping,
+                    ) -> tuple[NetworkConfig, TrafficModel, HandoverModel]:
+    """The network a query simulates: `cfg` with `overrides` applied (see
+    apply_overrides), the traffic model fitted on `kpis` and the handover
+    model voted from `mrs` under the overridden A4 parameters."""
+    cfg = apply_overrides(cfg, overrides)
+    return (cfg, fit_traffic_model(kpis),
+            build_handover_model_for_hours(cfg, mrs))
+
+
+def _predictions(cfg, tables, energy_model, rates) -> dict[str, KpiTable]:
+    rows = samples_from_means(cfg, tables["dl_load"], tables["cs_minutes"])
+    return {"energy_wh": dict(zip(rows, predict_mean_energy(
+        energy_model, list(rows.values())))), "rate_mbps": rates}
+
+
+def abm_predictions(cfg: NetworkConfig, outputs: Sequence[HourlyOutputs],
+                    energy_model: EnergyModel, rate_model: RateModel,
+                    seed: int) -> dict[str, KpiTable]:
+    """`simulate`'s predictions.csv tables: energy per (radio, hour) and
+    mean rate per (cell, hour) on the runs' hourly means, the PMF draws
+    from the generator seeded [seed, 0x51]."""
+    tables = mean_tables(outputs, cfg)
+    return _predictions(cfg, tables, energy_model, predict_mean_rates(
+        rate_model, tables["dl_load"], tables["ue"],
+        np.random.default_rng([seed, 0x51])))
+
+
+def baseline_predictions(cfg: NetworkConfig, outputs: Sequence[HourlyOutputs],
+                         energy_model: EnergyModel, kpis: HourlyRows,
+                         ) -> dict[str, KpiTable]:
+    """`benchmark`'s predictions.csv tables: energy per (radio, hour) on the
+    baseline's outputs, and each cell's mean rate over the rows `kpis`."""
+    tables = mean_tables(outputs, cfg)
+    rates = mean_rate_by_cell(build_rate_samples(cfg, kpis)[0])
+    return _predictions(cfg, tables, energy_model, {
+        (cell, hour): rates[cell] for cell, hour in sorted(tables["dl_load"])
+        if cell in rates})
+
+
+# ---------------------------------------------------------------------------
 # Metrics
 
 
@@ -624,6 +700,35 @@ def compare(abm_tables: Mapping[str, KpiTable],
         profiles[kpi] = [(hour, *(float(np.mean(v)) for v in zip(*vals)))
                          for hour, vals in sorted(by_hour.items())]
     return EvalReport(kpis=kpis, profiles=profiles)
+
+
+def align_to_truth(abm_tables: Mapping[str, KpiTable],
+                   bench_tables: Mapping[str, KpiTable],
+                   truth_tables: Mapping[str, KpiTable],
+                   ) -> tuple[dict, dict, dict, list[str]]:
+    """`compare`'s arguments: the tables cut to the keys that each truth KPI
+    shares with both estimators; and a coverage line per truth KPI, the keys
+    kept and dropped, or skipped if an estimator lacks the KPI. A KPI that
+    shares no key with the truth raises KeyMismatchError."""
+    aligned = {"abm": {}, "benchmark": {}, "truth": {}}
+    coverage = []
+    for kpi, truth in truth_tables.items():
+        estimates = {"abm": abm_tables.get(kpi),
+                     "benchmark": bench_tables.get(kpi)}
+        lacking = " and ".join(n for n, t in estimates.items() if t is None)
+        if lacking:
+            coverage.append(f"{kpi}: skipped, not predicted by {lacking}")
+            continue
+        keys = set(truth) & set(abm_tables[kpi]) & set(bench_tables[kpi])
+        if not keys:
+            raise KeyMismatchError(f"no overlapping keys for KPI {kpi!r}")
+        coverage.append(f"{kpi}: kept {len(keys)} of {len(truth)} keys; "
+                        "dropped " + ", ".join(
+                            f"{len(set(truth) - set(t))} absent from {n}"
+                            for n, t in estimates.items()))
+        for name, table in (*estimates.items(), ("truth", truth)):
+            aligned[name][kpi] = {k: table[k] for k in keys}
+    return (*aligned.values(), coverage)
 
 
 def write_eval_report(directory, report: EvalReport) -> None:

@@ -268,7 +268,6 @@ class BoostedEnsemble:
     feature: np.ndarray = field(default_factory=lambda: np.empty((0, 0), int))
     threshold: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
     value: np.ndarray = field(default_factory=lambda: np.empty((0, 1)))
-    train_mse: list[float] = field(default_factory=list)
 
     @property
     def trees(self) -> list[RegressionTree]:
@@ -322,7 +321,6 @@ def _fit_lockstep(data, hyper: RateHyper) -> list[BoostedEnsemble]:
     feature = np.empty((T, E, inner), dtype=np.intp)
     threshold = np.empty((T, E, inner))
     value = np.empty((T, E, 2 * inner + 1))
-    mse = np.empty((E, T))
     Y = np.zeros((E, N))
     for e, (_, y) in enumerate(data):
         Y[e, :len(y)] = y
@@ -331,13 +329,9 @@ def _fit_lockstep(data, hyper: RateHyper) -> list[BoostedEnsemble]:
     for t in range(T):
         pred = pred + hyper.learning_rate * rows.grow(
             Y - pred, feature[t], threshold[t], value[t])
-        sq = (Y - pred) ** 2
-        for e, n in enumerate(rows.n.tolist()):
-            mse[e, t] = sq[e, :n].mean()
-    return [BoostedEnsemble(
-        init[e], hyper.learning_rate, *(np.ascontiguousarray(a[:, e]) for a in
-                                        (feature, threshold, value)),
-        train_mse=mse[e].tolist()) for e in range(E)]
+    return [BoostedEnsemble(init[e], hyper.learning_rate, *(
+        np.ascontiguousarray(a[:, e]) for a in (feature, threshold, value)))
+        for e in range(E)]
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +581,21 @@ def predict_rate(model: RateModel, cell: str, dl_prb_load: float,
     """`predict_rates` for one row: (mean rate, 5%-tile rate) in Mbps."""
     avg, ce = predict_rates(model, [cell], [dl_prb_load], [rrc_ues], rng)
     return float(avg[0]), float(ce[0])
+
+
+def predict_mean_rates(model: RateModel, dl_load: Mapping[tuple, float],
+                       ues: Mapping[tuple, float], rng: np.random.Generator,
+                       ) -> dict[tuple, float]:
+    """Mean rate in Mbps per key of `dl_load` whose cell, the key's first
+    item, the model knows: the keys in sorted order, the order of the PMF
+    draws, each load clamped to [0, 1], through one `predict_rates` call."""
+    cells = model.cells
+    keys = [key for key in sorted(dl_load) if key[0] in cells]
+    rates, _ = predict_rates(
+        model, [key[0] for key in keys],
+        [min(max(dl_load[key], 0.0), 1.0) for key in keys],
+        [ues[key] for key in keys], rng)
+    return dict(zip(keys, rates.tolist()))
 
 
 def build_rate_samples(cfg: NetworkConfig, kpis: HourlyRows,

@@ -215,11 +215,13 @@ class TestSimulate:
         ('{"threshold": {"cap001": {"entry_ue": 1.0}}}',
          "unknown override section(s) 'threshold'"),
         ('{"thresholds": ', "not valid JSON"),
+        (b"\xff\xfe{}", "not valid JSON"),       # bytes that are not UTF-8
     ])
     def test_malformed_override_file_fails_cleanly(self, pipeline, tmp_path,
                                                    text, message):
         overrides = tmp_path / "ov.json"
-        overrides.write_text(text)
+        overrides.write_bytes(text if isinstance(text, bytes)
+                              else text.encode())
         for command in ("simulate", "benchmark"):
             r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, command,
                         "--data", pipeline / "data",
@@ -228,6 +230,30 @@ class TestSimulate:
             assert r.exit_code == 1
             assert isinstance(r.exception, SystemExit)
             assert "error:" in r.output and message in r.output
+
+    def test_models_of_another_network_fail_cleanly(self, pipeline,
+                                                    tmp_path):
+        """Models trained on one capacity cell know one of the pipeline's
+        three capacity radio types: predicting ends in `error:` before any
+        output file is written."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_capacity": 1, "n_coverage": 1,
+                                    "n_days": 2, "reports_per_cell_hour": 4}))
+        r = run_cli("--seed", 5, "generate", "--no-truth", "--spec", spec,
+                    "--out", tmp_path / "data")
+        assert r.exit_code == 0, r.output
+        r = run_cli("--seed", 5, "train", "--data", tmp_path / "data",
+                    "--out", tmp_path / "models")
+        assert r.exit_code == 0, r.output
+        for command in ("simulate", "benchmark"):
+            r = run_cli("--seed", 5, "--runs", 2, "--max-steps", 40, command,
+                        "--data", pipeline / "data",
+                        "--models", tmp_path / "models",
+                        "--out", tmp_path / command)
+            assert r.exit_code == 1
+            assert isinstance(r.exception, SystemExit)
+            assert "error: radio type 'aau-n35-" in r.output
+            assert not (tmp_path / command).exists()
 
     def test_non_numeric_a4_override_fails_cleanly(self, pipeline, tmp_path):
         overrides = tmp_path / "ov.json"

@@ -17,7 +17,9 @@ from carriersim.energymodel import (
     nll_gradient,
     nll_loss,
     predict_energy,
+    predict_mean_energy,
     RadioHourSample,
+    samples_from_means,
     save_energy_model,
     train_energy_model,
 )
@@ -193,6 +195,31 @@ class TestFeatureEncoding:
         assert len(rows) == 1
         assert rows[0].dl_loads["c1"] == pytest.approx(27.0 / 270)
         assert rows[0].energy_wh == 432.1
+
+
+    def test_samples_from_means_clamp_load_and_scale_shutdown(self):
+        cfg = make_network()
+        keys = [(c.id, hour) for c in cfg.cells for hour in range(1, 25)]
+        load = dict.fromkeys(keys, 0.25) | {("c1", 3): 1.5, ("b1", 4): -0.5}
+        rows = samples_from_means(cfg, load, dict.fromkeys(keys, 15.0))
+        assert list(rows) == [(r.id, hour) for r in cfg.radio_units
+                              for hour in range(1, 25)]
+        assert rows["ru-c1", 3].dl_loads == {"c1": 1.0}
+        assert rows["ru-b1", 4].dl_loads == {"b1": 0.0}
+        assert rows["ru-c1", 5].cs_fractions == {"c1": 0.25}
+        assert rows["ru-c1", 5].cells == (cfg.cell("c1"),)
+
+    def test_predict_mean_energy_is_predict_energy_row_by_row(self):
+        cfg, radios, samples = schema_fixture()
+        schema = fit_feature_schema(samples, max_carriers=6)
+        pairs = [(encode_features(schema, s.radio, s.cells, s.dl_loads,
+                                  s.cs_fractions), s.energy_wh + i)
+                 for i, s in enumerate(samples * 4)]
+        model = train_energy_model(pairs, EnergyHyper(max_epochs=5,
+                                                      patience=5),
+                                   schema=schema)
+        assert predict_mean_energy(model, samples) == [
+            predict_energy(model, vec)[0] for vec, _ in pairs[:len(samples)]]
 
 
 class TestNetworkGradients:

@@ -15,11 +15,14 @@ from carriersim.errors import (
 from carriersim.harness import (
     RateLaw,
     ScenarioSpec,
+    align_to_truth,
+    chronological_split,
     compare,
     diurnal_profile,
     generate_scenario,
     ground_truth_replay,
     mae_mape,
+    prepare_network,
     read_truth,
     truth_tables_from_outputs,
     write_eval_report,
@@ -31,7 +34,7 @@ from carriersim.harness import (_RATE_DRAWS, _TRAFFIC_DRAWS, _at_least,
 from carriersim.ratemodel import DEFAULT_BIN_EDGES
 from carriersim.rules import build_handover_model_for_hours
 
-from conftest import report_pairs
+from conftest import make_kpi, report_pairs, stack
 
 
 class TestMaeMape:
@@ -128,6 +131,59 @@ class TestCompare:
         write_eval_report(tmp_path, report)
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "profiles.csv").read_text().startswith("kpi,hour")
+
+
+class TestAlignToTruth:
+    def test_cuts_to_the_shared_keys_and_reports_coverage(self):
+        abm, bench, truth = tiny_tables()
+        truth["cs_minutes"][("c1", 3)] = 10.0
+        bench["cs_minutes"][("c1", 3)] = 12.0
+        bench["cs_minutes"][("c1", 4)] = 12.0
+        truth["rate_mbps"] = {("c1", 1): 5.0}
+        abm["rate_mbps"] = {("c1", 1): 6.0}
+        *aligned, coverage = align_to_truth(abm, bench, truth)
+        for tables in aligned:
+            assert list(tables) == ["cs_minutes"]
+            assert set(tables["cs_minutes"]) == {("c1", 1), ("c1", 2)}
+        assert coverage == [
+            "cs_minutes: kept 2 of 3 keys; dropped 1 absent from abm, "
+            "0 absent from benchmark",
+            "rate_mbps: skipped, not predicted by benchmark"]
+        assert compare(*aligned).kpis["cs_minutes"].abm.mae == 1.0
+
+    def test_no_shared_key_raises(self):
+        abm, bench, truth = tiny_tables()
+        abm["cs_minutes"] = {("zz", 1): 0.0}
+        with pytest.raises(KeyMismatchError, match="no overlapping keys"):
+            align_to_truth(abm, bench, truth)
+
+
+class TestChronologicalSplit:
+    def test_first_four_of_five_days_train(self):
+        rows = stack(make_kpi(day=day, hour=hour)
+                     for day in (3, 1, 5, 2, 4) for hour in (1, 2))
+        train, test = chronological_split(rows)
+        assert train.day.tolist() == [3, 3, 1, 1, 2, 2, 4, 4]
+        assert test.day.tolist() == [5, 5]
+
+    def test_one_day_trains_and_tests_nothing(self):
+        train, test = chronological_split(make_kpi(day=2))
+        assert train.day.tolist() == [2] and len(test) == 0
+
+
+def test_prepare_network_votes_handover_under_the_overrides(tmp_path):
+    generate_scenario(ScenarioSpec(n_capacity=2, n_coverage=1, n_days=1,
+                                   reports_per_cell_hour=4), tmp_path, seed=2)
+    cfg, kpis, _, mrs = parse_datasets(tmp_path)
+    a4 = {c.id: {"threshold_dbm": 0.0} for c in cfg.cells}   # none passes
+    plain, tm, handover = prepare_network(cfg, kpis, mrs, {})
+    assert plain == cfg
+    assert handover.probabilities == \
+        build_handover_model_for_hours(cfg, mrs).probabilities
+    assert tm.cells == tuple(dict.fromkeys(kpis.ids))
+    blocked, _, handover = prepare_network(cfg, kpis, mrs, {"a4": a4})
+    assert blocked.mobility["cap001"].threshold_dbm == 0.0
+    assert not any(handover.probabilities.values())
 
 
 class TestLaws:
